@@ -84,9 +84,9 @@ pub struct SocConfig {
     /// Route the simulator through the pre-optimisation hot path: linear
     /// ready-queue scans, per-arrival deadline recomputation, and fresh
     /// heap allocations instead of reused scratch buffers. Behaviour is
-    /// identical by construction — only the host-side cost changes — so the
-    /// wall-clock benchmark can measure the optimised and reference paths
-    /// on the same build and assert their results match.
+    /// identical by construction — only the host-side cost changes — and
+    /// the hot-path equivalence tests run both paths and assert their
+    /// results match bit for bit.
     pub reference_hot_path: bool,
     /// Fault-injection plan knobs (`relief-fault`). The default injects
     /// nothing and leaves every output byte-identical to a fault-free
@@ -107,13 +107,14 @@ pub struct SocConfig {
     /// watchdog. Detection only — a run that never trips it is
     /// byte-identical at any setting.
     pub watchdog_window: u64,
-    /// Soak mode: drop every O(total-requests) sample collection
-    /// (per-node prediction-error samples, per-instance DAG runtimes) so
-    /// an arbitrarily long run's memory stays bounded by the in-flight
-    /// set. This *changes the reported statistics* (the affected vectors
-    /// come back empty), so campaigns must leave it off; only the soak
-    /// benchmark sets it. Scheduling decisions, traces, and event counts
-    /// are unaffected.
+    /// Bounded-memory mode: drop every O(total-requests) sample
+    /// collection (per-node prediction-error samples, per-instance DAG
+    /// runtimes) so an arbitrarily long run's memory stays bounded by the
+    /// in-flight set. This *changes the reported statistics* (the
+    /// affected vectors come back empty), so paper campaigns must leave it
+    /// off; long overloaded serving runs (the repository benchmark's
+    /// `serve-overload` workload) set it. Scheduling decisions, traces,
+    /// and event counts are unaffected.
     pub bounded_memory: bool,
 }
 
@@ -207,7 +208,7 @@ impl SocConfig {
         self
     }
 
-    /// Enables soak mode (see [`SocConfig::bounded_memory`]).
+    /// Enables bounded-memory mode (see [`SocConfig::bounded_memory`]).
     pub fn with_bounded_memory(mut self) -> Self {
         self.bounded_memory = true;
         self

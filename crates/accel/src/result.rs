@@ -55,7 +55,7 @@ pub struct SimResult {
     pub events_dispatched: u64,
     /// High-water mark of concurrently live DAG-instance slots
     /// (diagnostic). With instance recycling active this is the peak
-    /// in-flight population — the bound a soak run's memory plateaus at;
+    /// in-flight population — the bound a long run's memory plateaus at;
     /// in reference mode (no recycling) it equals total admissions.
     /// Campaign-cache reads report 0 (the field is host-side, not part
     /// of the simulated outcome, and is not cached).

@@ -873,7 +873,7 @@ impl SocSim {
     }
 
     /// Most stuck instances a stall dump itemises; past the cap the dump
-    /// closes with an aggregate count so a heavily loaded soak's watchdog
+    /// closes with an aggregate count so a heavily loaded stream's watchdog
     /// error stays readable (and bounded) instead of listing thousands of
     /// in-flight requests.
     const STALL_DUMP_MAX_INSTANCES: usize = 16;
@@ -1204,7 +1204,7 @@ impl SocSim {
         let serial = self.dags[s].serial;
         // Data-movement prediction errors (Table VIII) fold out here so
         // `finalize` stays O(live set); the serial tag restores admission
-        // order there. Soak mode drops the per-node samples entirely.
+        // order there. Bounded-memory mode drops the per-node samples entirely.
         if !self.cfg.bounded_memory {
             for rt in &nodes {
                 if rt.phase == NodePhase::Done && rt.actual_bytes > 0 && rt.pred_bytes > 0 {
@@ -2053,7 +2053,7 @@ impl SocSim {
         }
         {
             // Table VIII sign convention: (actual − predicted) / predicted,
-            // so negative means the predictor overestimated. Soak mode
+            // so negative means the predictor overestimated. Bounded-memory mode
             // drops the O(total-requests) sample to stay bounded.
             let rt = self.node_rt(slot, key.node);
             if rt.pred_compute.as_ps() > 0 && !self.cfg.bounded_memory {
@@ -2181,7 +2181,7 @@ impl SocSim {
         if met {
             stats.dag_deadlines_met += 1;
         }
-        // Soak mode: the per-completion runtime sample is the one
+        // Bounded-memory mode: the per-completion runtime sample is the one
         // unbounded closed-loop accumulator; drop it there.
         if !self.cfg.bounded_memory {
             stats.dag_runtimes.push(runtime);
@@ -2662,7 +2662,7 @@ impl SocSim {
         if pred > 0.0 && !self.cfg.bounded_memory {
             // (actual − predicted) / predicted: Max always overestimates
             // under contention, yielding Table VIII's negative errors.
-            // Soak mode drops the sample but keeps feeding the predictor.
+            // Bounded-memory mode drops the sample but keeps feeding the predictor.
             self.prediction.bw_rel_errors.push((achieved - pred) / pred);
         }
         self.mem_pred.observe_bandwidth(achieved);

@@ -21,20 +21,35 @@ use relief_bench::cache::CacheConfig;
 use relief_bench::campaign::{self, Ctx, ExecOptions};
 use relief_bench::experiments as ex;
 
+/// The accepted flags, printed with every argument error.
+const USAGE: &str = "usage: all_experiments [--jobs N] [--no-cache]";
+
+/// Parses the command line into `(jobs, cache)`. Any argument other than
+/// `--jobs N` and `--no-cache` is an error, so a typo such as
+/// `--no-cahce` cannot silently run against the cache.
+fn parse_args(args: &[String]) -> Result<(usize, CacheConfig), String> {
+    let mut jobs = campaign::default_jobs();
+    let mut cache = CacheConfig::standard();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--jobs" => jobs = campaign::parse_jobs([arg].into_iter().chain(it.next()).cloned())?,
+            "--no-cache" => cache = CacheConfig::disabled(),
+            other => return Err(format!("unknown argument '{other}'")),
+        }
+    }
+    Ok((jobs, cache))
+}
+
 fn main() {
     let t0 = std::time::Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = match campaign::parse_jobs(args.iter().cloned()) {
-        Ok(n) => n,
+    let (jobs, cache) = match parse_args(&args) {
+        Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2);
         }
-    };
-    let cache = if args.iter().any(|a| a == "--no-cache") {
-        CacheConfig::disabled()
-    } else {
-        CacheConfig::standard()
     };
     let grid = ex::grid::full_grid();
     eprintln!("== prewarming {} runs on {jobs} worker(s) ==", grid.len());
@@ -103,4 +118,36 @@ fn main() {
     print!("{}", artifact("table-oracle", &|| relief_bench::oracle::table_oracle(jobs)));
     println!();
     eprintln!("== done in {:.0?} ==", t0.elapsed());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn accepts_jobs_and_no_cache() {
+        let (jobs, cache) = parse_args(&args(&["--no-cache", "--jobs", "3"])).unwrap();
+        assert_eq!(jobs, 3);
+        assert!(!cache.enabled, "--no-cache must disable the store");
+        let (_, cache) = parse_args(&args(&[])).unwrap();
+        assert!(cache.enabled, "the persistent cache defaults on");
+    }
+
+    #[test]
+    fn rejects_unknown_and_malformed_arguments() {
+        for bad in [
+            &["--no-cahce"][..],
+            &["--jobs", "2", "--frobnicate"],
+            &["extra"],
+            &["--jobs"],
+            &["--jobs", "0"],
+            &["--jobs", "many"],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

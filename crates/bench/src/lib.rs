@@ -1,10 +1,11 @@
 //! Shared experiment-runner infrastructure for the paper's tables and
 //! figures.
 //!
-//! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §5 for the full index); this library holds
-//! the common plumbing: running a policy over a mix, sweeping contention
-//! levels, and aggregating geometric means the way the figures do.
+//! `all_experiments` regenerates every artifact of the paper's evaluation
+//! (see DESIGN.md §5 for the full index) and the other binaries in
+//! `src/bin/` run the extension campaigns; this library holds the common
+//! plumbing: running a policy over a mix, sweeping contention levels, and
+//! aggregating geometric means the way the figures do.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -134,10 +135,7 @@ pub mod cache;
 pub mod campaign;
 pub mod chaos;
 pub mod experiments;
-pub mod microbench;
 pub mod oracle;
 pub mod resilience;
 pub mod service;
-pub mod soak;
 pub mod traceio;
-pub mod walltime;

@@ -100,9 +100,8 @@ impl ServiceSpec {
             .map_err(|e| e.to_string())
     }
 
-    /// The stream configuration of one swept cell. Also reused by the
-    /// `xtask bench --service` wall-clock microbench (`crate::walltime`).
-    pub(crate) fn stream_config(&self, rate: f64) -> StreamConfig {
+    /// The stream configuration of one swept cell.
+    fn stream_config(&self, rate: f64) -> StreamConfig {
         StreamConfig {
             seed: self.seed,
             duration_ps: self.duration_ps,

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 /// string-keyed [`observe`](ComputeProfile::observe)/
 /// [`predict`](ComputeProfile::predict) API is preserved on top and
 /// deliberately kept on the pre-interning nested-`HashMap` storage: it is
-/// the wall-clock benchmark's reference cost model, so its per-call cost
+/// the simulator's reference-hot-path cost model, so its per-call cost
 /// (two hash lookups) must not quietly improve. Both stores hold the
 /// same observations.
 ///
@@ -46,9 +46,9 @@ pub struct ComputeProfile {
     table: Vec<Vec<(Dur, u64)>>,
     kinds: Intern<KindId>,
     /// Pre-interning storage kept verbatim for the string-keyed API. The
-    /// reference hot path in the wall-clock benchmark predicts through
-    /// this map so its cost stays two hash lookups, exactly as before the
-    /// dense table existed. Mirrors `table` observation-for-observation.
+    /// simulator's reference hot path predicts through this map so its
+    /// cost stays two hash lookups, exactly as before the dense table
+    /// existed. Mirrors `table` observation-for-observation.
     legacy: HashMap<AccTypeId, HashMap<String, (Dur, u64)>>,
 }
 

@@ -36,7 +36,7 @@ pub struct ReadyQueues {
     /// Number of escalated (`is_fwd`) entries at the front of each queue.
     fwd_prefix: Vec<usize>,
     /// Route position queries through the pre-optimisation linear scans
-    /// (benchmark reference mode; results are identical by construction).
+    /// (reference hot path; results are identical by construction).
     reference_linear_scans: bool,
     ops: u64,
 }
@@ -114,7 +114,7 @@ impl ReadyQueues {
     /// Routes position queries through the pre-optimisation linear scans.
     /// Only the cost model changes: the linear and binary paths return
     /// identical results (pinned by the `queue_properties` suite). Used by
-    /// the wall-clock benchmark to measure the old cost on the same build.
+    /// the simulator's reference hot path.
     pub fn set_reference_linear_scans(&mut self, on: bool) {
         self.reference_linear_scans = on;
     }
@@ -137,7 +137,7 @@ impl ReadyQueues {
 
     /// Reference implementation of [`find_pos`](Self::find_pos): the
     /// original head-to-tail walk. Kept as the oracle for the binary-search
-    /// property tests and as the benchmark baseline's cost model.
+    /// property tests and as the reference hot path's cost model.
     pub fn find_pos_linear(&self, acc: AccTypeId, entry: &TaskEntry) -> usize {
         let q = self.queue(acc);
         let start = q.iter().take_while(|t| t.is_fwd).count();

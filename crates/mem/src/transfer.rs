@@ -305,7 +305,7 @@ impl TransferEngine {
     }
 
     /// Switches chunk issue to the pre-optimisation cost path (see
-    /// `reference_alloc_path` field docs). For benchmarking only.
+    /// `reference_alloc_path` field docs). For equivalence tests only.
     pub fn set_reference_alloc_path(&mut self, on: bool) {
         self.reference_alloc_path = on;
     }
@@ -525,8 +525,8 @@ impl TransferEngine {
         end
     }
 
-    /// The pre-optimisation chunk path, kept verbatim so `xtask bench`
-    /// can record the old cost on the same build: boxes the lane set,
+    /// The pre-optimisation chunk path, kept verbatim as the reference
+    /// the hot-path equivalence tests compare against: boxes the lane set,
     /// recomputes bandwidth divisions per chunk, and reserves through
     /// [`reserve_joint`]. Reservation-for-reservation identical to
     /// [`issue_chunk`](Self::issue_chunk).

@@ -168,8 +168,9 @@ pub struct EventQueue<E> {
     /// false, every event lives in `near` and the queue is a plain heap.
     engaged: bool,
     /// Routes everything through `near` alone — the pre-calendar
-    /// [`BinaryHeap`] implementation, kept as the wall-clock benchmark's
-    /// reference cost model (behaviour is identical either way).
+    /// [`BinaryHeap`] implementation, kept as the reference the hot-path
+    /// equivalence tests compare against (behaviour is identical either
+    /// way).
     reference_heap: bool,
     next_seq: u64,
     popped: u64,
@@ -200,8 +201,8 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue that runs on the pre-calendar binary-heap
     /// path. Pop order is identical to [`EventQueue::new`] by
-    /// construction; only the host-side cost differs. Used by the
-    /// wall-clock benchmark's reference mode.
+    /// construction; only the host-side cost differs. Used by
+    /// `SocConfig::reference_hot_path`.
     pub fn reference() -> Self {
         EventQueue { reference_heap: true, ..EventQueue::new() }
     }

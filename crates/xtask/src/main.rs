@@ -1,11 +1,10 @@
-//! `cargo run -p xtask -- <check|bench>` — the hermetic CI gate and the
-//! wall-clock benchmark front end.
+//! `cargo run -p xtask -- check` — the hermetic CI gate.
 //!
 //! `check` verifies what the sandboxed environment actually guarantees:
 //!
-//! 1. `cargo build --offline --workspace --benches` — the tree, including
-//!    every benchmark target, builds with zero network access (no registry
-//!    dependencies may creep back in).
+//! 1. `cargo build --offline --workspace --all-targets` — the tree,
+//!    including every test, example and binary, builds with zero network
+//!    access (no registry dependencies may creep back in).
 //! 2. `cargo clippy --offline <every library crate> --all-targets --
 //!    -D warnings` — all library crates stay lint-clean, including the
 //!    `clippy::unwrap_used` / `clippy::expect_used` gates their crate
@@ -20,13 +19,9 @@
 //!    entries written under a stale schema version or code-version salt
 //!    (they can never hit again; `cache_hygiene --purge` deletes them).
 //!    `chaos-smoke` (release) — the chaos campaign binary executes a
-//!    small fault × overload grid with the self-healing stack on,
-//!    `soak-smoke` (release) — a short bounded-memory MMPP soak whose
-//!    deterministic report must be byte-identical at `--jobs` 1 and 2
-//!    and whose live-slot high-water mark must stay under the
-//!    configured bound (instance recycling keeps memory O(in-flight)),
-//!    and `invariants` proves the end-of-run conservation checks also
-//!    hold in a release build via the `invariants` feature.
+//!    small fault × overload grid with the self-healing stack on, and
+//!    `invariants` proves the end-of-run conservation checks also hold
+//!    in a release build via the `invariants` feature.
 //! 5. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
 //!    incremental-campaign store: warm reruns simulate zero cells with
@@ -35,45 +30,27 @@
 //!    `scheduler_conformance`, `metamorphic_properties`,
 //!    `fault_injection`, `service_mode` (the open-loop streaming
 //!    frontend: byte-identical reports at any `--jobs`, bit-inert when
-//!    disabled, admission accounting), `chaos_conformance` (memory-side
-//!    fault domains, circuit breakers, timeouts and hedges, the
-//!    simulation watchdog, and the campaign-cache round trip),
-//!    `queue_equivalence`,
-//!    `soa_equivalence` (the optimised hot path against its own
-//!    reference implementation, bit for bit, under all eleven policies,
-//!    twenty seeds, faults, and service mode),
-//!    `recycling_equivalence` (generational instance recycling against
-//!    the never-retiring reference path: bit-exact stats/traces, stale
-//!    timeouts dropped on recycled slots, bounded-memory mode
-//!    observation-only), and `oracle_conformance`
-//!    (the ahead-of-time scheduling bound: oracle ≤ every online
-//!    policy, prediction = replay bit-exactly, beam-width monotonicity,
-//!    recorded-run replay differentials).
-//! 6. `xtask bench --check` — a short run of the hot-path benchmark that
-//!    validates the `BENCH_simcore.json` schema and then gates on the
-//!    committed baseline: the fresh run's fastest pass must stay within
-//!    10 % of the committed optimised median ns/event (skipped with a
-//!    notice when no baseline is committed).
+//!    disabled, admission accounting, and a bounded-memory MMPP overload
+//!    whose live-slot high-water mark stays under its bound),
+//!    `chaos_conformance` (memory-side fault domains, circuit breakers,
+//!    timeouts and hedges, the simulation watchdog, and the
+//!    campaign-cache round trip), `hot_path_equivalence` (the optimised
+//!    hot path against `SocConfig::reference_hot_path`, bit for bit,
+//!    under all eleven policies, forty seeds, faults, service mode, and
+//!    instance recycling), and `oracle_conformance` (the ahead-of-time
+//!    scheduling bound: oracle ≤ every online policy, prediction =
+//!    replay bit-exactly, beam-width monotonicity, recorded-run replay
+//!    differentials).
+//! 6. `benchmark` — `cargo test` on the repository benchmark
+//!    (`benchmark/`, its own workspace): every workload runs end to end
+//!    and its output checks hold (simulated-metric digests, traced ==
+//!    untraced, trace/stats reconciliation, a warm grid simulating zero
+//!    cells). Performance itself is measured only by `BENCHMARK.json`'s
+//!    command; see `benchmark/README.md`.
 //!
 //! `check --suite <name>[,<name>...]` runs a subset of those steps by
 //! name (see `check --list-suites` for the names); everything else is
 //! skipped. Unknown names abort with the list of valid ones.
-//!
-//! `bench` (release) measures the simulation hot path over a pinned
-//! campaign subset — optimised vs the `reference_hot_path` cost model —
-//! writes `BENCH_simcore.json` at the repo root, and appends the run's
-//! medians to the `BENCH_trajectory.json` history (see README.md).
-//! Extra arguments (`--iters N`, `--out PATH`, `--check`,
-//! `--tolerance PCT`, `--service`, `--events`, `--soak`, `--smoke`,
-//! `--jobs N`) are forwarded to the
-//! `simcore_bench` binary; `bench --service` times the open-loop
-//! service subset and appends a `+service` trajectory entry instead,
-//! `bench --events` times the calendar-queue cohort-pop microbench
-//! alone, appending a `+events` entry, and `bench --soak` drives the
-//! million-request bounded-memory MMPP soak, appending a `+soak` entry
-//! that also records peak RSS and the live-slot high-water mark
-//! (trajectory schema v2). `bench --check` additionally gates a reduced
-//! soak against the committed `+soak` entry and the live-set bound.
 //!
 //! Exit code is nonzero if any executed step fails.
 
@@ -103,7 +80,7 @@ fn have_clippy() -> bool {
 }
 
 /// The integration-test suites step 5 runs, as `(package, test target)`.
-const TEST_SUITES: [(&str, &str); 12] = [
+const TEST_SUITES: [(&str, &str); 10] = [
     ("relief-bench", "campaign_engine"),
     ("relief-bench", "campaign_cache"),
     ("relief", "golden_experiments"),
@@ -112,22 +89,19 @@ const TEST_SUITES: [(&str, &str); 12] = [
     ("relief", "fault_injection"),
     ("relief", "service_mode"),
     ("relief", "chaos_conformance"),
-    ("relief", "queue_equivalence"),
-    ("relief", "soa_equivalence"),
-    ("relief", "recycling_equivalence"),
+    ("relief", "hot_path_equivalence"),
     ("relief", "oracle_conformance"),
 ];
 
 /// Names accepted by `check --suite` that are not test targets.
-const META_SUITES: [&str; 8] = [
+const META_SUITES: [&str; 7] = [
     "build",
     "lint",
     "campaign-smoke",
     "cache-hygiene",
     "chaos-smoke",
-    "soak-smoke",
     "invariants",
-    "bench-check",
+    "benchmark",
 ];
 
 fn print_suites() {
@@ -188,8 +162,8 @@ fn check(args: &[String]) -> ExitCode {
     let mut ok = true;
     if wants("build") {
         ok &= run(
-            "cargo build --offline --workspace --benches",
-            Command::new("cargo").args(["build", "--offline", "--workspace", "--benches"]),
+            "cargo build --offline --workspace --all-targets",
+            Command::new("cargo").args(["build", "--offline", "--workspace", "--all-targets"]),
         );
     }
     if wants("lint") {
@@ -275,12 +249,6 @@ fn check(args: &[String]) -> ExitCode {
             ]),
         );
     }
-    if wants("soak-smoke") {
-        ok &= run(
-            "soak smoke run (bounded-memory serving, jobs=1 vs jobs=2)",
-            &mut bench_command(&["--soak".to_string(), "--smoke".to_string()]),
-        );
-    }
     if wants("invariants") {
         ok &= run(
             "release-mode conservation invariants (--features invariants)",
@@ -306,10 +274,12 @@ fn check(args: &[String]) -> ExitCode {
             Command::new("cargo").args(["test", "--offline", "-p", package, "--test", suite]),
         );
     }
-    if wants("bench-check") {
+    if wants("benchmark") {
         ok &= run(
-            "hot-path benchmark smoke run (xtask bench --check)",
-            &mut bench_command(&["--check".to_string()]),
+            "cargo test --offline --manifest-path benchmark/Cargo.toml",
+            Command::new("cargo")
+                .args(["test", "--offline", "--manifest-path", "benchmark/Cargo.toml"])
+                .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")),
         );
     }
     if ok {
@@ -320,40 +290,12 @@ fn check(args: &[String]) -> ExitCode {
     }
 }
 
-/// The `simcore_bench` invocation with `args` forwarded verbatim.
-fn bench_command(args: &[String]) -> Command {
-    let mut cmd = Command::new("cargo");
-    cmd.args([
-        "run",
-        "--offline",
-        "--release",
-        "-p",
-        "relief-bench",
-        "--bin",
-        "simcore_bench",
-        "--",
-    ]);
-    cmd.args(args);
-    cmd
-}
-
-fn bench(args: &[String]) -> ExitCode {
-    if run("simulation hot-path benchmark (simcore_bench)", &mut bench_command(args)) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => check(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- <check [--suite NAMES] [--list-suites] | bench [--iters N] [--out PATH] [--check] [--tolerance PCT] [--service] [--events] [--soak [--smoke] [--jobs N]]>"
-            );
+            eprintln!("usage: cargo run -p xtask -- check [--suite NAMES] [--list-suites]");
             ExitCode::from(2)
         }
     }

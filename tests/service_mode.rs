@@ -3,8 +3,9 @@
 //! end through the simulator, the campaign engine, and the trace
 //! subsystem.
 //!
-//! 1. **Jobs-invariance** — a service campaign renders byte-identical
-//!    reports at `--jobs 1`, `4`, and `8`.
+//! 1. **Jobs-invariance** — a service campaign and a bounded-memory
+//!    MMPP overload campaign render byte-identical reports at
+//!    `--jobs 1`, `4`, and `8`.
 //! 2. **Rate-0 inertness** — a disabled stream config (zero rates)
 //!    leaves `RunStats` bit-identical to a config-default closed-loop
 //!    run, so every golden output is unchanged by the service layer's
@@ -18,12 +19,16 @@
 //! 5. **QoS differentiation** — at an overloaded operating point the
 //!    controller sheds and the `Latency` class keeps a strictly higher
 //!    deadline attainment than `BestEffort`.
+//! 6. **Bounded live set** — half a second of 4x MMPP bursts at ~20x
+//!    capacity in bounded-memory mode admits thousands of requests, yet
+//!    generational instance recycling holds the live-slot high-water
+//!    mark to O(in-flight).
 
-use relief::bench::campaign::{execute, ExecOptions};
+use relief::bench::campaign::{execute, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
 use relief::bench::service::ServiceSpec;
 use relief::prelude::*;
 use relief_accel::SimResult;
-use relief_service::AdmissionConfig;
+use relief_service::{AdmissionConfig, ArrivalProcess};
 use relief_trace::{EventCounters, TraceEvent};
 
 /// The CGL tenant trio: one app spec per tenant, in tenant order.
@@ -51,6 +56,33 @@ fn stream(rate: f64, cap: u32, duration_ms: u64) -> StreamConfig {
     }
 }
 
+/// The bounded-memory overload stream: the CGL trio in 4x MMPP bursts
+/// (25 % duty, 1 ms cycle) at 2000 req/s per tenant — about twenty times
+/// what the platform serves — for 0.5 s, behind an in-flight cap of 24.
+fn overload_stream() -> StreamConfig {
+    StreamConfig {
+        seed: 0x50AC,
+        process: ArrivalProcess::Mmpp { burst: 4.0, on_fraction: 0.25, cycle_ps: 1_000_000_000 },
+        ..stream(2_000.0, 24, 500)
+    }
+}
+
+/// The overload stream on the mobile platform in bounded-memory mode.
+fn overload_config(policy: PolicyKind) -> SocConfig {
+    SocConfig::mobile(policy).with_stream(overload_stream()).with_bounded_memory()
+}
+
+/// [`overload_config`] as a campaign: FCFS and RELIEF, one cell each.
+fn overload_campaign() -> CampaignSpec {
+    CampaignSpec {
+        name: "overload".into(),
+        policies: vec![PolicyKind::Fcfs, PolicyKind::Relief],
+        workloads: vec![WorkloadSpec::custom("service/CGL", None, cgl_apps)],
+        platforms: vec![PlatformSpec::custom("mobile+mmpp-overload+bm", overload_config)],
+        replicates: 1,
+    }
+}
+
 /// Runs the CGL trio under `policy` with `stream` installed, capturing
 /// the full event trace.
 fn traced_stream_run(policy: PolicyKind, stream: StreamConfig) -> (SimResult, Vec<TraceEvent>) {
@@ -74,19 +106,23 @@ fn service_campaign_reports_are_byte_identical_across_jobs() {
         ..Default::default()
     };
     spec.validate().unwrap();
-    let serial =
-        execute(spec.campaign().expand(), &ExecOptions { jobs: 1, ..Default::default() });
-    assert!(serial.failures().is_empty(), "{:?}", serial.failures());
-    assert!(serial.mismatched().is_empty(), "{:?}", serial.mismatched());
-    for jobs in [4, 8] {
-        let parallel =
-            execute(spec.campaign().expand(), &ExecOptions { jobs, ..Default::default() });
-        assert_eq!(
-            serial.report(),
-            parallel.report(),
-            "service campaign stdout must not depend on --jobs (jobs={jobs})"
-        );
-        assert_eq!(spec.render(&serial), spec.render(&parallel));
+    for (name, campaign) in [("service", spec.campaign()), ("overload", overload_campaign())] {
+        let serial =
+            execute(campaign.expand(), &ExecOptions { jobs: 1, ..Default::default() });
+        assert!(serial.failures().is_empty(), "{name}: {:?}", serial.failures());
+        assert!(serial.mismatched().is_empty(), "{name}: {:?}", serial.mismatched());
+        for jobs in [4, 8] {
+            let parallel =
+                execute(campaign.expand(), &ExecOptions { jobs, ..Default::default() });
+            assert_eq!(
+                serial.report(),
+                parallel.report(),
+                "{name} campaign stdout must not depend on --jobs (jobs={jobs})"
+            );
+            if name == "service" {
+                assert_eq!(spec.render(&serial), spec.render(&parallel));
+            }
+        }
     }
 }
 
@@ -174,4 +210,21 @@ fn overload_sheds_and_latency_class_outranks_besteffort() {
         be_shed_share >= lat_shed_share,
         "BestEffort shed share {be_shed_share:.3} below Latency {lat_shed_share:.3}"
     );
+}
+
+#[test]
+fn bounded_memory_overload_keeps_the_live_set_bounded() {
+    overload_stream().validate().unwrap();
+    for policy in [PolicyKind::Fcfs, PolicyKind::Relief] {
+        let result = SocSim::new(overload_config(policy), cgl_apps()).run();
+        let arrivals = result.stats.service.arrivals();
+        let live = result.live_high_water;
+        assert!(live > 0, "{policy:?}: no instance was ever live");
+        assert!(
+            live <= 256,
+            "{policy:?}: live-slot high-water {live} above 256 — instance recycling \
+             is not keeping memory O(in-flight)"
+        );
+        assert!(arrivals > live, "{policy:?}: {arrivals} arrivals never outgrew {live} live slots");
+    }
 }
