@@ -2,7 +2,8 @@
 //!
 //! Scans the standard campaign-cache directory (`target/campaign-cache/`
 //! or `$RELIEF_CACHE_DIR`) for entries written under a different schema
-//! version or code-version salt. Such entries can never hit again — the
+//! version or code-version salt, and for `<key>.tmp<pid>` files left by
+//! a writer killed before its rename. Neither can ever hit again — the
 //! salt is part of every key — so they silently bloat the store and, in
 //! the worst case, mask a forgotten salt bump. The gate **rejects** them:
 //!
@@ -34,7 +35,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     println!(
-        "cache-hygiene: {} stale entr{} (wrong schema or code-version salt) in {}:",
+        "cache-hygiene: {} stale entr{} (wrong schema or salt, or orphaned temp file) in {}:",
         stale.len(),
         if stale.len() == 1 { "y" } else { "ies" },
         cache.dir.display()

@@ -67,8 +67,8 @@ fn main() {
         "RELIEF",
     ]);
     for len in LENGTHS {
-        let lax = ctx.run(&rnn_cell(len, PolicyKind::Lax)).stats;
-        let relief = ctx.run(&rnn_cell(len, PolicyKind::Relief)).stats;
+        let lax = &ctx.run(&rnn_cell(len, PolicyKind::Lax)).stats;
+        let relief = &ctx.run(&rnn_cell(len, PolicyKind::Relief)).stats;
         t.row(vec![
             len.to_string(),
             format!("{:.1}", lax.forward_percent()),

@@ -21,9 +21,10 @@
 //!   cache miss and the cell re-simulates; the fresh result then
 //!   overwrites the bad entry via an atomic temp-file rename.
 //! * **No third-party formats.** The workspace is hermetic (no serde at
-//!   run time), so entries are a whitespace-separated token stream:
-//!   `u64` in decimal, `f64` as 16-hex-digit bit patterns, strings
-//!   percent-encoded behind an `s` prefix, collections length-prefixed.
+//!   run time), so entries are fixed-width little-endian binary: `u64`,
+//!   `Time`, `Dur` and `f64` bit patterns in 8 bytes, `bool` in one byte
+//!   (0 or 1), strings and collections length-prefixed (every length
+//!   bounded by the unread bytes before allocating), then an end marker.
 //! * **Trace captures bypass the cache.** Runs captured via
 //!   `ExecOptions::trace_labels` carry a full text trace that is not
 //!   persisted; they are neither served from nor stored to the cache.
@@ -42,13 +43,13 @@ use relief_metrics::{
 use relief_sim::{Dur, Time};
 use relief_trace::EventCounters;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
 
-/// On-disk schema identifier; the first token of every entry. Bump the
+/// On-disk schema identifier; the first string of every entry. Bump the
 /// version suffix whenever the serialized layout changes shape — old
 /// entries then parse as misses instead of garbage.
-pub const SCHEMA: &str = "relief-campaign-cache/v2";
+pub const SCHEMA: &str = "relief-campaign-cache/v3";
 
 /// Code-version salt folded into every content address. Bump whenever
 /// simulator *semantics* change (anything that can alter a `SimResult`
@@ -115,16 +116,16 @@ impl CacheConfig {
     /// corrupt body. Reconciliation mismatches are recomputed from the
     /// deserialized counters and stats exactly as a live run would.
     pub fn lookup(&self, spec: &RunSpec) -> Option<RunRecord> {
+        self.lookup_labeled(spec, &spec.label())
+    }
+
+    /// [`lookup`](Self::lookup) with the spec's label already computed.
+    pub(crate) fn lookup_labeled(&self, spec: &RunSpec, label: &str) -> Option<RunRecord> {
         if !self.enabled {
             return None;
         }
-        let label = spec.label();
-        let text = std::fs::read_to_string(self.entry_path(&label, "run")).ok()?;
-        let mut r = Reader::new(&text);
-        r.expect_header(&self.salt, &label)?;
-        let result = read_sim_result(&mut r)?;
-        let counters = read_counters(&mut r)?;
-        r.finish()?;
+        let bytes = std::fs::read(self.entry_path(label, "run")).ok()?;
+        let (result, counters) = decode_record(&bytes, &self.salt, label)?;
         // Truncated runs legitimately disagree byte-wise (transfers in
         // flight at the cap) — same rule as `execute_instrumented`.
         let truncated = spec.config().time_limit.is_some();
@@ -138,14 +139,18 @@ impl CacheConfig {
     /// to "not stored" — the cache is an accelerator, never a correctness
     /// dependency.
     pub fn store(&self, spec: &RunSpec, rec: &RunRecord) {
+        self.store_labeled(&spec.label(), rec);
+    }
+
+    /// [`store`](Self::store) under an already-computed spec label.
+    pub(crate) fn store_labeled(&self, label: &str, rec: &RunRecord) {
         if !self.enabled || rec.trace_text.is_some() {
             return;
         }
-        let label = spec.label();
-        let mut w = Writer::new(&self.salt, &label);
+        let mut w = Writer::new(&self.salt, label);
         write_sim_result(&mut w, &rec.result);
         write_counters(&mut w, &rec.counters);
-        self.commit(&self.entry_path(&label, "run"), &w.finish());
+        self.commit(&self.entry_path(label, "run"), &w.finish());
     }
 
     /// Fetches a cached rendered artifact (an already-formatted report
@@ -154,8 +159,8 @@ impl CacheConfig {
         if !self.enabled {
             return None;
         }
-        let text = std::fs::read_to_string(self.entry_path(name, "art")).ok()?;
-        let mut r = Reader::new(&text);
+        let bytes = std::fs::read(self.entry_path(name, "art")).ok()?;
+        let mut r = Reader::new(&bytes);
         r.expect_header(&self.salt, name)?;
         let body = r.string()?;
         r.finish()?;
@@ -176,7 +181,7 @@ impl CacheConfig {
     /// concurrent reader sees either the old entry or the new one, never
     /// a torn write. All I/O errors are swallowed: a failed store is a
     /// future cache miss, not a campaign failure.
-    fn commit(&self, path: &Path, content: &str) {
+    fn commit(&self, path: &Path, content: &[u8]) {
         if std::fs::create_dir_all(&self.dir).is_err() {
             return;
         }
@@ -187,23 +192,27 @@ impl CacheConfig {
     }
 
     /// Scans the cache directory for entries whose header does not carry
-    /// the current schema and salt, returning the offending file names.
-    /// Unreadable files count as stale (they would never hit). Used by
-    /// the `xtask check` cache-hygiene step; an absent directory is
-    /// vacuously clean.
+    /// the current schema and salt, plus temp files orphaned by a writer
+    /// that died before its rename, returning the offending file names.
+    /// Only each entry's header bytes are read; unreadable files count as
+    /// stale (they would never hit). Used by the `xtask check`
+    /// cache-hygiene step; an absent directory is vacuously clean.
     pub fn stale_entries(&self) -> Vec<String> {
         let Ok(dir) = std::fs::read_dir(&self.dir) else { return Vec::new() };
+        let header_len = 16 + SCHEMA.len() + self.salt.len();
         let mut stale = Vec::new();
         for entry in dir.flatten() {
             let path = entry.path();
-            let ext = path.extension().and_then(|e| e.to_str());
-            if !matches!(ext, Some("run" | "art")) {
-                continue;
-            }
-            let fresh = std::fs::read_to_string(&path).ok().is_some_and(|text| {
-                let mut r = Reader::new(&text);
-                r.tok() == Some(SCHEMA) && r.string().as_deref() == Some(&self.salt)
-            });
+            let fresh = match path.extension().and_then(|e| e.to_str()) {
+                Some("run" | "art") => std::fs::File::open(&path).is_ok_and(|f| {
+                    let mut head = Vec::with_capacity(header_len);
+                    let _ = f.take(header_len as u64).read_to_end(&mut head);
+                    let mut r = Reader::new(&head);
+                    r.str() == Some(SCHEMA) && r.str() == Some(&self.salt)
+                }),
+                Some(ext) if ext.starts_with("tmp") => false,
+                _ => continue,
+            };
             if !fresh {
                 stale.push(entry.file_name().to_string_lossy().into_owned());
             }
@@ -214,38 +223,38 @@ impl CacheConfig {
 }
 
 // ---------------------------------------------------------------------
-// Token-stream writer
+// Binary codec
 // ---------------------------------------------------------------------
 
-/// Serializer over the whitespace token stream. Every `write` pushes one
-/// token and a separator; `finish` appends the end marker the reader
-/// uses to detect truncation.
+/// Appended after the body; the reader requires it to be the last bytes
+/// of the entry, so truncation and trailing garbage both miss.
+const END: [u8; 8] = *b"\0relief\n";
+
+/// Serializer for the fixed-width little-endian layout; `finish` appends
+/// the [`END`] marker.
 struct Writer {
-    out: String,
+    out: Vec<u8>,
 }
 
 impl Writer {
     fn new(salt: &str, label: &str) -> Self {
-        let mut w = Writer { out: String::with_capacity(4096) };
-        w.out.push_str(SCHEMA);
-        w.out.push(' ');
-        w.string(salt);
-        w.string(label);
-        w.out.push('\n');
+        let mut w = Writer { out: Vec::with_capacity(16 << 10) };
+        for s in [SCHEMA, salt, label] {
+            w.string(s);
+        }
         w
     }
 
     fn u64(&mut self, v: u64) {
-        let _ = write!(self.out, "{v} ");
+        self.out.extend_from_slice(&v.to_le_bytes());
     }
 
     fn f64(&mut self, v: f64) {
-        let _ = write!(self.out, "{:016x} ", v.to_bits());
+        self.u64(v.to_bits());
     }
 
     fn boolean(&mut self, v: bool) {
-        self.out.push(if v { '1' } else { '0' });
-        self.out.push(' ');
+        self.out.push(u8::from(v));
     }
 
     fn time(&mut self, t: Time) {
@@ -256,19 +265,9 @@ impl Writer {
         self.u64(d.as_ps());
     }
 
-    /// Strings are one token: an `s` prefix (so the empty string is a
-    /// valid token) followed by the bytes with everything outside the
-    /// graphic-ASCII range — and `%` itself — percent-encoded.
     fn string(&mut self, s: &str) {
-        self.out.push('s');
-        for &b in s.as_bytes() {
-            if b.is_ascii_graphic() && b != b'%' {
-                self.out.push(b as char);
-            } else {
-                let _ = write!(self.out, "%{b:02x}");
-            }
-        }
-        self.out.push(' ');
+        self.u64(s.len() as u64);
+        self.out.extend_from_slice(s.as_bytes());
     }
 
     fn vec_f64(&mut self, v: &[f64]) {
@@ -291,59 +290,51 @@ impl Writer {
         self.u64(max);
     }
 
-    fn finish(mut self) -> String {
-        self.out.push_str(".\n");
+    fn finish(mut self) -> Vec<u8> {
+        self.out.extend_from_slice(&END);
         self.out
     }
 }
 
-// ---------------------------------------------------------------------
-// Token-stream reader
-// ---------------------------------------------------------------------
-
-/// Deserializer over the token stream. Every accessor returns `None` on
-/// malformed or missing input; callers propagate with `?` so any corrupt
+/// Deserializer over an entry's bytes. Every accessor returns `None` on
+/// short or malformed input; callers propagate with `?` so any corrupt
 /// entry collapses to a cache miss.
 struct Reader<'a> {
-    toks: std::str::SplitAsciiWhitespace<'a>,
+    buf: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(text: &'a str) -> Self {
-        Reader { toks: text.split_ascii_whitespace() }
+    fn new(buf: &'a [u8]) -> Self {
+        Reader { buf }
     }
 
-    fn tok(&mut self) -> Option<&'a str> {
-        self.toks.next()
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.buf.split_at_checked(n)?;
+        self.buf = rest;
+        Some(head)
     }
 
-    /// Verifies the schema / salt / label header tokens.
+    /// Verifies the schema / salt / label header without allocating.
     fn expect_header(&mut self, salt: &str, label: &str) -> Option<()> {
-        (self.tok()? == SCHEMA).then_some(())?;
-        (self.string()? == salt).then_some(())?;
-        (self.string()? == label).then_some(())
+        (self.str()? == SCHEMA && self.str()? == salt && self.str()? == label).then_some(())
     }
 
     fn u64(&mut self) -> Option<u64> {
-        self.tok()?.parse().ok()
+        let (head, rest) = self.buf.split_first_chunk()?;
+        self.buf = rest;
+        Some(u64::from_le_bytes(*head))
     }
 
     fn u32(&mut self) -> Option<u32> {
-        self.tok()?.parse().ok()
+        u32::try_from(self.u64()?).ok()
     }
 
     fn boolean(&mut self) -> Option<bool> {
-        match self.tok()? {
-            "0" => Some(false),
-            "1" => Some(true),
+        match self.take(1)? {
+            [0] => Some(false),
+            [1] => Some(true),
             _ => None,
         }
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        let t = self.tok()?;
-        (t.len() == 16).then_some(())?;
-        Some(f64::from_bits(u64::from_str_radix(t, 16).ok()?))
     }
 
     fn time(&mut self) -> Option<Time> {
@@ -354,39 +345,32 @@ impl<'a> Reader<'a> {
         Some(Dur::from_ps(self.u64()?))
     }
 
-    /// Guards length-prefixed loops against absurd counts from corrupt
-    /// entries (a flipped high bit must not allocate petabytes).
-    fn len(&mut self) -> Option<usize> {
-        let n = self.u64()?;
-        (n <= 1 << 32).then_some(n as usize)
+    /// Reads the count of a collection whose elements each encode to at
+    /// least `min` bytes, rejecting any count the unread bytes cannot
+    /// hold — a corrupt count never reaches an allocation.
+    fn count(&mut self, min: usize) -> Option<usize> {
+        let n = usize::try_from(self.u64()?).ok()?;
+        (n <= self.buf.len() / min).then_some(n)
+    }
+
+    fn str(&mut self) -> Option<&'a str> {
+        let n = self.count(1)?;
+        std::str::from_utf8(self.take(n)?).ok()
     }
 
     fn string(&mut self) -> Option<String> {
-        let t = self.tok()?.strip_prefix('s')?;
-        let mut bytes = Vec::with_capacity(t.len());
-        let mut it = t.bytes();
-        while let Some(b) = it.next() {
-            if b == b'%' {
-                let hi = it.next()?;
-                let lo = it.next()?;
-                let hex = [hi, lo];
-                let hex = std::str::from_utf8(&hex).ok()?;
-                bytes.push(u8::from_str_radix(hex, 16).ok()?);
-            } else {
-                bytes.push(b);
-            }
-        }
-        String::from_utf8(bytes).ok()
+        self.str().map(str::to_owned)
     }
 
     fn vec_f64(&mut self) -> Option<Vec<f64>> {
-        let n = self.len()?;
-        (0..n).map(|_| self.f64()).collect()
+        let n = self.count(8)?;
+        let (words, _) = self.take(8 * n)?.as_chunks();
+        Some(words.iter().map(|&w| f64::from_bits(u64::from_le_bytes(w))).collect())
     }
 
     fn hist(&mut self) -> Option<Histogram> {
         let width = self.u64()?;
-        let n = self.len()?;
+        let n = self.count(8)?;
         let counts = (0..n).map(|_| self.u64()).collect::<Option<Vec<_>>>()?;
         let overflow = self.u64()?;
         let total = self.u64()?;
@@ -395,11 +379,10 @@ impl<'a> Reader<'a> {
         Some(Histogram::from_parts(width, counts, overflow, total, sum, max))
     }
 
-    /// Consumes the end marker and requires exhaustion — a valid prefix
-    /// with trailing garbage is still a corrupt entry.
-    fn finish(mut self) -> Option<()> {
-        (self.tok()? == ".").then_some(())?;
-        self.tok().is_none().then_some(())
+    /// Requires the end marker to be exactly the unread rest — a valid
+    /// prefix with trailing garbage is still a corrupt entry.
+    fn finish(self) -> Option<()> {
+        (self.buf == END).then_some(())
     }
 }
 
@@ -428,6 +411,16 @@ fn write_sim_result(w: &mut Writer, r: &SimResult) {
     w.u64(r.events_dispatched);
 }
 
+/// Decodes a whole `.run` entry: header, record, end marker.
+fn decode_record(bytes: &[u8], salt: &str, label: &str) -> Option<(SimResult, EventCounters)> {
+    let mut r = Reader::new(bytes);
+    r.expect_header(salt, label)?;
+    let result = read_sim_result(&mut r)?;
+    let counters = read_counters(&mut r)?;
+    r.finish()?;
+    Some((result, counters))
+}
+
 fn read_sim_result(r: &mut Reader) -> Option<SimResult> {
     let stats = read_run_stats(r)?;
     let per_app_mem_time = read_dur_map(r)?;
@@ -437,7 +430,7 @@ fn read_sim_result(r: &mut Reader) -> Option<SimResult> {
         dm_rel_errors: r.vec_f64()?,
         bw_rel_errors: r.vec_f64()?,
     };
-    let n = r.len()?;
+    let n = r.count(8 * 8)?; // seven integers and a label length
     let mut spans = Vec::with_capacity(n);
     for _ in 0..n {
         spans.push(Span {
@@ -470,7 +463,7 @@ fn write_dur_map(w: &mut Writer, m: &BTreeMap<String, Dur>) {
 }
 
 fn read_dur_map(r: &mut Reader) -> Option<BTreeMap<String, Dur>> {
-    let n = r.len()?;
+    let n = r.count(16)?; // key length + value
     let mut m = BTreeMap::new();
     for _ in 0..n {
         let k = r.string()?;
@@ -567,7 +560,7 @@ fn read_run_stats(r: &mut Reader) -> Option<RunStats> {
         spad_access_bytes: r.u64()?,
         all_dram_bytes: r.u64()?,
     };
-    let n = r.len()?;
+    let n = r.count(11 * 8 + 1)?; // two name lengths, nine integers, `starved`
     let mut apps = BTreeMap::new();
     for _ in 0..n {
         let k = r.string()?;
@@ -576,7 +569,7 @@ fn read_run_stats(r: &mut Reader) -> Option<RunStats> {
         let dag_deadlines_met = r.u64()?;
         let nodes_completed = r.u64()?;
         let node_deadlines_met = r.u64()?;
-        let runtimes = r.len()?;
+        let runtimes = r.count(8)?;
         let dag_runtimes = (0..runtimes).map(|_| r.dur()).collect::<Option<Vec<_>>>()?;
         apps.insert(
             k,
@@ -759,7 +752,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strings_round_trip_through_percent_encoding() {
+    fn strings_round_trip_byte_for_byte() {
         for s in ["", "plain", "with space", "100%|r0/low µs\n\ttab", "s%25"] {
             let mut w = Writer::new("salt", "label");
             w.string(s);
@@ -773,40 +766,89 @@ mod tests {
 
     #[test]
     fn f64_round_trips_bit_exactly() {
-        for v in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, -3.7e-300] {
-            let mut w = Writer::new("x", "y");
-            w.f64(v);
-            let out = w.finish();
-            let mut r = Reader::new(&out);
-            r.expect_header("x", "y").unwrap();
-            let back = r.f64().unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "bits of {v}");
-        }
+        let v = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, -3.7e-300];
+        let mut w = Writer::new("x", "y");
+        w.vec_f64(&v);
+        let out = w.finish();
+        let mut r = Reader::new(&out);
+        r.expect_header("x", "y").unwrap();
+        let back = r.vec_f64().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&v));
+        r.finish().unwrap();
     }
 
     #[test]
     fn truncated_or_doctored_streams_read_as_none() {
         let mut w = Writer::new("salt", "label");
         w.u64(7);
+        w.boolean(true);
         let good = w.finish();
         // Whole-stream parse succeeds...
         let mut r = Reader::new(&good);
         r.expect_header("salt", "label").unwrap();
         assert_eq!(r.u64(), Some(7));
+        assert_eq!(r.boolean(), Some(true));
         r.finish().unwrap();
-        // ...but truncation, trailing garbage, and bad tokens all fail.
-        let truncated = &good[..good.len() - 2];
-        let mut r = Reader::new(truncated);
+        // ...but truncation, trailing garbage, a bool byte other than 0
+        // or 1, and a foreign header all fail.
+        let mut r = Reader::new(&good[..good.len() - 2]);
         r.expect_header("salt", "label").unwrap();
         assert_eq!(r.u64(), Some(7));
+        r.boolean().unwrap();
         assert!(r.finish().is_none(), "missing end marker must fail");
-        let trailing = format!("{good} junk");
+        let trailing = [&good[..], b"junk"].concat();
         let mut r = Reader::new(&trailing);
         r.expect_header("salt", "label").unwrap();
         r.u64().unwrap();
+        r.boolean().unwrap();
         assert!(r.finish().is_none(), "trailing garbage must fail");
-        let mut r = Reader::new("not-the-schema ssalt slabel 7 .");
-        assert!(r.expect_header("salt", "label").is_none());
+        let mut bad_bool = good.clone();
+        let at = bad_bool.len() - END.len() - 1;
+        bad_bool[at] = 2;
+        let mut r = Reader::new(&bad_bool);
+        r.expect_header("salt", "label").unwrap();
+        r.u64().unwrap();
+        assert_eq!(r.boolean(), None, "bool byte 2 must fail");
+        assert!(Reader::new(&good).expect_header("salt", "other").is_none());
+        assert!(Reader::new(&good).expect_header("pepper", "label").is_none());
+        let v2 = b"relief-campaign-cache/v2 ssalt slabel\n.\n";
+        assert!(Reader::new(v2).expect_header("salt", "label").is_none());
+    }
+
+    /// A valid encoded record with no spans and no prediction samples,
+    /// plus the offsets of its span count and its last `vec_f64` length.
+    fn empty_record() -> (Vec<u8>, usize, usize) {
+        let result = SimResult {
+            stats: RunStats::default(),
+            per_app_mem_time: BTreeMap::new(),
+            per_app_compute_time: BTreeMap::new(),
+            prediction: PredictionStats::default(),
+            trace: Trace::default(),
+            events_dispatched: 3,
+            live_high_water: 0,
+        };
+        let mut w = Writer::new("salt", "label");
+        write_sim_result(&mut w, &result);
+        write_counters(&mut w, &EventCounters::default());
+        let bytes = w.finish();
+        // Tail: span count, events_dispatched, 39 counters, end marker.
+        let spans_at = bytes.len() - END.len() - 39 * 8 - 8 - 8;
+        (bytes, spans_at, spans_at - 8)
+    }
+
+    #[test]
+    fn huge_counts_read_as_none_without_allocating() {
+        let (good, spans_at, bw_at) = empty_record();
+        assert!(decode_record(&good, "salt", "label").is_some());
+        let doctored = [(spans_at, 1u64 << 32), (spans_at, u64::MAX), (bw_at, 1 << 40), (bw_at, u64::MAX)];
+        for (at, n) in doctored {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&n.to_le_bytes());
+            // Unbounded, a span count of 2^32 would abort the process
+            // inside `Vec::with_capacity` instead of missing.
+            assert!(decode_record(&bad, "salt", "label").is_none(), "count {n} at {at}");
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ use relief_sim::{SplitMix64, Time};
 use relief_trace::{text, CountersSink, RingBufferSink, Tracer};
 use relief_trace::EventCounters;
 use relief_workloads::{Contention, Mix, CONTINUOUS_TIME_LIMIT};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -508,11 +509,12 @@ pub fn execute(specs: Vec<RunSpec>, opts: &ExecOptions) -> CampaignResults {
                     break;
                 }
                 let spec = &specs[i];
-                let capture = opts.trace_labels.contains(&spec.label());
+                let label = spec.label();
+                let capture = opts.trace_labels.contains(&label);
                 // Trace captures bypass the persistent cache entirely:
                 // cached records carry no text trace, and storing one
                 // would leak a layout the reader doesn't model.
-                let cached = if capture { None } else { opts.cache.lookup(spec) };
+                let cached = if capture { None } else { opts.cache.lookup_labeled(spec, &label) };
                 let outcome = match cached {
                     Some(rec) => {
                         hits.fetch_add(1, Ordering::Relaxed);
@@ -530,17 +532,13 @@ pub fn execute(specs: Vec<RunSpec>, opts: &ExecOptions) -> CampaignResults {
                                 .unwrap_or_else(|| "non-string panic payload".to_string())
                         });
                         if let Ok(rec) = &run {
-                            opts.cache.store(spec, rec);
+                            opts.cache.store_labeled(&label, rec);
                         }
                         run
                     }
                 };
                 *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                    Some(RunOutcome {
-                        label: spec.label(),
-                        spec: spec.clone(),
-                        outcome,
-                    });
+                    Some(RunOutcome { label, spec: spec.clone(), outcome });
             });
         }
     });
@@ -568,38 +566,38 @@ pub fn execute(specs: Vec<RunSpec>, opts: &ExecOptions) -> CampaignResults {
 
 /// A cache-backed execution context for artifact functions.
 ///
-/// Artifact renderers ask the `Ctx` for each run they need; a prewarmed
-/// campaign cache answers by label, and misses fall back to inline
+/// Artifact renderers ask the `Ctx` for each run they need; the campaign
+/// results it borrows answer by label, and misses fall back to inline
 /// execution ([`RunSpec::execute`]), so rendered output is identical
 /// whether or not the grid covered the run — only wall-clock changes.
 #[derive(Debug, Default)]
-pub struct Ctx {
-    cache: BTreeMap<String, SimResult>,
+pub struct Ctx<'a> {
+    cache: BTreeMap<&'a str, &'a SimResult>,
 }
 
-impl Ctx {
+impl<'a> Ctx<'a> {
     /// A context with no cache: every lookup simulates inline.
     pub fn empty() -> Self {
         Ctx::default()
     }
 
-    /// Builds a context from engine results (failed runs are simply
+    /// Builds a context borrowing engine results (failed runs are simply
     /// absent and will re-simulate inline on lookup).
-    pub fn from_results(results: &CampaignResults) -> Self {
-        let mut cache = BTreeMap::new();
-        for o in &results.outcomes {
-            if let Ok(rec) = &o.outcome {
-                cache.insert(o.label.clone(), rec.result.clone());
-            }
-        }
+    pub fn from_results(results: &'a CampaignResults) -> Self {
+        let cache = results
+            .outcomes
+            .iter()
+            .filter_map(|o| Some((o.label.as_str(), &o.outcome.as_ref().ok()?.result)))
+            .collect();
         Ctx { cache }
     }
 
-    /// The run's result: cached if prewarmed, otherwise simulated inline.
-    pub fn run(&self, spec: &RunSpec) -> SimResult {
-        match self.cache.get(&spec.label()) {
-            Some(r) => r.clone(),
-            None => spec.execute(),
+    /// The run's result: borrowed if prewarmed, otherwise simulated
+    /// inline.
+    pub fn run(&self, spec: &RunSpec) -> Cow<'a, SimResult> {
+        match self.cache.get(spec.label().as_str()) {
+            Some(&r) => Cow::Borrowed(r),
+            None => Cow::Owned(spec.execute()),
         }
     }
 

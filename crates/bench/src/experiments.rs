@@ -19,6 +19,7 @@ use relief_metrics::report::Table;
 use relief_metrics::summary::geometric_mean;
 use relief_metrics::EnergyModel;
 use relief_workloads::{App, Contention, Mix};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Canonical [`RunSpec`]s for every simulation the paper artifacts need,
@@ -437,12 +438,12 @@ pub fn table7_with(ctx: &Ctx) -> String {
 }
 
 /// Runs RELIEF on one high-contention mix with the given predictors.
-fn relief_with_predictors(
-    ctx: &Ctx,
+fn relief_with_predictors<'a>(
+    ctx: &Ctx<'a>,
     mix: &Mix,
     bw: BwPredictorKind,
     dm: DataMovePredictor,
-) -> relief_accel::SimResult {
+) -> Cow<'a, relief_accel::SimResult> {
     ctx.run(&grid::predictor_run(bw, dm, mix))
 }
 

@@ -8,15 +8,17 @@
 //! at once. Each test roots its cache in a fresh temp directory so runs
 //! never observe each other (or a developer's real cache).
 
-use relief_bench::cache::{CacheConfig, CODE_SALT};
+use relief_bench::cache::{CacheConfig, CODE_SALT, SCHEMA};
 use relief_bench::campaign::{
-    execute, CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, RunSpec, WorkloadSpec,
+    execute, CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, RunRecord, RunSpec,
+    WorkloadSpec,
 };
+use relief_bench::experiments::grid;
 use relief_bench::service::ServiceSpec;
 use relief_core::PolicyKind;
 use relief_workloads::Contention;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A fresh, unique cache directory under the target tmpdir.
 fn temp_cache(tag: &str) -> PathBuf {
@@ -159,15 +161,9 @@ fn poisoned_entries_fall_back_to_simulation_and_are_repaired() {
     assert_eq!(cold.simulated, n);
 
     // Corrupt two entries: truncate one mid-stream, fill one with junk.
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "run"))
-        .collect();
-    entries.sort();
+    let entries = run_entries(&dir);
     assert_eq!(entries.len(), n, "one entry per cell");
-    let full = std::fs::read_to_string(&entries[0]).unwrap();
+    let full = std::fs::read(&entries[0]).unwrap();
     std::fs::write(&entries[0], &full[..full.len() / 2]).unwrap();
     std::fs::write(&entries[1], "relief-campaign-cache/v1 garbage\n").unwrap();
 
@@ -306,4 +302,120 @@ fn replicates_cache_independently() {
     assert_results_identical(&cold, &warm, "replicates");
     assert_eq!(texts.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs one small cell (Fig. 2 under RELIEF: three apps, recorded
+/// spans) cold into a fresh cache and returns the cache, the spec, the
+/// record, and the path of its single entry.
+fn one_entry(tag: &str) -> (CacheConfig, RunSpec, RunRecord, PathBuf) {
+    let cache = CacheConfig::at(temp_cache(tag));
+    let spec = grid::fig2_run(PolicyKind::Relief);
+    let mut cold = execute(vec![spec.clone()], &opts(1, &cache.dir));
+    assert_eq!(cold.simulated, 1);
+    let rec = cold.outcomes.remove(0).outcome.expect("fig2 cell runs");
+    let entries = run_entries(&cache.dir);
+    assert_eq!(entries.len(), 1, "one entry for one cell");
+    (cache, spec, rec, entries[0].clone())
+}
+
+fn run_entries(dir: &Path) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "run"))
+        .collect();
+    entries.sort();
+    entries
+}
+
+#[test]
+fn every_strict_prefix_of_an_entry_misses() {
+    let (cache, spec, _, entry) = one_entry("prefix");
+    let full = std::fs::read(&entry).unwrap();
+    assert!(cache.lookup(&spec).is_some(), "the whole entry hits");
+    for len in 0..full.len() {
+        std::fs::write(&entry, &full[..len]).unwrap();
+        assert!(cache.lookup(&spec).is_none(), "prefix of {len}/{} bytes hit", full.len());
+    }
+    let _ = std::fs::remove_dir_all(&cache.dir);
+}
+
+#[test]
+fn flipped_schema_bool_or_end_marker_bytes_miss() {
+    let (cache, spec, rec, entry) = one_entry("flip");
+    let full = std::fs::read(&entry).unwrap();
+    // The first app's `starved` flag: past the header strings, the policy
+    // name, exec time, six traffic counters and the app count, then the
+    // app's key and name, four counters, its runtimes, deadline and three
+    // more counters.
+    let stats = &rec.result.stats;
+    let (key, app) = stats.apps.iter().next().expect("fig2 has apps");
+    let starved_at = [SCHEMA, CODE_SALT, &spec.label(), &stats.policy, key, &app.name]
+        .iter()
+        .map(|s| 8 + s.len())
+        .sum::<usize>()
+        + 8 * (1 + 6 + 1 + 4 + 1 + app.dag_runtimes.len() + 1 + 3);
+    assert_eq!(full[starved_at], u8::from(app.starved), "layout drifted");
+    for (what, at, byte) in [
+        ("schema", 8, full[8] ^ 0x01),
+        ("bool", starved_at, 2),
+        ("end marker", full.len() - 1, full[full.len() - 1] ^ 0x80),
+    ] {
+        let mut bad = full.clone();
+        bad[at] = byte;
+        std::fs::write(&entry, &bad).unwrap();
+        assert!(cache.lookup(&spec).is_none(), "flipped {what} byte hit");
+    }
+    std::fs::write(&entry, &full).unwrap();
+    assert!(cache.lookup(&spec).is_some(), "restored entry hits");
+    let _ = std::fs::remove_dir_all(&cache.dir);
+}
+
+#[test]
+fn v2_text_entry_misses_scans_stale_and_is_rewritten() {
+    let (cache, spec, _, entry) = one_entry("v2");
+    let label = spec.label();
+    std::fs::write(&entry, format!("relief-campaign-cache/v2 s{CODE_SALT} s{label}\n0 .\n"))
+        .unwrap();
+    assert!(cache.lookup(&spec).is_none(), "a v2 entry must miss");
+    let name = entry.file_name().unwrap().to_string_lossy().into_owned();
+    assert_eq!(cache.stale_entries(), vec![name], "a v2 entry scans as stale");
+
+    let rerun = execute(vec![spec.clone()], &opts(1, &cache.dir));
+    assert_eq!((rerun.cache_hits, rerun.simulated), (0, 1), "the v2 cell re-simulates");
+    let rewritten = std::fs::read(&entry).unwrap();
+    assert_eq!(rewritten[..8], (SCHEMA.len() as u64).to_le_bytes());
+    assert_eq!(&rewritten[8..8 + SCHEMA.len()], SCHEMA.as_bytes(), "rewritten as v3");
+    assert!(cache.stale_entries().is_empty());
+    let warm = execute(vec![spec], &opts(1, &cache.dir));
+    assert_eq!(warm.cache_hits, 1, "the rewritten entry hits");
+    let _ = std::fs::remove_dir_all(&cache.dir);
+}
+
+#[test]
+fn orphaned_temp_files_are_listed_and_purged() {
+    let (cache, spec, _, entry) = one_entry("orphan");
+    // A writer killed between its write and its rename leaves this behind.
+    let orphan = entry.with_extension("tmp4242");
+    std::fs::copy(&entry, &orphan).unwrap();
+    let name = orphan.file_name().unwrap().to_string_lossy().into_owned();
+    assert_eq!(cache.stale_entries(), vec![name.clone()]);
+
+    let hygiene = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_cache_hygiene"))
+            .args(args)
+            .env("RELIEF_CACHE_DIR", &cache.dir)
+            .output()
+            .unwrap()
+    };
+    let check = hygiene(&[]);
+    assert_eq!(check.status.code(), Some(1), "an orphan fails the hygiene gate");
+    assert!(String::from_utf8_lossy(&check.stdout).contains(&name));
+    let purge = hygiene(&["--purge"]);
+    assert!(purge.status.success(), "{}", String::from_utf8_lossy(&purge.stderr));
+    assert!(!orphan.exists(), "purge removes the orphan");
+    assert!(cache.stale_entries().is_empty());
+    assert!(cache.lookup(&spec).is_some(), "purge keeps the live entry");
+    let _ = std::fs::remove_dir_all(&cache.dir);
 }
