@@ -356,8 +356,9 @@ enum Ev {
     /// An ECC-invalidated forwarded edge's backoff expired; re-fetch the
     /// parent's checkpointed DRAM copy into the waiting consumer. The
     /// payload indexes [`SocSim::refetches`] — parked out of line so `Ev`
-    /// stays two words (the near rung is a memmove-heavy sorted vec; a
-    /// fat variant would tax every event, and re-fetches are rare).
+    /// stays two words (the event queue is a sorted vec that memmoves on
+    /// insert; a fat variant would tax every event, and re-fetches are
+    /// rare).
     EccRefetch(u32),
     /// A streamed request's deadline-derived timeout expired. A timeout
     /// deliberately outlives resolved requests, so it carries both the
@@ -366,8 +367,9 @@ enum Ev {
     Timeout { slot: u32, serial: u32 },
 }
 
-/// Every queued event pays `Ev`'s size in near-rung memmove traffic, so
-/// fat payloads must be parked out of line (see [`Ev::EccRefetch`]).
+/// Every queued event pays `Ev`'s size in the event queue's insert
+/// memmoves, so fat payloads must be parked out of line (see
+/// [`Ev::EccRefetch`]).
 const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
 
 /// One parked ECC re-fetch request (see [`Ev::EccRefetch`]); slots are
@@ -552,15 +554,15 @@ impl SocSim {
     /// # Panics
     ///
     /// Panics if `cfg` is invalid or a DAG references an accelerator type
-    /// the platform does not provide.
+    /// the platform does not provide (out of range, or zero instances).
     pub fn new(cfg: SocConfig, apps: Vec<AppSpec>) -> Self {
         cfg.validate();
         let num_types = cfg.acc_instances.len();
         for app in &apps {
             for spec in app.dag.nodes() {
                 assert!(
-                    (spec.acc.0 as usize) < num_types,
-                    "dag '{}' uses unknown accelerator type {}",
+                    cfg.acc_instances.get(spec.acc.0 as usize).is_some_and(|&n| n > 0),
+                    "dag '{}' uses unknown accelerator type {}: the platform has no instance",
                     app.dag.name(),
                     spec.acc
                 );

@@ -284,6 +284,21 @@ fn dag_with_unknown_acc_type_is_rejected() {
 }
 
 #[test]
+#[should_panic(expected = "dag 'orphan' uses unknown accelerator type acc1")]
+fn dag_on_a_zero_instance_acc_type_is_rejected() {
+    // Type 1 exists in the platform's type list but has no instance, so
+    // the child could never launch; construction must refuse the config
+    // instead of letting the run drain with work left.
+    let mut b = DagBuilder::new("orphan", Dur::from_ms(1));
+    let ids = [b.add_node(node(0, 1, 4096)), b.add_node(node(1, 1, 0))];
+    b.add_chain(&ids).unwrap();
+    let dag = Arc::new(b.build().unwrap());
+    let mut cfg = SocConfig::generic(vec![1, 0], PolicyKind::Relief);
+    cfg.watchdog_window = 0;
+    SocSim::new(cfg, vec![AppSpec::once("A", dag)]);
+}
+
+#[test]
 fn single_output_partition_still_completes() {
     // With 1 partition, colocation-in-place is disabled and write-backs
     // serialize partition reuse; everything must still drain.

@@ -383,21 +383,23 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Parses `--jobs N` out of a binary's argument list, defaulting to
-/// [`default_jobs`]. Unrelated arguments are ignored.
+/// Parses a binary's argument list that may hold only `--jobs N`,
+/// defaulting to [`default_jobs`]. Any other argument is an error naming
+/// it, so a typo such as `--job 4` cannot silently run with defaults.
 pub fn parse_jobs(args: impl IntoIterator<Item = String>) -> Result<usize, String> {
+    let mut jobs = default_jobs();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        if arg == "--jobs" {
-            let v = it.next().ok_or("--jobs needs a value")?;
-            let n: usize = v.parse().map_err(|_| format!("bad --jobs '{v}'"))?;
-            if n == 0 {
-                return Err("--jobs must be at least 1".into());
-            }
-            return Ok(n);
+        if arg != "--jobs" {
+            return Err(format!("unknown argument '{arg}' (accepted: --jobs N)"));
+        }
+        let v = it.next().ok_or("--jobs needs a value")?;
+        jobs = v.parse().map_err(|_| format!("bad --jobs '{v}'"))?;
+        if jobs == 0 {
+            return Err("--jobs must be at least 1".into());
         }
     }
-    Ok(default_jobs())
+    Ok(jobs)
 }
 
 /// Campaign results, in expansion (spec) order.
@@ -685,11 +687,20 @@ mod tests {
     #[test]
     fn parse_jobs_accepts_and_rejects() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs(args(&["--foo", "--jobs", "4"])), Ok(4));
+        assert_eq!(parse_jobs(args(&["--jobs", "3"])), Ok(3));
         assert_eq!(parse_jobs(args(&[])), Ok(default_jobs()));
         assert!(parse_jobs(args(&["--jobs"])).is_err());
         assert!(parse_jobs(args(&["--jobs", "zero"])).is_err());
         assert!(parse_jobs(args(&["--jobs", "0"])).is_err());
+        // Any other argument is an error that names it.
+        for (argv, name) in [
+            (&["--job", "3"][..], "'--job'"),
+            (&["--seed", "3"][..], "'--seed'"),
+            (&["--jobs", "2", "--foo"][..], "'--foo'"),
+        ] {
+            let err = parse_jobs(args(argv)).unwrap_err();
+            assert!(err.contains(name), "{argv:?}: {err}");
+        }
     }
 
     #[test]

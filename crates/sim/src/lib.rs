@@ -6,7 +6,8 @@
 //! * [`Time`] / [`Dur`] — simulated time as integer picoseconds, so that
 //!   bandwidth arithmetic on sub-nanosecond bus transactions stays exact.
 //! * [`EventQueue`] — a priority queue of `(Time, sequence, E)` entries with
-//!   deterministic FIFO tie-breaking.
+//!   deterministic FIFO tie-breaking: one vector kept sorted on that key,
+//!   sized for the few dozen events the SoC model ever has pending.
 //! * [`Timeline`] — a single-server resource model used for DMA engines,
 //!   interconnect lanes, and the DRAM channel.
 //!
@@ -34,8 +35,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-
-pub mod idmap;
 pub mod intern;
 pub mod queue;
 pub mod rng;
@@ -44,7 +43,6 @@ pub mod stall;
 pub mod time;
 pub mod timeline;
 
-pub use idmap::{IdHashMap, IdHasher};
 pub use intern::{AppId, Intern, InternId, KindId};
 pub use queue::EventQueue;
 pub use rng::SplitMix64;

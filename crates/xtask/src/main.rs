@@ -41,7 +41,13 @@
 //!    scheduling bound: oracle ≤ every online policy, prediction =
 //!    replay bit-exactly, beam-width monotonicity, recorded-run replay
 //!    differentials).
-//! 6. `benchmark` — `cargo test` on the repository benchmark
+//! 6. `crates` — `cargo test --offline --workspace --exclude relief`:
+//!    every member crate's own unit, integration and doc tests (the
+//!    root package's tests are tier 1's `cargo test`). This is where
+//!    relief-sim's event-queue property test against its `BinaryHeap`
+//!    oracle, `relief-core`'s queue properties and `relief-accel`'s
+//!    simulator behaviour suite run.
+//! 7. `benchmark` — `cargo test` on the repository benchmark
 //!    (`benchmark/`, its own workspace): every workload runs end to end
 //!    and its output checks hold (simulated-metric digests, traced ==
 //!    untraced, trace/stats reconciliation, a warm grid simulating zero
@@ -94,13 +100,14 @@ const TEST_SUITES: [(&str, &str); 10] = [
 ];
 
 /// Names accepted by `check --suite` that are not test targets.
-const META_SUITES: [&str; 7] = [
+const META_SUITES: [&str; 8] = [
     "build",
     "lint",
     "campaign-smoke",
     "cache-hygiene",
     "chaos-smoke",
     "invariants",
+    "crates",
     "benchmark",
 ];
 
@@ -272,6 +279,12 @@ fn check(args: &[String]) -> ExitCode {
         ok &= run(
             &format!("cargo test --offline -p {package} --test {suite}"),
             Command::new("cargo").args(["test", "--offline", "-p", package, "--test", suite]),
+        );
+    }
+    if wants("crates") {
+        ok &= run(
+            "cargo test --offline --workspace --exclude relief",
+            Command::new("cargo").args(["test", "--offline", "--workspace", "--exclude", "relief"]),
         );
     }
     if wants("benchmark") {

@@ -3,8 +3,8 @@
 //! *simulated* behaviour. The reference path runs the binary-heap event
 //! core, string-keyed compute predictions, linear consumer and
 //! ready-queue scans, the boxed chunk path, and never retires a DAG
-//! instance. Every optimisation the default path carries — the calendar
-//! event queue, interned kind ids, the arena/SoA task state, packed
+//! instance. Every optimisation the default path carries — the
+//! sorted-vector event queue, interned kind ids, the arena/SoA task state, packed
 //! transfer rows, cohort dispatch, and generational instance recycling —
 //! is validated here against it on real workloads:
 //!
@@ -13,14 +13,14 @@
 //!    50 ms time-limited continuous repeat path.
 //! 2. **Fault recovery** — task faults, DMA faults, and unit outages
 //!    (requeues at the current instant plus far-future repair events,
-//!    the calendar queue's hardest traffic).
+//!    the event queue's hardest ordering traffic).
 //! 3. **Seed × policy rotation** — two sweeps of twenty distinct seeds
 //!    through all eleven policies, on two low-contention mixes, with
 //!    deterministic faults folded in (task aborts retire instances
 //!    mid-run, so slots recycle).
 //! 4. **Service mode** — open-loop Poisson arrivals with admission
 //!    control (mid-stream insertion reuses arena slots and lands events
-//!    on the calendar's near rung), and the same with the self-healing
+//!    at the head of the event queue), and the same with the self-healing
 //!    stack and DRAM outages on: completed requests leave armed
 //!    `Ev::Timeout`s that fire after their slot was recycled and must be
 //!    dropped as stale. The recycling path's live-slot high-water mark
@@ -226,8 +226,9 @@ fn twenty_more_seeds_rotate_all_eleven_policies_with_recycling_aborts() {
 
 /// Open-loop service mode: Poisson arrivals, admission control, and
 /// three QoS tenants. Mid-stream DAG instantiation reuses arena slots
-/// (generation bumps) and lands events on the calendar queue's near rung
-/// while it is draining — the hardest traffic for the batched dispatcher.
+/// (generation bumps) and lands events at the head of the event queue
+/// while a cohort is draining — the hardest traffic for the batched
+/// dispatcher.
 #[test]
 fn service_mode_agrees_across_seeds_and_policies() {
     for (i, &(seed, policy)) in [
