@@ -194,8 +194,8 @@ struct DagInst {
     /// Monotonic admission serial — the *public* instance identity.
     /// Every [`TaskKey`], trace event, fault-plan draw, and statistic
     /// uses the serial, so recycling the storage slot underneath is
-    /// unobservable. Equal to the slot index when nothing recycles
-    /// (reference mode).
+    /// unobservable: the behaviour corpus pins every simulated output
+    /// while slots are reused.
     serial: u32,
     /// Generation of this slot's allocation (see [`SlotAlloc`]).
     gen: u32,
@@ -423,9 +423,9 @@ pub struct SocSim {
     /// Instance ids per accelerator type id.
     type_insts: Vec<Vec<usize>>,
     /// Live DAG instances, indexed by *storage slot* (not by the public
-    /// serial). With recycling on, retired instances' slots are reused by
-    /// later admissions, so the vector plateaus at the in-flight
-    /// high-water mark instead of growing with every arrival.
+    /// serial). Retired instances' slots are reused by later admissions,
+    /// so the vector plateaus at the in-flight high-water mark instead of
+    /// growing with every arrival.
     dags: Vec<DagInst>,
     /// Slot allocator for `dags`; its generation counters invalidate any
     /// reference that outlives its instance (see [`Ev::Timeout`]).
@@ -433,10 +433,6 @@ pub struct SocSim {
     /// Next admission serial (the public instance id; see
     /// [`DagInst::serial`]).
     next_dag_serial: u32,
-    /// Whether retired instances release their slot for reuse. On for
-    /// every fast-path run; reference mode keeps the pre-optimisation
-    /// ever-growing vector so slot == serial == index throughout.
-    recycle_on: bool,
     /// Per-app free lists of retired `NodeRt` vectors: a steady-state
     /// admission reuses a same-shape vector in place of allocating.
     node_pools: Vec<Vec<Vec<NodeRt>>>,
@@ -583,8 +579,7 @@ impl SocSim {
                 });
             }
         }
-        let mut events =
-            if cfg.reference_hot_path { EventQueue::reference() } else { EventQueue::new() };
+        let mut events = EventQueue::new();
         // Seed the event queue with releases. Closed loop: every app's
         // fixed arrival. Open loop (`relief-service`): each tenant's first
         // generated arrival inside the duration horizon; subsequent
@@ -667,7 +662,6 @@ impl SocSim {
             })
             .collect();
         let n_apps = apps.len();
-        let recycle_on = !cfg.reference_hot_path;
         let mut sim = SocSim {
             policy: cfg.policy.build(),
             queues: ReadyQueues::new(num_types),
@@ -677,7 +671,6 @@ impl SocSim {
             dags: Vec::new(),
             dag_slots: SlotAlloc::new(),
             next_dag_serial: 0,
-            recycle_on,
             node_pools: vec![Vec::new(); n_apps],
             active_work: 0,
             retired_dm: Vec::new(),
@@ -732,10 +725,6 @@ impl SocSim {
             cfg,
             apps,
         };
-        if sim.cfg.reference_hot_path {
-            sim.queues.set_reference_linear_scans(true);
-            sim.engine.set_reference_alloc_path(true);
-        }
         if sim.cfg.fault.dram_mttf_ps > 0 {
             // Deterministic DRAM-channel blackout windows: installed before
             // any transfer begins, so the engine's gate sees the schedule
@@ -787,13 +776,11 @@ impl SocSim {
     /// Runs the simulation to completion (all work drained, or the
     /// configured time limit reached) and returns the collected results.
     ///
-    /// The fast path drains same-timestamp event *cohorts* into a reused
-    /// scratch vector and dispatches each in one pass, hoisting the
-    /// time-limit check (and `now` update) out of the per-event loop;
-    /// events a handler pushes at the current instant form the *next*
-    /// cohort at the same time, which is exactly the order the per-event
-    /// loop would pop them in (they get later sequence numbers). Reference
-    /// mode keeps the pre-optimisation per-event loop.
+    /// The loop drains same-timestamp event *cohorts* into a reused
+    /// scratch vector and dispatches each in one pass, checking the time
+    /// limit (and updating `now`) once per cohort; events a handler pushes
+    /// at the current instant get later sequence numbers and form the
+    /// *next* cohort at the same time.
     pub fn run(self) -> SimResult {
         match self.try_run() {
             Ok(result) => result,
@@ -816,33 +803,13 @@ impl SocSim {
         let window = self.cfg.watchdog_window;
         let mut last_time = Time::ZERO;
         let mut last_advance = 0u64;
-        if self.cfg.reference_hot_path {
-            while let Some((at, ev)) = self.events.pop() {
-                if let Some(limit) = self.cfg.time_limit {
-                    if at > limit {
-                        self.truncated = true;
-                        break;
-                    }
-                }
-                self.now = at;
-                if at > last_time {
-                    last_time = at;
-                    last_advance = self.events.dispatched();
-                }
-                self.dispatch(ev);
-                if window > 0 && self.events.dispatched() - last_advance > window {
-                    return Err(self.stall(StallKind::NoProgressWindow));
-                }
-            }
-            return self.finish();
-        }
         let mut cohort: Vec<Ev> = Vec::new();
         while let Some(at) = self.events.pop_cohort(&mut cohort) {
             if let Some(limit) = self.cfg.time_limit {
                 if at > limit {
-                    // The per-event loop pops (and counts) exactly one
-                    // event past the limit before breaking; mirror that so
-                    // the dispatch trace and count stay bit-identical.
+                    // A truncated run counts exactly one event past the
+                    // limit as dispatched (the first one popped there);
+                    // the continuous-contention corpus cells pin this.
                     self.events.mark_dispatched(at);
                     self.truncated = true;
                     break;
@@ -1065,12 +1032,7 @@ impl SocSim {
         // predictors drive critical-path deadlines (§III-B). The assignment
         // is a pure function of the immutable DAG and the DRAM bandwidth,
         // so repeat arrivals of the same app reuse the cached result.
-        let cached = if self.cfg.reference_hot_path {
-            None
-        } else {
-            self.app_deadlines[app_idx].clone()
-        };
-        let deadlines = cached.unwrap_or_else(|| {
+        let deadlines = self.app_deadlines[app_idx].clone().unwrap_or_else(|| {
             let dram_bw = self.cfg.mem.dram_bandwidth;
             let timing = DagTiming::compute(&dag, |n| {
                 let spec = dag.node(n);
@@ -1084,22 +1046,20 @@ impl SocSim {
         // Boot-time profiling of compute times (§III-B): one observation
         // per (accelerator, operation) pair, so only an app's first arrival
         // can add anything.
-        if !self.app_profiled[app_idx] || self.cfg.reference_hot_path {
+        if !self.app_profiled[app_idx] {
             for spec in dag.nodes() {
                 if self.profile.predict(spec.acc, &spec.label).is_none() {
                     self.profile.observe(spec.acc, &spec.label, spec.compute);
                 }
             }
-            if self.app_kind_ids[app_idx].is_empty() {
-                // Intern each node's label once; `make_entry` predicts by
-                // these dense ids on every subsequent ready-queue insert.
-                let kinds = dag
-                    .nodes()
-                    .iter()
-                    .map(|spec| self.profile.intern_kind(&spec.label))
-                    .collect::<Vec<_>>();
-                self.app_kind_ids[app_idx] = kinds;
-            }
+            // Intern each node's label once; `make_entry` predicts by
+            // these dense ids on every subsequent ready-queue insert.
+            let kinds = dag
+                .nodes()
+                .iter()
+                .map(|spec| self.profile.intern_kind(&spec.label))
+                .collect::<Vec<_>>();
+            self.app_kind_ids[app_idx] = kinds;
             self.app_profiled[app_idx] = true;
         }
         // Steady-state zero-allocation path: a retired instance of the
@@ -1175,14 +1135,10 @@ impl SocSim {
     }
 
     /// Retires the instance in `slot` if it is settled (completed,
-    /// aborted, or cancelled) and nothing references it anymore. Pins and
-    /// holds are maintained unconditionally, but only recycling runs act
-    /// on them — reference mode keeps every instance resident so slot ==
-    /// serial == index holds throughout.
+    /// aborted, or cancelled) and nothing references it anymore: no pin
+    /// (queued entry, running task, transfer, parked retry or requeue)
+    /// and no scratchpad hold on its outputs.
     fn maybe_retire(&mut self, slot: u32) {
-        if !self.recycle_on {
-            return;
-        }
         let d = &self.dags[slot as usize];
         if d.retired || d.pins > 0 || d.holds > 0 {
             return;
@@ -1418,21 +1374,11 @@ impl SocSim {
         coloc_edge: Option<usize>,
     ) -> TaskEntry {
         let nid = NodeId(key.node);
-        // A cheap Arc clone detaches the graph borrow from `self`, so the
-        // spec (and its label) can be read in place — no per-entry clone.
-        let dag = Arc::clone(&self.dags[slot as usize].dag);
-        let spec = dag.node(nid);
+        let d = &self.dags[slot as usize];
+        let spec = d.dag.node(nid);
         let acc = spec.acc;
-        let pred_compute = if self.cfg.reference_hot_path {
-            // Reproduce the pre-optimisation per-entry label allocation
-            // and string-keyed profile lookup.
-            let owned = spec.label.clone();
-            self.profile.predict(acc, &owned).unwrap_or(spec.compute)
-        } else {
-            let app_idx = self.dags[slot as usize].app_idx;
-            let kind = self.app_kind_ids[app_idx][nid.index()];
-            self.profile.predict_id(acc, kind).unwrap_or(spec.compute)
-        };
+        let kind = self.app_kind_ids[d.app_idx][nid.index()];
+        let pred_compute = self.profile.predict_id(acc, kind).unwrap_or(spec.compute);
         let query = self.dm_query(slot, key.node, coloc_edge);
         let pred_mem = self.mem_pred.predict(&query);
         let runtime = pred_compute + pred_mem;
@@ -1478,11 +1424,7 @@ impl SocSim {
         let deadlines = Arc::clone(&d.deadlines);
         let nid = NodeId(node);
         let spec = dag.node(nid);
-        let mut parent_edge_bytes = if self.cfg.reference_hot_path {
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.dm_bytes_scratch)
-        };
+        let mut parent_edge_bytes = std::mem::take(&mut self.dm_bytes_scratch);
         parent_edge_bytes.clear();
         parent_edge_bytes.extend(dag.parents(nid).iter().map(|&p| dag.node(p).output_bytes));
 
@@ -1527,22 +1469,15 @@ impl SocSim {
 
     /// Returns a finished query's edge-byte buffer to the scratch slot.
     fn restore_dm_bytes_buf(&mut self, query: DataMoveQuery) {
-        if !self.cfg.reference_hot_path {
-            self.dm_bytes_scratch = query.parent_edge_bytes;
-        }
+        self.dm_bytes_scratch = query.parent_edge_bytes;
     }
 
-    /// Hands out the reusable ready-batch buffer (or a fresh allocation in
-    /// reference mode). [`enqueue_batch`](Self::enqueue_batch) takes it
-    /// back.
+    /// Hands out the reusable ready-batch buffer, emptied.
+    /// [`enqueue_batch`](Self::enqueue_batch) takes it back.
     fn take_batch_buf(&mut self) -> Vec<TaskEntry> {
-        if self.cfg.reference_hot_path {
-            Vec::new()
-        } else {
-            let mut batch = std::mem::take(&mut self.batch_scratch);
-            batch.clear();
-            batch
-        }
+        let mut batch = std::mem::take(&mut self.batch_scratch);
+        batch.clear();
+        batch
     }
 
     /// Feeds a batch through the policy and schedules a launch pass after
@@ -1557,9 +1492,7 @@ impl SocSim {
         }
         self.refresh_idle_counts();
         self.policy.enqueue_ready(&mut self.queues, &mut batch, self.now, &self.idle_scratch);
-        if !self.cfg.reference_hot_path {
-            self.batch_scratch = batch;
-        }
+        self.batch_scratch = batch;
         self.sched_ops += inserted;
         let launch_at = if self.cfg.model_sched_overhead {
             let cost = self.cfg.sched_base_cost + self.cfg.sched_insert_cost * inserted;
@@ -1575,18 +1508,11 @@ impl SocSim {
     /// Rebuilds the per-type idle-instance counts in
     /// [`SocSim::idle_scratch`].
     fn refresh_idle_counts(&mut self) {
-        let mut idle = if self.cfg.reference_hot_path {
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.idle_scratch)
-        };
-        idle.clear();
-        idle.extend(self.type_insts.iter().map(|ids| {
-            ids.iter()
-                .filter(|&&i| self.insts[i].running.is_none() && !self.insts[i].quarantined)
-                .count()
+        let insts = &self.insts;
+        self.idle_scratch.clear();
+        self.idle_scratch.extend(self.type_insts.iter().map(|ids| {
+            ids.iter().filter(|&&i| insts[i].running.is_none() && !insts[i].quarantined).count()
         }));
-        self.idle_scratch = idle;
     }
 
     // ------------------------------------------------------------------
@@ -1799,12 +1725,6 @@ impl SocSim {
         // borrow, so the loop needs no owned copy of either.
         let dag = Arc::clone(&self.dags[slot as usize].dag);
         let nid = NodeId(key.node);
-        if self.cfg.reference_hot_path {
-            // Reproduce the pre-optimisation owned copies of the node spec
-            // and parent list.
-            let _spec = dag.node(nid).clone();
-            let _parents = dag.parents(nid).to_vec();
-        }
         let coloc_part = self.insts[inst_idx].running.as_ref().expect("task assigned").coloc_part;
 
         let mut pending = 0usize;
@@ -2069,17 +1989,8 @@ impl SocSim {
         // clone detaches the child slice from `self`, so no owned copy.
         let dag = Arc::clone(&self.dags[slot as usize].dag);
         let children = dag.children(NodeId(key.node));
-        if self.cfg.reference_hot_path {
-            // Reproduce the pre-optimisation owned child list.
-            let _children = children.to_vec();
-        }
-        let mut newly_ready = if self.cfg.reference_hot_path {
-            Vec::new()
-        } else {
-            let mut buf = std::mem::take(&mut self.ready_scratch);
-            buf.clear();
-            buf
-        };
+        let mut newly_ready = std::mem::take(&mut self.ready_scratch);
+        newly_ready.clear();
         for &c in children {
             let num_parents = dag.parents(c).len();
             let rt = &mut self.dags[slot as usize].nodes[c.index()];
@@ -2115,9 +2026,7 @@ impl SocSim {
             });
             batch.push(self.make_entry(TaskKey::new(key.instance, c.0), slot, true, coloc_edge));
         }
-        if !self.cfg.reference_hot_path {
-            self.ready_scratch = newly_ready;
-        }
+        self.ready_scratch = newly_ready;
         self.enqueue_batch(batch);
 
         // Write-back decision (§III-C.2): write back immediately unless
@@ -2670,19 +2579,11 @@ impl SocSim {
         self.mem_pred.observe_bandwidth(achieved);
     }
 
-    /// The accelerator instance running `child`. The fast path trusts the
-    /// index carried in the transfer's [`Purpose`] (tasks are
-    /// non-preemptive, so the consumer cannot migrate while its inputs are
-    /// in flight); reference mode reproduces the pre-optimisation linear
-    /// scan of the instances.
+    /// The accelerator instance running `child`: the index carried in the
+    /// transfer's [`Purpose`]. Tasks are non-preemptive, so the consumer
+    /// cannot migrate while its inputs are in flight; debug builds check
+    /// that the carried instance still runs `child`.
     fn consumer_inst(&self, child: TaskKey, carried: usize) -> usize {
-        if self.cfg.reference_hot_path {
-            return self
-                .insts
-                .iter()
-                .position(|i| i.running.as_ref().is_some_and(|r| r.key == child))
-                .expect("child is running somewhere");
-        }
         debug_assert!(
             self.insts[carried].running.as_ref().is_some_and(|r| r.key == child),
             "stale consumer instance carried in transfer purpose"

@@ -16,6 +16,11 @@ use relief_metrics::summary::geometric_mean;
 use relief_workloads::Contention;
 
 fn main() {
+    // No flags: reject any argument rather than silently ignore it.
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument '{arg}'\nusage: ablations (takes no arguments)");
+        std::process::exit(2);
+    }
     feasibility_and_laxity();
     partitions();
     overhead();

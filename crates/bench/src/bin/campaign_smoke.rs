@@ -9,6 +9,11 @@ use relief_core::PolicyKind;
 use relief_workloads::Contention;
 
 fn main() {
+    // No flags: reject any argument rather than silently ignore it.
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument '{arg}'\nusage: campaign_smoke (takes no arguments)");
+        std::process::exit(2);
+    }
     let mixes = Contention::Low.mixes();
     let spec = CampaignSpec::new(
         "smoke",

@@ -10,6 +10,11 @@ use relief_sim::Dur;
 use relief_workloads::App;
 
 fn main() {
+    // No flags: reject any argument rather than silently ignore it.
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument '{arg}'\nusage: platform (takes no arguments)");
+        std::process::exit(2);
+    }
     table1();
     table5();
     table6();

@@ -33,14 +33,14 @@
 //! (the oracle table, the Fig. 12 host-latency table) so a warm
 //! `all_experiments` rerun recomputes nothing at all.
 
-use crate::campaign::{fnv1a, RunRecord, RunSpec};
+use crate::campaign::{RunRecord, RunSpec};
 use relief_accel::{PredictionStats, SimResult, Span, Trace};
 use relief_core::TaskKey;
 use relief_metrics::{
     reconcile, AppStats, ClassServiceStats, FaultStats, Histogram, RunStats, ServiceStats,
     TrafficStats,
 };
-use relief_sim::{Dur, Time};
+use relief_sim::{fnv1a, Dur, Time};
 use relief_trace::EventCounters;
 use std::collections::BTreeMap;
 use std::io::Read as _;

@@ -34,7 +34,7 @@ use relief_accel::{AppSpec, SimResult, SocConfig, SocSim};
 use relief_core::PolicyKind;
 use relief_metrics::summary::aggregate;
 use relief_metrics::{reconcile, Mismatch};
-use relief_sim::{SplitMix64, Time};
+use relief_sim::{fnv1a, SplitMix64, Time};
 use relief_trace::{text, CountersSink, RingBufferSink, Tracer};
 use relief_trace::EventCounters;
 use relief_workloads::{Contention, Mix, CONTINUOUS_TIME_LIMIT};
@@ -130,17 +130,6 @@ impl fmt::Debug for PlatformSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PlatformSpec").field("label", &self.label).finish_non_exhaustive()
     }
-}
-
-/// 64-bit FNV-1a over a byte string — the stable, dependency-free hash
-/// behind spec-derived seeding and campaign identity.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One fully specified, independently executable simulation run.
@@ -701,13 +690,5 @@ mod tests {
             let err = parse_jobs(args(argv)).unwrap_err();
             assert!(err.contains(name), "{argv:?}: {err}");
         }
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -2,7 +2,6 @@
 
 use relief_dag::AccTypeId;
 use relief_sim::{Dur, Intern, InternId, KindId};
-use std::collections::HashMap;
 
 /// Per-(accelerator, operation) compute-time profile.
 ///
@@ -13,15 +12,12 @@ use std::collections::HashMap;
 /// profile keeps a running mean per `(accelerator type, label)` pair and
 /// predicts that mean.
 ///
-/// Labels are interned to dense [`KindId`]s internally, so the id-based
+/// Labels are interned to dense [`KindId`]s, so the id-based
 /// [`predict_id`](ComputeProfile::predict_id) — the per-ready-queue-
 /// insertion hot-path call — is two array indexes with no hashing. The
 /// string-keyed [`observe`](ComputeProfile::observe)/
-/// [`predict`](ComputeProfile::predict) API is preserved on top and
-/// deliberately kept on the pre-interning nested-`HashMap` storage: it is
-/// the simulator's reference-hot-path cost model, so its per-call cost
-/// (two hash lookups) must not quietly improve. Both stores hold the
-/// same observations.
+/// [`predict`](ComputeProfile::predict) calls resolve the label to its id
+/// and read the same table.
 ///
 /// # Examples
 ///
@@ -45,11 +41,6 @@ pub struct ComputeProfile {
     /// never-observed slots. Both axes are dense small integers.
     table: Vec<Vec<(Dur, u64)>>,
     kinds: Intern<KindId>,
-    /// Pre-interning storage kept verbatim for the string-keyed API. The
-    /// simulator's reference hot path predicts through this map so its
-    /// cost stays two hash lookups, exactly as before the dense table
-    /// existed. Mirrors `table` observation-for-observation.
-    legacy: HashMap<AccTypeId, HashMap<String, (Dur, u64)>>,
 }
 
 impl ComputeProfile {
@@ -72,14 +63,6 @@ impl ComputeProfile {
 
     /// Records an observed compute time for an already-interned kind.
     pub fn observe_id(&mut self, acc: AccTypeId, kind: KindId, compute: Dur) {
-        let label = self.kinds.resolve(kind);
-        let by_label = self.legacy.entry(acc).or_default();
-        let (sum, count) = match by_label.get_mut(label) {
-            Some(slot) => slot,
-            None => by_label.entry(label.to_string()).or_insert((Dur::ZERO, 0)),
-        };
-        *sum += compute;
-        *count += 1;
         let a = acc.0 as usize;
         if a >= self.table.len() {
             self.table.resize(a + 1, Vec::new());
@@ -95,11 +78,9 @@ impl ComputeProfile {
     }
 
     /// Predicted compute time: the mean of observations for `(acc, label)`,
-    /// or `None` if never observed. Costs two hash lookups — this is the
-    /// reference cost model and must stay on the legacy store.
+    /// or `None` if never observed.
     pub fn predict(&self, acc: AccTypeId, label: &str) -> Option<Dur> {
-        let (sum, count) = self.legacy.get(&acc)?.get(label)?;
-        Some(*sum / *count)
+        self.predict_id(acc, self.kinds.get(label)?)
     }
 
     /// Predicted compute time by interned kind: two array indexes, no

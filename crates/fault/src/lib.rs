@@ -44,19 +44,8 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-use relief_sim::SplitMix64;
+use relief_sim::{fnv1a, SplitMix64};
 use std::fmt;
-
-/// 64-bit FNV-1a over a byte string (the same stable, dependency-free
-/// hash the campaign engine uses for spec-derived seeding).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Fault-injection knobs. The all-[`Default`] configuration injects
 /// nothing and leaves the simulator's behaviour bit-identical to a build

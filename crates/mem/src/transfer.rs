@@ -2,6 +2,7 @@
 
 use crate::config::MemConfig;
 use crate::interconnect::Interconnect;
+#[cfg(test)]
 use relief_sim::timeline::reserve_joint;
 use relief_sim::{Dur, SlotAlloc, Time, Timeline};
 use relief_trace::{Endpoint, EventKind, ResourceId, Tracer};
@@ -18,6 +19,7 @@ pub enum Port {
 }
 
 impl Port {
+    #[cfg(test)]
     fn spad_index(self) -> Option<usize> {
         match self {
             Port::Dram => None,
@@ -140,8 +142,8 @@ fn port_from_compact(x: i32) -> Port {
     if x < 0 { Port::Dram } else { Port::Spad(x as usize) }
 }
 
-/// `Some(spad index)` for a scratchpad endpoint, `None` for DRAM —
-/// compact-encoding analogue of [`Port::spad_index`].
+/// `Some(spad index)` for a scratchpad endpoint in the compact
+/// encoding, `None` for DRAM.
 fn spad_of(x: i32) -> Option<usize> {
     if x < 0 { None } else { Some(x as usize) }
 }
@@ -237,9 +239,10 @@ pub struct TransferEngine {
     chunk_icn_dur: Dur,
     chunk_dma_dur: Dur,
     chunk_dram_dur: Dur,
-    /// Routes chunk issue through the pre-optimisation path (boxed lane
-    /// lists, per-chunk bandwidth divisions). Identical reservations by
-    /// construction; only the host-side cost differs.
+    /// Routes chunk issue through
+    /// [`issue_chunk_reference`](Self::issue_chunk_reference), the oracle
+    /// the chunk-path tests compare against.
+    #[cfg(test)]
     reference_alloc_path: bool,
     dram_read_bytes: u64,
     dram_write_bytes: u64,
@@ -277,6 +280,7 @@ impl TransferEngine {
             chunk_icn_dur: Dur::for_bytes(config.chunk_bytes, config.interconnect_bandwidth),
             chunk_dma_dur: Dur::for_bytes(config.chunk_bytes, config.dma_bandwidth),
             chunk_dram_dur: Dur::for_bytes(config.chunk_bytes, config.dram_bandwidth),
+            #[cfg(test)]
             reference_alloc_path: false,
             config,
             dram_read_bytes: 0,
@@ -302,12 +306,6 @@ impl TransferEngine {
     /// How many blackout windows have actually delayed a chunk start.
     pub fn channel_outages_applied(&self) -> u64 {
         self.dram_outages.as_ref().map_or(0, |o| o.applied)
-    }
-
-    /// Switches chunk issue to the pre-optimisation cost path (see
-    /// `reference_alloc_path` field docs). For equivalence tests only.
-    pub fn set_reference_alloc_path(&mut self, on: bool) {
-        self.reference_alloc_path = on;
     }
 
     /// Per-chunk service durations for `chunk` bytes on the interconnect,
@@ -461,13 +459,15 @@ impl TransferEngine {
     /// Issues the next chunk of the transfer in slot `s`; returns its
     /// completion time.
     ///
-    /// The correlated reservation mirrors [`reserve_joint`]: every
+    /// The correlated reservation mirrors
+    /// [`reserve_joint`](relief_sim::timeline::reserve_joint): every
     /// involved resource starts at the latest availability across the set
     /// and is held for its own duration — but the resources are reserved
     /// through direct field borrows, so the per-chunk path allocates
     /// nothing, and the transfer state is read straight out of the hot
     /// arena columns.
     fn issue_chunk(&mut self, s: usize, now: Time) -> Time {
+        #[cfg(test)]
         if self.reference_alloc_path {
             return self.issue_chunk_reference(s, now);
         }
@@ -525,11 +525,12 @@ impl TransferEngine {
         end
     }
 
-    /// The pre-optimisation chunk path, kept verbatim as the reference
-    /// the hot-path equivalence tests compare against: boxes the lane set,
-    /// recomputes bandwidth divisions per chunk, and reserves through
+    /// The pre-optimisation chunk path, kept in test builds as the
+    /// reference the chunk-path tests compare against: boxes the lane
+    /// set, recomputes bandwidth divisions per chunk, and reserves through
     /// [`reserve_joint`]. Reservation-for-reservation identical to
     /// [`issue_chunk`](Self::issue_chunk).
+    #[cfg(test)]
     fn issue_chunk_reference(&mut self, s: usize, now: Time) -> Time {
         let chunk = self.hot[s].remaining.min(self.config.chunk_bytes);
         if chunk == 0 {
@@ -819,7 +820,7 @@ mod tests {
             };
             let mut fast = TransferEngine::new(cfg, 4);
             let mut reference = TransferEngine::new(cfg, 4);
-            reference.set_reference_alloc_path(true);
+            reference.reference_alloc_path = true;
             // Mixed routes, sizes that exercise partial trailing chunks
             // and zero-byte completion, staggered starts for contention.
             let plan = [
@@ -867,7 +868,7 @@ mod tests {
         let windows = vec![(0u64, 1_000_000u64), (3_000_000, 3_500_000)];
         let run = |reference: bool| {
             let mut e = TransferEngine::new(MemConfig::default(), 2);
-            e.set_reference_alloc_path(reference);
+            e.reference_alloc_path = reference;
             e.set_dram_outages(Box::new(windows.clone().into_iter()));
             let (a, fa) =
                 e.begin(Route { src: Port::Dram, dst: Port::Spad(0) }, 20_000, 0, Time::ZERO);

@@ -29,19 +29,8 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-use relief_sim::SplitMix64;
+use relief_sim::{fnv1a, SplitMix64};
 use std::fmt;
-
-/// 64-bit FNV-1a over a byte string (the same stable, dependency-free
-/// hash `relief-fault` and the campaign engine use for seeding).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Hash domain for inter-arrival draws, mixed into the identity so a
 /// future domain (e.g. per-request payload sizing) cannot alias arrivals.

@@ -5,8 +5,8 @@
 //!
 //! * [`Time`] / [`Dur`] — simulated time as integer picoseconds, so that
 //!   bandwidth arithmetic on sub-nanosecond bus transactions stays exact.
-//! * [`EventQueue`] — a priority queue of `(Time, sequence, E)` entries with
-//!   deterministic FIFO tie-breaking: one vector kept sorted on that key,
+//! * [`EventQueue`] — a priority queue of timed events with deterministic
+//!   FIFO tie-breaking: one vector kept sorted on `(time, push order)`,
 //!   sized for the few dozen events the SoC model ever has pending.
 //! * [`Timeline`] — a single-server resource model used for DMA engines,
 //!   interconnect lanes, and the DRAM channel.
@@ -45,7 +45,7 @@ pub mod timeline;
 
 pub use intern::{AppId, Intern, InternId, KindId};
 pub use queue::EventQueue;
-pub use rng::SplitMix64;
+pub use rng::{fnv1a, SplitMix64};
 pub use slab::SlotAlloc;
 pub use stall::{StallError, StallKind};
 pub use time::{Dur, Time};

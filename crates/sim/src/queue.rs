@@ -15,38 +15,17 @@
 //! Total order is `(time, seq)` with `seq` unique and monotonically
 //! increasing, so FIFO-among-equals is exactly the order the key encodes
 //! and the pop sequence is identical to a total sort of the push stream,
-//! including pushes into the past. The `queue::tests` property suite pins
-//! this against a [`BinaryHeap`] oracle ([`EventQueue::reference`]).
+//! including pushes into the past. An entry's `seq` is implicit: among
+//! equal times, the vector holds entries in push order. The
+//! `queue::tests` property suite pins this against a binary-heap oracle.
 
 use crate::time::Time;
 use relief_trace::{EventKind, Tracer};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// One scheduled entry: fire time, insertion sequence, payload.
+/// One scheduled entry: fire time and payload.
 struct Entry<E> {
     at: Time,
-    seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (and, on ties, the
-        // first-inserted) entry surfaces first.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// A priority queue of timed events with deterministic FIFO tie-breaking.
@@ -66,15 +45,8 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     /// Pending events, sorted *descending* by `(at, seq)` so the earliest
-    /// sits at the back. Always empty on [`EventQueue::reference`] queues.
+    /// sits at the back.
     sorted: Vec<Entry<E>>,
-    /// Reference-mode storage: a [`BinaryHeap`], exercised only by
-    /// [`EventQueue::reference`] queues. Always empty otherwise.
-    heap: BinaryHeap<Entry<E>>,
-    /// Routes every push to `heap` — the reference the hot-path
-    /// equivalence tests compare against (behaviour is identical either
-    /// way).
-    reference_heap: bool,
     next_seq: u64,
     popped: u64,
     tracer: Tracer,
@@ -85,19 +57,10 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             sorted: Vec::new(),
-            heap: BinaryHeap::new(),
-            reference_heap: false,
             next_seq: 0,
             popped: 0,
             tracer: Tracer::off(),
         }
-    }
-
-    /// Creates an empty queue that runs on a [`BinaryHeap`]. Pop order is
-    /// identical to [`EventQueue::new`] by construction; only the
-    /// host-side cost differs. Used by `SocConfig::reference_hot_path`.
-    pub fn reference() -> Self {
-        EventQueue { reference_heap: true, ..EventQueue::new() }
     }
 
     /// Attaches a tracer; every subsequent [`EventQueue::pop`] emits an
@@ -108,44 +71,17 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at `at`.
     pub fn push(&mut self, at: Time, event: E) {
-        let seq = self.next_seq;
-        // A wrapped sequence counter would silently break FIFO-among-
-        // equals; at one event per picosecond that is >200 days of
-        // simulated time, so treat it as a simulator bug.
-        debug_assert!(seq != u64::MAX, "event sequence counter about to wrap");
         self.next_seq += 1;
-        let entry = Entry { at, seq, event };
-        if self.reference_heap {
-            self.heap.push(entry);
-            return;
-        }
-        // `seq` exceeds every pending sequence number, so the new entry
-        // goes after exactly the entries that fire later: comparing times
+        // The new entry's `seq` exceeds every pending one, so it goes
+        // after exactly the entries that fire later: comparing times
         // alone finds its `(at, seq)` position.
         let pos = self.sorted.partition_point(|e| e.at > at);
-        self.sorted.insert(pos, entry);
-    }
-
-    /// Removes the earliest entry from whichever store is in use.
-    fn take_min(&mut self) -> Option<Entry<E>> {
-        match self.sorted.pop() {
-            Some(e) => Some(e),
-            None => self.pop_heap(),
-        }
-    }
-
-    /// The reference queue's pop (and an empty queue's miss), kept out of
-    /// line: inlining the heap's sift-down into [`EventQueue::pop_cohort`]
-    /// slowed the benchmark's `closed-high` workload by ~4 %.
-    #[cold]
-    #[inline(never)]
-    fn pop_heap(&mut self) -> Option<Entry<E>> {
-        self.heap.pop()
+        self.sorted.insert(pos, Entry { at, event });
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let e = self.take_min()?;
+        let e = self.sorted.pop()?;
         self.mark_dispatched(e.at);
         Some((e.at, e.event))
     }
@@ -163,11 +99,10 @@ impl<E> EventQueue<E> {
     ///
     /// Events pushed at the cohort's time while the caller dispatches it
     /// get larger sequence numbers and form a later cohort, exactly as
-    /// they would pop on the per-event path. (A reference queue returns
-    /// cohorts of one event; the dispatch order is the same.)
+    /// they would pop on the per-event path.
     pub fn pop_cohort(&mut self, out: &mut Vec<E>) -> Option<Time> {
         out.clear();
-        let first = self.take_min()?;
+        let first = self.sorted.pop()?;
         let at = first.at;
         out.push(first.event);
         // The rest of the cohort is the vector's equal-time tail:
@@ -193,12 +128,12 @@ impl<E> EventQueue<E> {
 
     /// Fire time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        self.sorted.last().or_else(|| self.heap.peek()).map(|e| e.at)
+        self.sorted.last().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.sorted.len() + self.heap.len()
+        self.sorted.len()
     }
 
     /// True when no events are pending.
@@ -228,7 +163,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("pending", &self.len())
             .field("dispatched", &self.popped)
-            .field("reference_heap", &self.reference_heap)
             .finish()
     }
 }
@@ -237,6 +171,59 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    /// One oracle entry, ordered so the max-heap surfaces the earliest
+    /// `(at, seq)` first.
+    struct OracleEntry<E> {
+        at: Time,
+        seq: u64,
+        event: E,
+    }
+
+    impl<E> PartialEq for OracleEntry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            (self.at, self.seq) == (other.at, other.seq)
+        }
+    }
+    impl<E> Eq for OracleEntry<E> {}
+    impl<E> PartialOrd for OracleEntry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for OracleEntry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            (other.at, other.seq).cmp(&(self.at, self.seq))
+        }
+    }
+
+    /// The textbook binary-heap event queue with an explicit sequence
+    /// number per entry: the oracle the sorted vector must pop exactly
+    /// like.
+    struct HeapOracle<E> {
+        heap: BinaryHeap<OracleEntry<E>>,
+        pushed: u64,
+        popped: u64,
+    }
+
+    impl<E> HeapOracle<E> {
+        fn new() -> Self {
+            HeapOracle { heap: BinaryHeap::new(), pushed: 0, popped: 0 }
+        }
+
+        fn push(&mut self, at: Time, event: E) {
+            self.heap.push(OracleEntry { at, seq: self.pushed, event });
+            self.pushed += 1;
+        }
+
+        fn pop(&mut self) -> Option<(Time, E)> {
+            let e = self.heap.pop()?;
+            self.popped += 1;
+            Some((e.at, e.event))
+        }
+    }
 
     #[test]
     fn orders_by_time() {
@@ -287,24 +274,23 @@ mod tests {
 
     #[test]
     fn peek_sees_the_earliest_pending_event() {
-        for mut q in [EventQueue::new(), EventQueue::reference()] {
-            assert_eq!(q.peek_time(), None);
-            for i in 0..200u64 {
-                q.push(Time::from_ns(10 + i), i);
-            }
-            q.push(Time::from_ms(90), u64::MAX);
-            assert_eq!(q.peek_time(), Some(Time::from_ns(10)));
-            assert_eq!(q.pop().unwrap().1, 0);
-            // Drain down to the far-future outlier; peek must still see it,
-            // and a later push into the past must take over the head.
-            for _ in 0..199 {
-                q.pop();
-            }
-            assert_eq!(q.peek_time(), Some(Time::from_ms(90)));
-            q.push(Time::from_us(1), 7);
-            assert_eq!(q.peek_time(), Some(Time::from_us(1)));
-            assert_eq!(q.len(), 2);
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        for i in 0..200u64 {
+            q.push(Time::from_ns(10 + i), i);
         }
+        q.push(Time::from_ms(90), u64::MAX);
+        assert_eq!(q.peek_time(), Some(Time::from_ns(10)));
+        assert_eq!(q.pop().unwrap().1, 0);
+        // Drain down to the far-future outlier; peek must still see it,
+        // and a later push into the past must take over the head.
+        for _ in 0..199 {
+            q.pop();
+        }
+        assert_eq!(q.peek_time(), Some(Time::from_ms(90)));
+        q.push(Time::from_us(1), 7);
+        assert_eq!(q.peek_time(), Some(Time::from_us(1)));
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
@@ -353,7 +339,7 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Drives the sorted queue and the reference heap through an
+    /// Drives the sorted queue and the heap oracle through an
     /// identical randomized (time, seq) stream — bursty times, duplicate
     /// instants, interleaved pops, same-instant requeues — and asserts
     /// the pop sequences match exactly.
@@ -362,7 +348,7 @@ mod tests {
         for seed in 0..20u64 {
             let mut rng = SplitMix64::new(0xCA1E_4DA8 ^ seed);
             let mut q = EventQueue::new();
-            let mut oracle = EventQueue::reference();
+            let mut oracle = HeapOracle::new();
             let mut last_popped = 0u64;
             let mut pending = 0i64;
             for step in 0..4000u32 {
@@ -404,8 +390,8 @@ mod tests {
                     other => panic!("drain mismatch: {other:?}"),
                 }
             }
-            assert_eq!(q.dispatched(), oracle.dispatched());
-            assert_eq!(q.scheduled(), oracle.scheduled());
+            assert_eq!(q.dispatched(), oracle.popped);
+            assert_eq!(q.scheduled(), oracle.pushed);
         }
     }
 
@@ -469,9 +455,9 @@ mod tests {
     }
 
     #[test]
-    fn reference_mode_matches_new_path_on_simple_stream() {
+    fn matches_heap_oracle_on_simple_stream() {
         let mut a = EventQueue::new();
-        let mut b = EventQueue::reference();
+        let mut b = HeapOracle::new();
         for i in (0..200u64).rev() {
             a.push(Time::from_ns(i / 3), i);
             b.push(Time::from_ns(i / 3), i);

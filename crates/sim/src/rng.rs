@@ -8,7 +8,9 @@
 //! Pseudorandom Number Generators" (OOPSLA 2014): one add and three
 //! xor-shift-multiply rounds per output, full 2^64 period, and — crucially
 //! for this repo — a stable, portable output sequence that keeps every
-//! simulation bit-reproducible across platforms and toolchains.
+//! simulation bit-reproducible across platforms and toolchains. Seeds
+//! derived from an identity (a fault verdict, an arrival, a campaign
+//! cell) come from hashing it with [`fnv1a`].
 //!
 //! # Examples
 //!
@@ -107,9 +109,32 @@ impl SplitMix64 {
     }
 }
 
+/// 64-bit FNV-1a over a byte string: the stable, dependency-free hash
+/// behind every seed derived from an identity (fault verdicts, arrival
+/// schedules, campaign specs) and every content digest (cache file names,
+/// the behaviour corpus). Inlined so the per-verdict and per-arrival
+/// callers in other crates keep it in their hot loops.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
 
     #[test]
     fn reference_vector() {

@@ -21,7 +21,9 @@
 //!    `chaos-smoke` (release) — the chaos campaign binary executes a
 //!    small fault × overload grid with the self-healing stack on, and
 //!    `invariants` proves the end-of-run conservation checks also hold
-//!    in a release build via the `invariants` feature.
+//!    in a release build via the `invariants` feature, on the chaos
+//!    suite and on every behaviour-corpus cell (whose release build must
+//!    also reproduce the committed digests).
 //! 5. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
 //!    incremental-campaign store: warm reruns simulate zero cells with
@@ -34,13 +36,13 @@
 //!    whose live-slot high-water mark stays under its bound),
 //!    `chaos_conformance` (memory-side fault domains, circuit breakers,
 //!    timeouts and hedges, the simulation watchdog, and the
-//!    campaign-cache round trip), `hot_path_equivalence` (the optimised
-//!    hot path against `SocConfig::reference_hot_path`, bit for bit,
-//!    under all eleven policies, forty seeds, faults, service mode, and
-//!    instance recycling), and `oracle_conformance` (the ahead-of-time
-//!    scheduling bound: oracle ≤ every online policy, prediction =
-//!    replay bit-exactly, beam-width monotonicity, recorded-run replay
-//!    differentials).
+//!    campaign-cache round trip), `behaviour_corpus` (91 simulated cells
+//!    — all eleven policies, forty seeds, faults, service mode, instance
+//!    recycling, and the platform and predictor axes — against the
+//!    committed digests in `tests/corpus/behaviour.txt`), and
+//!    `oracle_conformance` (the ahead-of-time scheduling bound: oracle ≤
+//!    every online policy, prediction = replay bit-exactly, beam-width
+//!    monotonicity, recorded-run replay differentials).
 //! 6. `crates` — `cargo test --offline --workspace --exclude relief`:
 //!    every member crate's own unit, integration and doc tests (the
 //!    root package's tests are tier 1's `cargo test`). This is where
@@ -95,7 +97,7 @@ const TEST_SUITES: [(&str, &str); 10] = [
     ("relief", "fault_injection"),
     ("relief", "service_mode"),
     ("relief", "chaos_conformance"),
-    ("relief", "hot_path_equivalence"),
+    ("relief", "behaviour_corpus"),
     ("relief", "oracle_conformance"),
 ];
 
@@ -269,6 +271,8 @@ fn check(args: &[String]) -> ExitCode {
                 "relief",
                 "--test",
                 "chaos_conformance",
+                "--test",
+                "behaviour_corpus",
             ]),
         );
     }
