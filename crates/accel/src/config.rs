@@ -56,11 +56,10 @@ pub struct SocConfig {
     pub bw_predictor: BwPredictorKind,
     /// Data-movement-prediction scheme for laxity estimation.
     pub dm_predictor: DataMovePredictor,
-    /// Scratchpad-to-scratchpad forwarding hardware present.
+    /// Forwarding hardware present: scratchpad-to-scratchpad forwarding
+    /// and colocation (running a consumer on its producer's accelerator
+    /// with zero data movement, which also needs `output_partitions >= 2`).
     pub forwarding: bool,
-    /// Colocation (running a consumer on its producer's accelerator with
-    /// zero data movement) permitted.
-    pub colocation: bool,
     /// Output scratchpad partitions per accelerator (Table IV allows up to
     /// 3; the evaluated platform double-buffers output).
     pub output_partitions: usize,
@@ -146,7 +145,6 @@ impl SocConfig {
             bw_predictor: BwPredictorKind::Max,
             dm_predictor: DataMovePredictor::Max,
             forwarding: true,
-            colocation: true,
             output_partitions: 2,
             time_limit: None,
             model_sched_overhead: true,
@@ -178,7 +176,6 @@ impl SocConfig {
     /// Disables forwarding and colocation (the Table II "no fwd" baseline).
     pub fn without_forwarding(mut self) -> Self {
         self.forwarding = false;
-        self.colocation = false;
         self
     }
 
@@ -244,7 +241,7 @@ mod tests {
         assert_eq!(c.acc_instances, vec![1; 7]);
         assert_eq!(c.total_instances(), 7);
         assert_eq!(c.output_partitions, 2);
-        assert!(c.forwarding && c.colocation);
+        assert!(c.forwarding);
         c.validate();
     }
 
@@ -255,7 +252,7 @@ mod tests {
             .without_forwarding()
             .with_time_limit(Time::from_ms(50));
         assert_eq!(c.policy, PolicyKind::Relief);
-        assert!(!c.forwarding && !c.colocation);
+        assert!(!c.forwarding);
         assert_eq!(c.time_limit, Some(Time::from_ms(50)));
         assert_eq!(c.sched_insert_cost, SocConfig::default_insert_cost(PolicyKind::Relief));
     }

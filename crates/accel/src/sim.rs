@@ -1565,7 +1565,7 @@ impl SocSim {
     /// serials are never reused, so a stale tracker can never match — and
     /// the node lookup happens on the live side only after a match.
     fn colocation_instance(&self, t: usize, key: TaskKey, slot: u32) -> Option<usize> {
-        if !self.cfg.colocation || self.cfg.output_partitions < 2 {
+        if !self.cfg.forwarding || self.cfg.output_partitions < 2 {
             return None;
         }
         let d = &self.dags[slot as usize];
@@ -1598,7 +1598,7 @@ impl SocSim {
         });
         // Colocation check: the previously executed node on this
         // accelerator is a parent whose output is still live here.
-        let coloc_part = if self.cfg.colocation && self.cfg.output_partitions >= 2 {
+        let coloc_part = if self.cfg.forwarding && self.cfg.output_partitions >= 2 {
             let d = &self.dags[slot as usize];
             d.dag.parents(NodeId(key.node)).iter().find_map(|&p| {
                 let pk = TaskKey::new(key.instance, p.0);

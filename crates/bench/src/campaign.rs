@@ -351,7 +351,7 @@ pub struct ExecOptions {
     pub trace_labels: BTreeSet<String>,
     /// Persistent content-addressed result store (`crate::cache`). The
     /// default is disabled, so library callers and tests never touch the
-    /// filesystem; the campaign binaries opt in via
+    /// filesystem; the campaign commands opt in via
     /// [`CacheConfig::standard`](crate::cache::CacheConfig::standard)
     /// unless `--no-cache` is given.
     pub cache: crate::cache::CacheConfig,
@@ -370,25 +370,6 @@ impl Default for ExecOptions {
 /// The host's available parallelism (≥ 1).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Parses a binary's argument list that may hold only `--jobs N`,
-/// defaulting to [`default_jobs`]. Any other argument is an error naming
-/// it, so a typo such as `--job 4` cannot silently run with defaults.
-pub fn parse_jobs(args: impl IntoIterator<Item = String>) -> Result<usize, String> {
-    let mut jobs = default_jobs();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg != "--jobs" {
-            return Err(format!("unknown argument '{arg}' (accepted: --jobs N)"));
-        }
-        let v = it.next().ok_or("--jobs needs a value")?;
-        jobs = v.parse().map_err(|_| format!("bad --jobs '{v}'"))?;
-        if jobs == 0 {
-            return Err("--jobs must be at least 1".into());
-        }
-    }
-    Ok(jobs)
 }
 
 /// Campaign results, in expansion (spec) order.
@@ -555,6 +536,26 @@ pub fn execute(specs: Vec<RunSpec>, opts: &ExecOptions) -> CampaignResults {
     CampaignResults { outcomes, cache_hits, simulated }
 }
 
+/// [`execute`], then prints every panicked run and every reconciliation
+/// mismatch to stderr once. The flag is `true` when no run panicked or
+/// mismatched; a command exits 1 otherwise.
+pub fn execute_reported(specs: Vec<RunSpec>, opts: &ExecOptions) -> (CampaignResults, bool) {
+    let results = execute(specs, opts);
+    let failures = results.failures();
+    for (label, msg) in &failures {
+        eprintln!("run {label} panicked: {msg}");
+    }
+    let mismatched = results.mismatched();
+    for (label, mismatches) in &mismatched {
+        eprintln!("run {label} failed event/stats reconciliation:");
+        for m in mismatches {
+            eprintln!("  {m}");
+        }
+    }
+    let clean = failures.is_empty() && mismatched.is_empty();
+    (results, clean)
+}
+
 /// A cache-backed execution context for artifact functions.
 ///
 /// Artifact renderers ask the `Ctx` for each run they need; the campaign
@@ -671,24 +672,5 @@ mod tests {
         );
         assert_eq!(spec.config().time_limit, Some(CONTINUOUS_TIME_LIMIT));
         assert_eq!(spec.label(), "RELIEF|continuous/CDG|mobile|r0");
-    }
-
-    #[test]
-    fn parse_jobs_accepts_and_rejects() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs(args(&["--jobs", "3"])), Ok(3));
-        assert_eq!(parse_jobs(args(&[])), Ok(default_jobs()));
-        assert!(parse_jobs(args(&["--jobs"])).is_err());
-        assert!(parse_jobs(args(&["--jobs", "zero"])).is_err());
-        assert!(parse_jobs(args(&["--jobs", "0"])).is_err());
-        // Any other argument is an error that names it.
-        for (argv, name) in [
-            (&["--job", "3"][..], "'--job'"),
-            (&["--seed", "3"][..], "'--seed'"),
-            (&["--jobs", "2", "--foo"][..], "'--foo'"),
-        ] {
-            let err = parse_jobs(args(argv)).unwrap_err();
-            assert!(err.contains(name), "{argv:?}: {err}");
-        }
     }
 }

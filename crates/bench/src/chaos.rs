@@ -15,7 +15,9 @@
 //! engine's determinism contract and the rendered report is
 //! byte-identical at any `--jobs`.
 
+use crate::cache::CacheConfig;
 use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
+use crate::cli::Args;
 use relief_accel::SocConfig;
 use relief_core::PolicyKind;
 use relief_fault::FaultConfig;
@@ -329,7 +331,7 @@ fn chaos_row(
     ]
 }
 
-/// Parses a chaos binary's CLI into a sweep plus execution options.
+/// Parses the `chaos` command's flags into a sweep plus execution options.
 ///
 /// Recognised flags: `--fault-seed <N>` and `--stream-seed <N>` (decimal
 /// or `0x` hex), `--fault-rate <R[,R…]>`, `--rate <R[,R…]>` (per-tenant
@@ -345,82 +347,23 @@ pub fn parse_cli(
     args: impl IntoIterator<Item = String>,
 ) -> Result<(ChaosSpec, ExecOptions), String> {
     let mut spec = ChaosSpec::default();
-    let mut opts =
-        ExecOptions { cache: crate::cache::CacheConfig::standard(), ..Default::default() };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--fault-seed" => {
-                let v = it.next().ok_or("--fault-seed needs a value")?;
-                spec.fault_seed = parse_seed(&v)?;
-            }
-            "--stream-seed" => {
-                let v = it.next().ok_or("--stream-seed needs a value")?;
-                spec.stream_seed = parse_seed(&v)?;
-            }
-            "--fault-rate" => {
-                let v = it.next().ok_or("--fault-rate needs a value")?;
-                spec.fault_rates = parse_rates(&v, "--fault-rate")?;
-            }
-            "--rate" => {
-                let v = it.next().ok_or("--rate needs a value")?;
-                spec.arrival_rates = parse_rates(&v, "--rate")?;
-            }
-            "--dram-mttf-us" => {
-                let v = it.next().ok_or("--dram-mttf-us needs a value")?;
-                let us: u64 =
-                    v.parse().map_err(|_| format!("bad --dram-mttf-us '{v}'"))?;
-                spec.dram_mttf_ps = us.saturating_mul(1_000_000);
-            }
-            "--duration-us" => {
-                let v = it.next().ok_or("--duration-us needs a value")?;
-                let us: u64 =
-                    v.parse().map_err(|_| format!("bad --duration-us '{v}'"))?;
-                spec.duration_ps = us.saturating_mul(1_000_000);
-            }
-            "--warmup-us" => {
-                let v = it.next().ok_or("--warmup-us needs a value")?;
-                let us: u64 = v.parse().map_err(|_| format!("bad --warmup-us '{v}'"))?;
-                spec.warmup_ps = us.saturating_mul(1_000_000);
-            }
-            "--max-in-flight" => {
-                let v = it.next().ok_or("--max-in-flight needs a value")?;
-                spec.max_in_flight =
-                    v.parse().map_err(|_| format!("bad --max-in-flight '{v}'"))?;
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad --jobs '{v}'"))?;
-                if opts.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--no-cache" => opts.cache = crate::cache::CacheConfig::disabled(),
-            other => return Err(format!("unknown option '{other}'")),
+    let mut opts = ExecOptions { cache: CacheConfig::standard(), ..Default::default() };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--fault-seed" => spec.fault_seed = args.seed(&flag)?,
+            "--stream-seed" => spec.stream_seed = args.seed(&flag)?,
+            "--fault-rate" => spec.fault_rates = args.list(&flag)?,
+            "--rate" => spec.arrival_rates = args.list(&flag)?,
+            "--dram-mttf-us" => spec.dram_mttf_ps = args.us_as_ps(&flag)?,
+            "--duration-us" => spec.duration_ps = args.us_as_ps(&flag)?,
+            "--warmup-us" => spec.warmup_ps = args.us_as_ps(&flag)?,
+            "--max-in-flight" => spec.max_in_flight = args.value(&flag)?,
+            _ => args.exec_flag(&flag, &mut opts)?,
         }
     }
     spec.validate()?;
     Ok((spec, opts))
-}
-
-/// Parses a comma-separated rate list.
-fn parse_rates(v: &str, flag: &str) -> Result<Vec<f64>, String> {
-    v.split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<f64>()
-                .map_err(|_| format!("bad {flag} '{}'", s.trim()))
-        })
-        .collect()
-}
-
-/// Parses a seed as decimal or `0x`-prefixed hex.
-fn parse_seed(v: &str) -> Result<u64, String> {
-    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    parsed.map_err(|_| format!("bad seed '{v}'"))
 }
 
 #[cfg(test)]

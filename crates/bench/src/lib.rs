@@ -1,11 +1,13 @@
 //! Shared experiment-runner infrastructure for the paper's tables and
 //! figures.
 //!
-//! `all_experiments` regenerates every artifact of the paper's evaluation
-//! (see DESIGN.md §5 for the full index) and the other binaries in
-//! `src/bin/` run the extension campaigns; this library holds the common
-//! plumbing: running a policy over a mix, sweeping contention levels, and
-//! aggregating geometric means the way the figures do.
+//! The `relief-bench` binary (`src/main.rs`) is one front door with a
+//! command per study: `relief-bench all_experiments` regenerates every
+//! artifact of the paper's evaluation (see DESIGN.md §5 for the full
+//! index) and the other commands run the extension studies and campaigns.
+//! This library holds the common plumbing: running a policy over a mix,
+//! sweeping contention levels, aggregating geometric means the way the
+//! figures do, and the [`cli`] argument walker every command parses with.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -134,8 +136,10 @@ mod tests {
 pub mod cache;
 pub mod campaign;
 pub mod chaos;
+pub mod cli;
 pub mod experiments;
 pub mod oracle;
 pub mod resilience;
 pub mod service;
+pub mod studies;
 pub mod traceio;

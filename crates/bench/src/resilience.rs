@@ -11,7 +11,9 @@
 //! Rate 0 is always a valid axis value: it is the fault-free baseline
 //! and produces exactly the numbers an unfaulted run would.
 
+use crate::cache::CacheConfig;
 use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
+use crate::cli::Args;
 use relief_accel::SocConfig;
 use relief_core::PolicyKind;
 use relief_fault::FaultConfig;
@@ -177,7 +179,7 @@ impl ResilienceSpec {
     }
 }
 
-/// Parses a resilience binary's CLI into a sweep plus execution options.
+/// Parses the `resilience` command's flags into a sweep plus execution options.
 ///
 /// Recognised flags: `--fault-seed <N>` (decimal or `0x` hex),
 /// `--fault-rate <R[,R…]>`, `--mttf-us <N>`, `--jobs <N>`,
@@ -191,53 +193,18 @@ pub fn parse_cli(
     args: impl IntoIterator<Item = String>,
 ) -> Result<(ResilienceSpec, ExecOptions), String> {
     let mut spec = ResilienceSpec::default();
-    let mut opts =
-        ExecOptions { cache: crate::cache::CacheConfig::standard(), ..Default::default() };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--fault-seed" => {
-                let v = it.next().ok_or("--fault-seed needs a value")?;
-                spec.seed = parse_seed(&v)?;
-            }
-            "--fault-rate" => {
-                let v = it.next().ok_or("--fault-rate needs a value")?;
-                spec.rates = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad --fault-rate '{}'", s.trim()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--mttf-us" => {
-                let v = it.next().ok_or("--mttf-us needs a value")?;
-                let us: u64 = v.parse().map_err(|_| format!("bad --mttf-us '{v}'"))?;
-                spec.mttf_ps = us.saturating_mul(1_000_000);
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad --jobs '{v}'"))?;
-                if opts.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--no-cache" => opts.cache = crate::cache::CacheConfig::disabled(),
-            other => return Err(format!("unknown option '{other}'")),
+    let mut opts = ExecOptions { cache: CacheConfig::standard(), ..Default::default() };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--fault-seed" => spec.seed = args.seed(&flag)?,
+            "--fault-rate" => spec.rates = args.list(&flag)?,
+            "--mttf-us" => spec.mttf_ps = args.us_as_ps(&flag)?,
+            _ => args.exec_flag(&flag, &mut opts)?,
         }
     }
     spec.validate()?;
     Ok((spec, opts))
-}
-
-/// Parses a seed as decimal or `0x`-prefixed hex.
-fn parse_seed(v: &str) -> Result<u64, String> {
-    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    parsed.map_err(|_| format!("bad seed '{v}'"))
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@
 //! drains, so the event/stats reconciliation stays active for every
 //! cell.
 
+use crate::cache::CacheConfig;
 use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
+use crate::cli::Args;
 use relief_accel::{AppSpec, SocConfig};
 use relief_core::PolicyKind;
 use relief_metrics::report::Table;
@@ -278,7 +280,7 @@ fn goodput_row(policy: String, rate: String, s: &RunStats) -> Vec<String> {
     ]
 }
 
-/// Parses a service binary's CLI into a sweep plus execution options.
+/// Parses the `service` command's flags into a sweep plus execution options.
 ///
 /// Recognised flags: `--stream-seed <N>` (decimal or `0x` hex),
 /// `--rate <R[,R…]>` (per-tenant requests/s), `--arrival
@@ -294,68 +296,21 @@ pub fn parse_cli(
     args: impl IntoIterator<Item = String>,
 ) -> Result<(ServiceSpec, ExecOptions), String> {
     let mut spec = ServiceSpec::default();
-    let mut opts =
-        ExecOptions { cache: crate::cache::CacheConfig::standard(), ..Default::default() };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--stream-seed" => {
-                let v = it.next().ok_or("--stream-seed needs a value")?;
-                spec.seed = parse_seed(&v)?;
-            }
-            "--rate" => {
-                let v = it.next().ok_or("--rate needs a value")?;
-                spec.rates = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad --rate '{}'", s.trim()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--arrival" => {
-                let v = it.next().ok_or("--arrival needs a value")?;
-                spec.process = ArrivalProcess::parse(&v)?;
-            }
-            "--duration-us" => {
-                let v = it.next().ok_or("--duration-us needs a value")?;
-                let us: u64 =
-                    v.parse().map_err(|_| format!("bad --duration-us '{v}'"))?;
-                spec.duration_ps = us.saturating_mul(1_000_000);
-            }
-            "--warmup-us" => {
-                let v = it.next().ok_or("--warmup-us needs a value")?;
-                let us: u64 = v.parse().map_err(|_| format!("bad --warmup-us '{v}'"))?;
-                spec.warmup_ps = us.saturating_mul(1_000_000);
-            }
-            "--max-in-flight" => {
-                let v = it.next().ok_or("--max-in-flight needs a value")?;
-                spec.max_in_flight =
-                    v.parse().map_err(|_| format!("bad --max-in-flight '{v}'"))?;
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad --jobs '{v}'"))?;
-                if opts.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--no-cache" => opts.cache = crate::cache::CacheConfig::disabled(),
-            other => return Err(format!("unknown option '{other}'")),
+    let mut opts = ExecOptions { cache: CacheConfig::standard(), ..Default::default() };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--stream-seed" => spec.seed = args.seed(&flag)?,
+            "--rate" => spec.rates = args.list(&flag)?,
+            "--arrival" => spec.process = ArrivalProcess::parse(&args.raw(&flag)?)?,
+            "--duration-us" => spec.duration_ps = args.us_as_ps(&flag)?,
+            "--warmup-us" => spec.warmup_ps = args.us_as_ps(&flag)?,
+            "--max-in-flight" => spec.max_in_flight = args.value(&flag)?,
+            _ => args.exec_flag(&flag, &mut opts)?,
         }
     }
     spec.validate()?;
     Ok((spec, opts))
-}
-
-/// Parses a seed as decimal or `0x`-prefixed hex.
-fn parse_seed(v: &str) -> Result<u64, String> {
-    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    parsed.map_err(|_| format!("bad seed '{v}'"))
 }
 
 #[cfg(test)]

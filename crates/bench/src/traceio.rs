@@ -1,6 +1,7 @@
-//! Trace capture and file export shared by the experiment binaries.
+//! Trace capture and file export shared by `relief-bench fig2` and
+//! `relief-cli`.
 //!
-//! Any binary that accepts `--trace-out <STEM>` funnels through here: the
+//! Any command that accepts `--trace-out <STEM>` funnels through here: the
 //! run is re-executed with a [`RingBufferSink`] attached, and the captured
 //! stream is written as both Chrome/Perfetto JSON (`<STEM>.json`, open in
 //! `chrome://tracing` or <https://ui.perfetto.dev>) and the canonical text
@@ -52,17 +53,25 @@ pub fn instance_names(cfg: &SocConfig) -> Vec<String> {
 }
 
 /// Writes `<stem>.json` (Chrome trace) and `<stem>.txt` (canonical text)
-/// for an event stream, returning the two paths written.
+/// for an event stream, returning the two paths written. The suffixes are
+/// appended, so a dot inside the stem (`run.v2`) stays part of the name.
 pub fn write_trace_files(
     events: &[TraceEvent],
     accel_names: Vec<String>,
     stem: &Path,
 ) -> std::io::Result<(PathBuf, PathBuf)> {
-    let json_path = stem.with_extension("json");
-    let txt_path = stem.with_extension("txt");
+    let json_path = suffixed(stem, ".json");
+    let txt_path = suffixed(stem, ".txt");
     std::fs::write(&json_path, to_chrome_json(events, &ChromeOptions { accel_names }))?;
     std::fs::write(&txt_path, text::to_text(events))?;
     Ok((json_path, txt_path))
+}
+
+/// `stem` with `suffix` appended to its last component.
+pub fn suffixed(stem: &Path, suffix: &str) -> PathBuf {
+    let mut path = stem.as_os_str().to_owned();
+    path.push(suffix);
+    path.into()
 }
 
 /// Captures one traced run and exports it under `stem`, printing the
@@ -74,27 +83,6 @@ pub fn export_run(cfg: SocConfig, apps: Vec<AppSpec>, stem: &Path) -> std::io::R
     let (json, txt) = write_trace_files(&events, names, stem)?;
     eprintln!("trace: {} events -> {} + {}", events.len(), json.display(), txt.display());
     Ok(result)
-}
-
-/// Extracts `--trace-out <STEM>` from an argument list, returning the stem
-/// and the remaining arguments.
-///
-/// # Errors
-///
-/// Fails when `--trace-out` is present without a value.
-pub fn take_trace_out_arg(args: Vec<String>) -> Result<(Option<PathBuf>, Vec<String>), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut stem = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--trace-out" {
-            let v = it.next().ok_or("--trace-out needs a value")?;
-            stem = Some(PathBuf::from(v));
-        } else {
-            rest.push(arg);
-        }
-    }
-    Ok((stem, rest))
 }
 
 #[cfg(test)]
@@ -135,15 +123,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_out_arg_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (stem, rest) =
-            take_trace_out_arg(args(&["--mix", "CGL", "--trace-out", "/tmp/t"])).unwrap();
-        assert_eq!(stem, Some(PathBuf::from("/tmp/t")));
-        assert_eq!(rest, args(&["--mix", "CGL"]));
-        assert!(take_trace_out_arg(args(&["--trace-out"])).is_err());
-        let (stem, rest) = take_trace_out_arg(args(&["--help"])).unwrap();
-        assert_eq!(stem, None);
-        assert_eq!(rest, args(&["--help"]));
+    fn dotted_stems_keep_every_dot() {
+        let dir = std::env::temp_dir().join(format!("relief-traceio-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (json, txt) = write_trace_files(&[], Vec::new(), &dir.join("run.v2")).unwrap();
+        assert_eq!((json, txt), (dir.join("run.v2.json"), dir.join("run.v2.txt")));
+        assert!(dir.join("run.v2.json").exists() && dir.join("run.v2.txt").exists());
+        assert!(!dir.join("run.json").exists(), "the stem's last dot is not an extension");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

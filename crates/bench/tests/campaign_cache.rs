@@ -403,7 +403,8 @@ fn orphaned_temp_files_are_listed_and_purged() {
     assert_eq!(cache.stale_entries(), vec![name.clone()]);
 
     let hygiene = |args: &[&str]| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_cache_hygiene"))
+        std::process::Command::new(env!("CARGO_BIN_EXE_relief-bench"))
+            .arg("cache_hygiene")
             .args(args)
             .env("RELIEF_CACHE_DIR", &cache.dir)
             .output()

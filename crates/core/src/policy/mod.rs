@@ -35,7 +35,6 @@ pub(crate) fn task_ref(key: TaskKey) -> TaskRef {
 
 /// How per-node absolute deadlines are derived from the DAG deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeadlineScheme {
     /// Every node inherits the DAG's deadline (GEDF-D; also LL/LAX/RELIEF's
     /// *laxity pool* interpretation — see below).
@@ -123,7 +122,6 @@ pub trait Policy {
 
 /// Identifies a policy; use [`build`](PolicyKind::build) to instantiate it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PolicyKind {
     /// First come, first served (GAM+'s non-preemptive round-robin).
     Fcfs,

@@ -7,7 +7,6 @@ use std::fmt;
 
 /// Globally unique task identity: a DAG instance plus a node within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskKey {
     /// DAG-instance identifier assigned by the runtime.
     pub instance: u32,
@@ -38,7 +37,6 @@ impl fmt::Display for TaskKey {
 /// the same, so feasibility debits (Algorithm 2, line 13) mutate the stored
 /// value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskEntry {
     /// Which task this is.
     pub key: TaskKey,

@@ -8,7 +8,6 @@ use std::fmt;
 /// The DAG layer treats types as opaque resource classes; the accelerator
 /// crate maps them to concrete models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccTypeId(pub u32);
 
 impl fmt::Display for AccTypeId {
@@ -19,7 +18,6 @@ impl fmt::Display for AccTypeId {
 
 /// Index of a node within one [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -39,7 +37,6 @@ impl fmt::Display for NodeId {
 /// (Table III) minus the runtime bookkeeping fields, which live in the
 /// simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeSpec {
     /// Accelerator type this task must run on.
     pub acc: AccTypeId,
@@ -91,7 +88,6 @@ impl NodeSpec {
 /// Within each row the targets keep the edge *insertion* order of the
 /// builder — transfer issue order in the simulator depends on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct CsrAdjacency {
     pub(crate) offsets: Vec<u32>,
     pub(crate) targets: Vec<NodeId>,
@@ -121,7 +117,6 @@ impl CsrAdjacency {
 /// acyclicity and edge validity. Nodes are stored in insertion order;
 /// [`Dag::topological_order`](crate::analysis) is computed on demand.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dag {
     pub(crate) name: String,
     pub(crate) relative_deadline: Dur,

@@ -5,7 +5,6 @@
 /// The paper evaluates both ends of the cost/performance spectrum
 /// (§V-H, Fig. 13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InterconnectKind {
     /// Full-duplex shared bus, 16 B wide, 14.9 GB/s peak per direction.
     #[default]
@@ -17,7 +16,6 @@ pub enum InterconnectKind {
 
 /// Memory-system parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemConfig {
     /// Effective DRAM channel bandwidth in bytes/second.
     ///

@@ -10,7 +10,6 @@ use std::fmt;
 
 /// A transfer endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Port {
     /// The main-memory channel.
     Dram,
@@ -37,7 +36,6 @@ impl Port {
 
 /// Source and destination of a transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Route {
     /// Where bytes are read from.
     pub src: Port,

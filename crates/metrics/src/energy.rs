@@ -16,7 +16,6 @@ use relief_sim::Dur;
 
 /// Energy model constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyModel {
     /// DRAM dynamic energy per byte transferred, picojoules.
     pub dram_pj_per_byte: f64,
@@ -41,7 +40,6 @@ impl Default for EnergyModel {
 
 /// Energy of one run, split by memory.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyBreakdown {
     /// Main-memory energy in nanojoules.
     pub dram_nj: f64,

@@ -22,7 +22,6 @@ use std::fmt;
 /// sums and tracks the maximum — every sample simply overflows — and it
 /// adopts the other side's layout on [`merge`](Histogram::merge).
 #[derive(Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     /// Width of each bin, picoseconds (0 = unconfigured).
     bin_width_ps: u64,

@@ -11,7 +11,6 @@ use std::fmt;
 
 /// Byte-level data-movement accounting (basis of Figs. 5 and 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficStats {
     /// Bytes read from main memory.
     pub dram_read_bytes: u64,
@@ -78,7 +77,6 @@ impl TrafficStats {
 
 /// Per-application outcome within a mix (basis of Figs. 9, 10 and Table VII).
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AppStats {
     /// Application symbol (C, D, G, H, L).
     pub name: String,
@@ -150,7 +148,6 @@ impl AppStats {
 /// Fault-injection and recovery accounting (the resilience campaign's
 /// raw material). All-zero when fault injection is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultStats {
     /// Task compute attempts that produced a corrupt output.
     pub task_faults: u64,
@@ -194,7 +191,6 @@ pub const SERVICE_CLASSES: [&str; 3] = ["latency", "standard", "besteffort"];
 /// the configured warm-up time are recorded, so tail quantiles describe
 /// steady state rather than the cold-start transient.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassServiceStats {
     /// Requests the stream generated.
     pub arrivals: u64,
@@ -249,7 +245,6 @@ impl ClassServiceStats {
 /// Steady-state accounting of one open-loop service run; all-default (and
 /// omitted from `Debug` output) when streaming is disabled.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServiceStats {
     /// Warm-up truncation point, picoseconds.
     pub warmup_ps: u64,
@@ -333,7 +328,6 @@ impl ServiceStats {
 
 /// Everything one simulation run reports.
 #[derive(Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunStats {
     /// Scheduling policy that produced this run.
     pub policy: String,

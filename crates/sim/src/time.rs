@@ -35,7 +35,6 @@ const PS_PER_MS: u64 = 1_000_000_000;
 /// assert_eq!(t.as_us_f64(), 2.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(u64);
 
 /// A span of simulated time, counted in picoseconds.
@@ -48,7 +47,6 @@ pub struct Time(u64);
 /// assert_eq!(d.as_ns_f64(), 3_250.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dur(u64);
 
 impl Time {

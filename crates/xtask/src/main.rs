@@ -12,18 +12,19 @@
 //!    `expect`s document event-loop invariants via explicit
 //!    file/function-level allows). Skipped with a notice when the
 //!    clippy component is not installed.
-//! 3. `campaign_smoke` (release) — the deterministic campaign engine
-//!    executes a small grid serially and with two workers and proves the
-//!    reports byte-identical.
-//! 4. `cache-hygiene` — the standard campaign-cache directory holds no
-//!    entries written under a stale schema version or code-version salt
-//!    (they can never hit again; `cache_hygiene --purge` deletes them).
-//!    `chaos-smoke` (release) — the chaos campaign binary executes a
-//!    small fault × overload grid with the self-healing stack on, and
-//!    `invariants` proves the end-of-run conservation checks also hold
-//!    in a release build via the `invariants` feature, on the chaos
-//!    suite and on every behaviour-corpus cell (whose release build must
-//!    also reproduce the committed digests).
+//! 3. `campaign-smoke` (release, `relief-bench campaign_smoke`) — the
+//!    deterministic campaign engine executes a small grid serially and
+//!    with two workers and proves the reports byte-identical.
+//! 4. `cache-hygiene` (`relief-bench cache_hygiene`) — the standard
+//!    campaign-cache directory holds no entries written under a stale
+//!    schema version or code-version salt (they can never hit again;
+//!    `relief-bench cache_hygiene --purge` deletes them).
+//!    `chaos-smoke` (release, `relief-bench chaos`) — the chaos campaign
+//!    executes a small fault × overload grid with the self-healing stack
+//!    on, and `invariants` proves the end-of-run conservation checks
+//!    also hold in a release build via the `invariants` feature, on the
+//!    chaos suite and on every behaviour-corpus cell (whose release build
+//!    must also reproduce the committed digests).
 //! 5. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
 //!    incremental-campaign store: warm reruns simulate zero cells with
@@ -214,7 +215,7 @@ fn check(args: &[String]) -> ExitCode {
                 "--release",
                 "-p",
                 "relief-bench",
-                "--bin",
+                "--",
                 "campaign_smoke",
             ]),
         );
@@ -227,7 +228,7 @@ fn check(args: &[String]) -> ExitCode {
                 "--offline",
                 "-p",
                 "relief-bench",
-                "--bin",
+                "--",
                 "cache_hygiene",
             ]),
         );
@@ -241,9 +242,8 @@ fn check(args: &[String]) -> ExitCode {
                 "--release",
                 "-p",
                 "relief-bench",
-                "--bin",
-                "chaos",
                 "--",
+                "chaos",
                 "--fault-rate",
                 "0,0.02",
                 "--rate",

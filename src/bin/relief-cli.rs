@@ -13,6 +13,7 @@
 //! policy runs the same mix on the deterministic campaign engine
 //! (`--jobs` worker threads) and a side-by-side table is printed.
 
+use relief::bench::cli;
 use relief::prelude::*;
 use std::process::ExitCode;
 
@@ -65,6 +66,7 @@ OPTIONS:
     --help              print this help
 ";
 
+#[derive(Clone)]
 struct Args {
     mix: String,
     policies: Vec<PolicyKind>,
@@ -126,6 +128,31 @@ impl Args {
             ..StreamConfig::default()
         })
     }
+
+    /// The platform the flags describe for one policy: every platform,
+    /// fault and stream flag. The time limit belongs to the workload.
+    fn config(&self, policy: PolicyKind, n_mix: usize) -> SocConfig {
+        let mut cfg = SocConfig::mobile(policy);
+        if self.no_forwarding {
+            cfg = cfg.without_forwarding();
+        }
+        if self.crossbar {
+            cfg.mem = cfg.mem.with_crossbar();
+        }
+        cfg.output_partitions = self.partitions;
+        if let Some(fault) = self.fault_config() {
+            cfg = cfg.with_fault(fault);
+        }
+        if let Some(stream) = self.stream_config(n_mix) {
+            cfg = cfg.with_stream(stream);
+        }
+        cfg
+    }
+
+    /// The simulated-time cap: `--limit-ms`, or 50 ms under `--continuous`.
+    fn limit(&self) -> Option<Time> {
+        self.limit_ms.or(self.continuous.then_some(50)).map(Time::from_ms)
+    }
 }
 
 fn parse_policy(s: &str) -> Option<PolicyKind> {
@@ -144,7 +171,9 @@ fn parse_policy(s: &str) -> Option<PolicyKind> {
     })
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses and cross-checks the flags, returning them with the mix's
+/// applications. Every error here is an argument error (exit 2).
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>), String> {
     let mut args = Args {
         mix: "CGL".to_string(),
         policies: vec![PolicyKind::Relief],
@@ -164,14 +193,13 @@ fn parse_args() -> Result<Args, String> {
         tenants: None,
         qos: vec![QosClass::Latency, QosClass::Standard, QosClass::BestEffort],
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--mix" => args.mix = it.next().ok_or("--mix needs a value")?,
+    let mut it = cli::Args::new(argv);
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--mix" => args.mix = it.raw(&flag)?,
             "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
                 args.policies = Vec::new();
-                for name in v.split(',').map(str::trim) {
+                for name in it.raw(&flag)?.split(',').map(str::trim) {
                     if name.eq_ignore_ascii_case("oracle") {
                         args.oracle = true;
                     } else {
@@ -189,90 +217,89 @@ fn parse_args() -> Result<Args, String> {
                     args.policies = PolicyKind::ALL.to_vec();
                 }
             }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                args.jobs = v.parse().map_err(|_| format!("bad --jobs '{v}'"))?;
-                if args.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
+            "--jobs" => args.jobs = it.jobs()?,
             "--continuous" => args.continuous = true,
-            "--limit-ms" => {
-                let v = it.next().ok_or("--limit-ms needs a value")?;
-                args.limit_ms = Some(v.parse().map_err(|_| format!("bad --limit-ms '{v}'"))?);
-            }
+            "--limit-ms" => args.limit_ms = Some(it.value(&flag)?),
             "--crossbar" => args.crossbar = true,
             "--no-forwarding" => args.no_forwarding = true,
-            "--partitions" => {
-                let v = it.next().ok_or("--partitions needs a value")?;
-                args.partitions = v.parse().map_err(|_| format!("bad --partitions '{v}'"))?;
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a value")?;
-                args.trace_out = Some(v.into());
-            }
+            "--partitions" => args.partitions = it.value(&flag)?,
+            "--trace-out" => args.trace_out = Some(it.raw(&flag)?.into()),
             "--fault-rate" => {
-                let v = it.next().ok_or("--fault-rate needs a value")?;
-                let rate: f64 = v.parse().map_err(|_| format!("bad --fault-rate '{v}'"))?;
-                if !rate.is_finite() || !(0.0..1.0).contains(&rate) {
-                    return Err(format!("--fault-rate {v} outside [0, 1)"));
+                args.fault_rate = it.value(&flag)?;
+                if !(0.0..1.0).contains(&args.fault_rate) {
+                    return Err(format!("--fault-rate {} outside [0, 1)", args.fault_rate));
                 }
-                args.fault_rate = rate;
             }
-            "--fault-seed" => {
-                let v = it.next().ok_or("--fault-seed needs a value")?;
-                let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16),
-                    None => v.parse(),
-                };
-                args.fault_seed = Some(parsed.map_err(|_| format!("bad --fault-seed '{v}'"))?);
-            }
-            "--arrival" => {
-                let v = it.next().ok_or("--arrival needs a value")?;
-                args.arrival = Some(ArrivalProcess::parse(&v)?);
-            }
+            "--fault-seed" => args.fault_seed = Some(it.seed(&flag)?),
+            "--arrival" => args.arrival = Some(ArrivalProcess::parse(&it.raw(&flag)?)?),
             "--rate" => {
-                let v = it.next().ok_or("--rate needs a value")?;
-                let rate: f64 = v.parse().map_err(|_| format!("bad --rate '{v}'"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err(format!("--rate {v} must be positive"));
+                args.rate = it.value(&flag)?;
+                if !args.rate.is_finite() || args.rate <= 0.0 {
+                    return Err(format!("--rate {} must be positive", args.rate));
                 }
-                args.rate = rate;
             }
             "--duration-us" => {
-                let v = it.next().ok_or("--duration-us needs a value")?;
-                let us: u64 = v.parse().map_err(|_| format!("bad --duration-us '{v}'"))?;
-                if us == 0 {
+                args.duration_us = it.value(&flag)?;
+                if args.duration_us == 0 {
                     return Err("--duration-us must be positive".into());
                 }
-                args.duration_us = us;
             }
             "--tenants" => {
-                let v = it.next().ok_or("--tenants needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --tenants '{v}'"))?;
+                let n = it.value(&flag)?;
                 if n == 0 {
                     return Err("--tenants must be at least 1".into());
                 }
                 args.tenants = Some(n);
             }
             "--qos" => {
-                let v = it.next().ok_or("--qos needs a value")?;
-                args.qos = v
+                args.qos = it
+                    .raw(&flag)?
                     .split(',')
                     .map(|s| QosClass::parse(s.trim()))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if args.qos.is_empty() {
-                    return Err("--qos needs at least one class".into());
-                }
+                    .collect::<Result<_, _>>()?;
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown option '{other}' (try --help)")),
+            other => return Err(format!("{} (try --help)", cli::unknown(other))),
         }
     }
-    Ok(args)
+
+    let mut mix_apps = Vec::new();
+    for c in args.mix.chars() {
+        mix_apps.push(App::from_symbol(c.to_ascii_uppercase()).ok_or_else(|| {
+            format!("unknown application symbol '{c}' (use C, D, G, H, L)")
+        })?);
+    }
+    if mix_apps.is_empty() {
+        return Err("--mix must name at least one application".into());
+    }
+    if args.arrival.is_none() && (args.tenants.is_some() || args.rate != 100.0) {
+        return Err("--tenants/--rate/--qos need --arrival to enable service mode".into());
+    }
+    if args.arrival.is_some() && args.continuous {
+        return Err("--arrival replaces closed-loop repetition; drop --continuous".into());
+    }
+    if args.oracle {
+        // The oracle searches the deterministic closed-loop timing model;
+        // open-ended or randomized runs have no finite schedule to bound.
+        let conflict = [
+            (args.continuous, "--continuous"),
+            (args.limit_ms.is_some(), "--limit-ms"),
+            (args.arrival.is_some(), "--arrival"),
+            (args.fault_config().is_some(), "--fault-rate/--fault-seed"),
+        ]
+        .into_iter()
+        .find_map(|(set, flag)| set.then_some(flag));
+        if let Some(flag) = conflict {
+            return Err(format!("the oracle bounds finite deterministic runs; drop {flag}"));
+        }
+    }
+    if (args.policies.len() > 1 || args.oracle) && args.trace_out.is_some() {
+        return Err("--trace-out needs a single --policy (whose run should I trace?)".into());
+    }
+    Ok((args, mix_apps))
 }
 
 /// The application set the flags describe. Service mode cycles the mix
@@ -302,121 +329,32 @@ fn build_apps(args: &Args, mix_apps: &[App]) -> Vec<AppSpec> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let (args, mix_apps) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
-
-    let mut mix_apps = Vec::new();
-    for c in args.mix.chars() {
-        let Some(app) = App::from_symbol(c.to_ascii_uppercase()) else {
-            eprintln!("error: unknown application symbol '{c}' (use C, D, G, H, L)");
-            return ExitCode::FAILURE;
-        };
-        mix_apps.push(app);
-    }
-    if mix_apps.is_empty() {
-        eprintln!("error: --mix must name at least one application");
-        return ExitCode::FAILURE;
-    }
-    if args.arrival.is_none() && (args.tenants.is_some() || args.rate != 100.0) {
-        eprintln!("error: --tenants/--rate/--qos need --arrival to enable service mode");
-        return ExitCode::FAILURE;
-    }
-    if args.arrival.is_some() && args.continuous {
-        eprintln!("error: --arrival replaces closed-loop repetition; drop --continuous");
-        return ExitCode::FAILURE;
-    }
-    if args.oracle {
-        // The oracle searches the deterministic closed-loop timing model;
-        // open-ended or randomized runs have no finite schedule to bound.
-        let conflict = [
-            (args.continuous, "--continuous"),
-            (args.limit_ms.is_some(), "--limit-ms"),
-            (args.arrival.is_some(), "--arrival"),
-            (args.fault_config().is_some(), "--fault-rate/--fault-seed"),
-        ]
-        .into_iter()
-        .find_map(|(set, flag)| set.then_some(flag));
-        if let Some(flag) = conflict {
-            eprintln!("error: the oracle bounds finite deterministic runs; drop {flag}");
-            return ExitCode::FAILURE;
-        }
-    }
     if args.policies.len() > 1 || args.oracle {
-        if args.trace_out.is_some() {
-            eprintln!("error: --trace-out needs a single --policy (whose run should I trace?)");
-            return ExitCode::FAILURE;
-        }
         return compare_policies(&args, &mix_apps);
     }
 
-    let apps: Vec<AppSpec> = build_apps(&args, &mix_apps);
-
-    let mut cfg = SocConfig::mobile(args.policies[0]);
-    if args.no_forwarding {
-        cfg = cfg.without_forwarding();
+    let mut cfg = args.config(args.policies[0], mix_apps.len());
+    if let Some(limit) = args.limit() {
+        cfg = cfg.with_time_limit(limit);
     }
-    if args.crossbar {
-        cfg.mem = cfg.mem.with_crossbar();
-    }
-    cfg.output_partitions = args.partitions;
-    if let Some(fault) = args.fault_config() {
-        cfg = cfg.with_fault(fault);
-    }
-    if let Some(stream) = args.stream_config(mix_apps.len()) {
-        cfg = cfg.with_stream(stream);
-    }
-    let limit = args.limit_ms.or(args.continuous.then_some(50));
-    if let Some(ms) = limit {
-        cfg = cfg.with_time_limit(Time::from_ms(ms));
-    }
-
-    // Instance display names for the Chrome export, in the simulator's
-    // type-major instance order.
-    let accel_names: Vec<String> = cfg
-        .acc_instances
-        .iter()
-        .enumerate()
-        .flat_map(|(t, &count)| {
-            (0..count).map(move |i| match relief::accel::AccKind::ALL.get(t) {
-                Some(kind) if count == 1 => kind.name().to_string(),
-                Some(kind) => format!("{}.{i}", kind.name()),
-                None => format!("t{t}.{i}"),
-            })
-        })
-        .collect();
-
-    let ring = args.trace_out.as_ref().map(|_| RingBufferSink::shared(1 << 20));
-    let mut sim = SocSim::new(cfg, apps);
-    if let Some(ring) = &ring {
-        let mut tracer = Tracer::off();
-        tracer.attach(ring.clone());
-        sim = sim.with_tracer(&tracer);
-    }
-    let result = sim.run();
-
-    if let (Some(stem), Some(ring)) = (&args.trace_out, &ring) {
-        use relief::trace::chrome::{to_chrome_json, ChromeOptions};
-        let events = ring.borrow_mut().take();
-        let json = to_chrome_json(&events, &ChromeOptions { accel_names });
-        let write = std::fs::write(stem.with_extension("json"), json).and_then(|()| {
-            std::fs::write(stem.with_extension("txt"), relief::trace::text::to_text(&events))
-        });
-        if let Err(e) = write {
-            eprintln!("error: writing trace files for {}: {e}", stem.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "trace: {} events -> {}.json + {}.txt",
-            events.len(),
-            stem.display(),
-            stem.display()
-        );
-    }
+    let apps = build_apps(&args, &mix_apps);
+    let result = match &args.trace_out {
+        None => SocSim::new(cfg, apps).run(),
+        Some(stem) => match relief::bench::traceio::export_run(cfg, apps, stem) {
+            Ok(result) => result,
+            Err(e) => {
+                eprintln!("error: writing trace files for {}: {e}", stem.display());
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let s = &result.stats;
     println!("policy            {}", s.policy);
     println!("mix               {}", args.mix.to_ascii_uppercase());
@@ -502,10 +440,10 @@ fn main() -> ExitCode {
 /// Comparison mode: one engine run per requested policy over the same
 /// mix and platform flags, rendered side by side in request order.
 fn compare_policies(args: &Args, mix_apps: &[App]) -> ExitCode {
-    use relief::bench::campaign::{execute, ExecOptions, PlatformSpec, RunSpec, WorkloadSpec};
+    use relief::bench::campaign::{ExecOptions, PlatformSpec, RunSpec, WorkloadSpec};
 
     let mix_label = args.mix.to_ascii_uppercase();
-    let limit = args.limit_ms.or(args.continuous.then_some(50)).map(Time::from_ms);
+    let limit = args.limit();
     let apps_spec = build_apps(args, mix_apps);
     let mut workload_label =
         format!("cli/{mix_label}{}", if args.continuous { "+cont" } else { "" });
@@ -524,14 +462,12 @@ fn compare_policies(args: &Args, mix_apps: &[App]) -> ExitCode {
     if args.partitions != 2 {
         platform_label.push_str(&format!("-p{}", args.partitions));
     }
-    let fault = args.fault_config();
-    if let Some(f) = &fault {
+    if let Some(f) = args.fault_config() {
         // The label is the run's canonical identity: encode the fault
         // knobs so faulted runs never collide with clean ones.
         platform_label.push_str(&format!("-f{:.4}s{:x}", f.task_fault_rate, f.seed));
     }
-    let stream = args.stream_config(mix_apps.len());
-    if let Some(st) = &stream {
+    if let Some(st) = args.stream_config(mix_apps.len()) {
         // Same identity rule for the stream knobs.
         platform_label.push_str(&format!(
             "-svc{}r{:.0}d{}us",
@@ -540,64 +476,26 @@ fn compare_policies(args: &Args, mix_apps: &[App]) -> ExitCode {
             args.duration_us
         ));
     }
-    let (no_forwarding, crossbar, partitions) =
-        (args.no_forwarding, args.crossbar, args.partitions);
-    let platform = PlatformSpec::custom(platform_label, move |p| {
-        let mut cfg = SocConfig::mobile(p);
-        if no_forwarding {
-            cfg = cfg.without_forwarding();
-        }
-        if crossbar {
-            cfg.mem = cfg.mem.with_crossbar();
-        }
-        cfg.output_partitions = partitions;
-        if let Some(f) = &fault {
-            cfg = cfg.with_fault(f.clone());
-        }
-        if let Some(st) = &stream {
-            cfg = cfg.with_stream(st.clone());
-        }
-        cfg
-    });
+    let (flags, n_mix) = (args.clone(), mix_apps.len());
+    let platform = PlatformSpec::custom(platform_label, move |p| flags.config(p, n_mix));
 
     let specs: Vec<RunSpec> = args
         .policies
         .iter()
         .map(|&p| RunSpec::new(p, workload.clone(), platform.clone()))
         .collect();
-    let results = execute(specs.clone(), &ExecOptions { jobs: args.jobs, ..Default::default() });
-    let failures = results.failures();
-    for (label, msg) in &failures {
-        eprintln!("run {label} panicked: {msg}");
-    }
-    if !failures.is_empty() {
+    let opts = ExecOptions { jobs: args.jobs, ..Default::default() };
+    let (results, clean) = relief::bench::campaign::execute_reported(specs.clone(), &opts);
+    if !results.failures().is_empty() {
         return ExitCode::FAILURE;
-    }
-    for (label, mismatches) in results.mismatched() {
-        eprintln!("warning: run {label} failed event/stats reconciliation:");
-        for m in mismatches {
-            eprintln!("  {m}");
-        }
     }
 
     // The ahead-of-time bound, when requested: solve over the same
-    // platform knobs (fault and stream flags were rejected up front,
-    // so the closed-loop closure below is the full configuration) and
-    // verify the winning schedule by replaying it through the simulator.
+    // platform knobs (fault and stream flags were rejected up front, so
+    // the configuration is closed-loop) and verify the winning schedule
+    // by replaying it through the simulator.
     let oracle = if args.oracle {
-        let (no_forwarding, crossbar, partitions) =
-            (args.no_forwarding, args.crossbar, args.partitions);
-        let mk_cfg = move |p: PolicyKind| {
-            let mut cfg = SocConfig::mobile(p);
-            if no_forwarding {
-                cfg = cfg.without_forwarding();
-            }
-            if crossbar {
-                cfg.mem = cfg.mem.with_crossbar();
-            }
-            cfg.output_partitions = partitions;
-            cfg
-        };
+        let mk_cfg = |p| args.config(p, n_mix);
         let apps = build_apps(args, mix_apps);
         let opts = relief::bench::oracle::campaign_options();
         match relief::oracle::solve(mk_cfg, &apps, &opts) {
@@ -663,5 +561,9 @@ fn compare_policies(args: &Args, mix_apps: &[App]) -> ExitCode {
         );
     }
     print!("{}", t.render());
-    ExitCode::SUCCESS
+    if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

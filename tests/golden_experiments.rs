@@ -111,3 +111,24 @@ fn fig4_forwarding_rates_and_ordering_hold() {
         );
     }
 }
+
+/// The platform, ablation, sensitivity and RNN-scaling studies render
+/// exactly the sections `experiments_output.txt` holds for them.
+#[test]
+fn extension_studies_match_experiments_output() {
+    use relief::bench::studies;
+    let committed = include_str!("../experiments_output.txt");
+    let grid_study = |grid, render: fn(&Ctx) -> String| {
+        let results = execute(grid, &ExecOptions { jobs: 2, ..Default::default() });
+        assert!(results.failures().is_empty(), "{:?}", results.failures());
+        render(&Ctx::from_results(&results))
+    };
+    for (name, text) in [
+        ("platform", studies::platform()),
+        ("ablations", studies::ablations()),
+        ("sensitivity", grid_study(studies::sensitivity_grid(), studies::sensitivity)),
+        ("rnn_scaling", grid_study(studies::rnn_scaling_grid(), studies::rnn_scaling)),
+    ] {
+        assert!(committed.contains(&text), "{name} drifted from experiments_output.txt:\n{text}");
+    }
+}
