@@ -511,6 +511,9 @@ pub struct SocSim {
     /// are dense vectors indexed by [`AppId`], converted to the public
     /// string-keyed maps once in [`finalize`](Self::finalize).
     app_ids: Vec<AppId>,
+    /// App spec index → its symbol, shared by the app's `DagArrived` and
+    /// `ComputeEnd` trace records.
+    app_symbols: Vec<Arc<str>>,
     /// Per app spec, the node labels' interned [`KindId`]s in node-id
     /// order (filled on the app's first arrival, alongside profiling), so
     /// [`make_entry`](Self::make_entry) predicts compute time without
@@ -712,6 +715,7 @@ impl SocSim {
             per_app_mem_time: vec![Dur::ZERO; app_syms.len()],
             per_app_compute_time: vec![Dur::ZERO; app_syms.len()],
             app_ids,
+            app_symbols: apps.iter().map(|a| Arc::from(a.symbol.as_str())).collect(),
             colocated_bytes: 0,
             spad_access_bytes: 0,
             all_dram_baseline_bytes: 0,
@@ -1106,7 +1110,7 @@ impl SocSim {
         self.active_work += 1;
         self.tracer.emit(self.now.as_ps(), || EventKind::DagArrived {
             instance,
-            app: self.apps[app_idx].symbol.clone(),
+            app: Arc::clone(&self.app_symbols[app_idx]),
             nodes: remaining as u32,
         });
 
@@ -1929,7 +1933,7 @@ impl SocSim {
                 task: tref(key),
                 inst: inst_idx as u32,
                 start_ps: r.compute_start.as_ps(),
-                label: format!("{}:n{}", self.apps[app_idx].symbol, key.node),
+                app: Arc::clone(&self.app_symbols[app_idx]),
                 forwarded_inputs: r.fwd_inputs,
                 colocated_inputs: r.coloc_inputs,
             });

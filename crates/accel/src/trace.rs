@@ -10,7 +10,7 @@
 
 use relief_core::TaskKey;
 use relief_sim::Time;
-use relief_trace::{EventKind, TraceEvent, TraceSink};
+use relief_trace::{EventKind, Kind, KindSet, TraceEvent, TraceSink};
 use std::fmt::Write as _;
 
 /// One executed task's compute interval.
@@ -24,7 +24,7 @@ pub struct Span {
     pub end: Time,
     /// Which task this was.
     pub key: TaskKey,
-    /// Human-readable label (`"C.n3"`).
+    /// Human-readable label, `"<app>:n<node>"` (`"C:n3"`).
     pub label: String,
     /// Input edges satisfied by scratchpad-to-scratchpad forwarding.
     pub forwarded_inputs: u32,
@@ -135,7 +135,7 @@ impl SpanCollector {
 
 impl TraceSink for SpanCollector {
     fn emit(&mut self, ev: TraceEvent) {
-        if let EventKind::ComputeEnd { task, inst, start_ps, label, forwarded_inputs, colocated_inputs } =
+        if let EventKind::ComputeEnd { task, inst, start_ps, app, forwarded_inputs, colocated_inputs } =
             ev.kind
         {
             self.spans.push(Span {
@@ -143,11 +143,15 @@ impl TraceSink for SpanCollector {
                 start: Time::from_ps(start_ps),
                 end: Time::from_ps(ev.at_ps),
                 key: TaskKey::new(task.instance, task.node),
-                label,
+                label: format!("{app}:n{}", task.node),
                 forwarded_inputs,
                 colocated_inputs,
             });
         }
+    }
+
+    fn kinds(&self) -> KindSet {
+        KindSet::of(&[Kind::ComputeEnd])
     }
 }
 

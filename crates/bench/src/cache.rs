@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 /// On-disk schema identifier; the first string of every entry. Bump the
 /// version suffix whenever the serialized layout changes shape — old
 /// entries then parse as misses instead of garbage.
-pub const SCHEMA: &str = "relief-campaign-cache/v3";
+pub const SCHEMA: &str = "relief-campaign-cache/v4";
 
 /// Code-version salt folded into every content address. Bump whenever
 /// simulator *semantics* change (anything that can alter a `SimResult`
@@ -648,9 +648,8 @@ fn read_run_stats(r: &mut Reader) -> Option<RunStats> {
 }
 
 /// `EventCounters` fields, in declaration order — the serialized layout.
-fn counter_fields(c: &EventCounters) -> [u64; 39] {
+fn counter_fields(c: &EventCounters) -> [u64; 38] {
     [
-        c.events_dispatched,
         c.tasks_completed,
         c.dags_arrived,
         c.dags_done,
@@ -700,8 +699,7 @@ fn write_counters(w: &mut Writer, c: &EventCounters) {
 
 fn read_counters(r: &mut Reader) -> Option<EventCounters> {
     let mut c = EventCounters::default();
-    let slots: [&mut u64; 39] = [
-        &mut c.events_dispatched,
+    let slots: [&mut u64; 38] = [
         &mut c.tasks_completed,
         &mut c.dags_arrived,
         &mut c.dags_done,
@@ -832,8 +830,8 @@ mod tests {
         write_sim_result(&mut w, &result);
         write_counters(&mut w, &EventCounters::default());
         let bytes = w.finish();
-        // Tail: span count, events_dispatched, 39 counters, end marker.
-        let spans_at = bytes.len() - END.len() - 39 * 8 - 8 - 8;
+        // Tail: span count, events_dispatched, 38 counters, end marker.
+        let spans_at = bytes.len() - END.len() - 38 * 8 - 8 - 8;
         (bytes, spans_at, spans_at - 8)
     }
 

@@ -5,7 +5,9 @@
 //! run is re-executed with a [`RingBufferSink`] attached, and the captured
 //! stream is written as both Chrome/Perfetto JSON (`<STEM>.json`, open in
 //! `chrome://tracing` or <https://ui.perfetto.dev>) and the canonical text
-//! format (`<STEM>.txt`, the input `trace-diff` compares).
+//! format (`<STEM>.txt`, the input `trace-diff` compares). A run that
+//! outgrows the ring ([`TRACE_RING_CAPACITY`] events) is an error, never
+//! a file missing the start of the run.
 
 use relief_accel::{AccKind, AppSpec, SimResult, SocConfig, SocSim};
 use relief_trace::chrome::{to_chrome_json, ChromeOptions};
@@ -17,15 +19,32 @@ use std::path::{Path, PathBuf};
 /// million events).
 pub const TRACE_RING_CAPACITY: usize = 1 << 20;
 
-/// Runs a workload with a lossless ring sink attached, returning both the
-/// simulation result and the captured event stream (in emission order).
-pub fn run_traced(cfg: SocConfig, apps: Vec<AppSpec>) -> (SimResult, Vec<TraceEvent>) {
-    let ring = RingBufferSink::shared(TRACE_RING_CAPACITY);
-    let mut tracer = Tracer::off();
-    tracer.attach(ring.clone());
-    let result = SocSim::new(cfg, apps).with_tracer(&tracer).run();
-    let events = ring.borrow_mut().take();
-    (result, events)
+/// Runs a workload with a ring of `capacity` events attached, returning
+/// both the simulation result and the whole event stream (in emission
+/// order).
+///
+/// # Errors
+///
+/// Fails, naming the counts, when the run emitted more than `capacity`
+/// events: the ring evicted the start of the run, and a trace missing its
+/// start is not returned.
+pub fn run_traced(
+    cfg: SocConfig,
+    apps: Vec<AppSpec>,
+    capacity: usize,
+) -> std::io::Result<(SimResult, Vec<TraceEvent>)> {
+    let ring = RingBufferSink::shared(capacity);
+    let result = SocSim::new(cfg, apps).with_tracer(&Tracer::to_sink(ring.clone())).run();
+    let mut ring = ring.borrow_mut();
+    if ring.dropped() > 0 {
+        return Err(std::io::Error::other(format!(
+            "the run emitted {} trace events and the trace holds {capacity}, so its first {} \
+             would be lost; trace a shorter run",
+            ring.total(),
+            ring.dropped()
+        )));
+    }
+    Ok((result, ring.take()))
 }
 
 /// Display names for a configuration's accelerator instances, in the
@@ -76,10 +95,12 @@ pub fn suffixed(stem: &Path, suffix: &str) -> PathBuf {
 
 /// Captures one traced run and exports it under `stem`, printing the
 /// written paths to stderr. Returns the simulation result so callers can
-/// keep reporting on the same run.
+/// keep reporting on the same run. A run that emits more than
+/// [`TRACE_RING_CAPACITY`] events fails (see [`run_traced`]) and writes
+/// nothing.
 pub fn export_run(cfg: SocConfig, apps: Vec<AppSpec>, stem: &Path) -> std::io::Result<SimResult> {
     let names = instance_names(&cfg);
-    let (result, events) = run_traced(cfg, apps);
+    let (result, events) = run_traced(cfg, apps, TRACE_RING_CAPACITY)?;
     let (json, txt) = write_trace_files(&events, names, stem)?;
     eprintln!("trace: {} events -> {} + {}", events.len(), json.display(), txt.display());
     Ok(result)
@@ -98,7 +119,7 @@ mod tests {
             (SocConfig::generic(vec![1, 1], PolicyKind::Relief), apps)
         };
         let (cfg, apps) = mk();
-        let (traced, events) = run_traced(cfg, apps);
+        let (traced, events) = run_traced(cfg, apps, TRACE_RING_CAPACITY).unwrap();
         let (cfg, apps) = mk();
         let plain = SocSim::new(cfg, apps).run();
         assert_eq!(traced.stats.exec_time, plain.stats.exec_time);
@@ -107,6 +128,21 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, EventKind::ComputeEnd { .. })));
+    }
+
+    #[test]
+    fn a_run_longer_than_the_ring_fails_naming_the_loss() {
+        let run = |capacity| {
+            let cfg = SocConfig::generic(vec![1, 1], PolicyKind::Relief);
+            run_traced(cfg, crate::experiments::fig2_workload(), capacity)
+        };
+        let (_, events) = run(TRACE_RING_CAPACITY).unwrap();
+        let n = events.len();
+        let (_, exact) = run(n).unwrap();
+        assert_eq!(exact, events, "a ring exactly as long as the run keeps it whole");
+        let err = run(n - 3).unwrap_err().to_string();
+        assert!(err.contains(&format!("emitted {n} trace events")), "{err}");
+        assert!(err.contains("its first 3 would be lost"), "{err}");
     }
 
     #[test]

@@ -372,24 +372,56 @@ fn flipped_schema_bool_or_end_marker_bytes_miss() {
     let _ = std::fs::remove_dir_all(&cache.dir);
 }
 
-#[test]
-fn v2_text_entry_misses_scans_stale_and_is_rewritten() {
-    let (cache, spec, _, entry) = one_entry("v2");
-    let label = spec.label();
-    std::fs::write(&entry, format!("relief-campaign-cache/v2 s{CODE_SALT} s{label}\n0 .\n"))
-        .unwrap();
-    assert!(cache.lookup(&spec).is_none(), "a v2 entry must miss");
-    let name = entry.file_name().unwrap().to_string_lossy().into_owned();
-    assert_eq!(cache.stale_entries(), vec![name], "a v2 entry scans as stale");
+/// `entry` (a current-schema record) as v3 wrote it: the same body under
+/// the v3 schema name, with the `EventCounters::events_dispatched`
+/// counter v4 dropped back in front of the 38 counters. That counter
+/// always equalled `SimResult::events_dispatched`, the `u64` just before.
+fn as_v3(entry: &[u8]) -> Vec<u8> {
+    const END_LEN: usize = 8;
+    let counters_at = entry.len() - END_LEN - 38 * 8;
+    let dispatched = entry[counters_at - 8..counters_at].to_vec();
+    let mut v3 = entry.to_vec();
+    v3.splice(counters_at..counters_at, dispatched);
+    let name = SCHEMA.replace("/v4", "/v3");
+    assert_eq!(name.len(), SCHEMA.len());
+    v3[8..8 + SCHEMA.len()].copy_from_slice(name.as_bytes());
+    v3
+}
 
-    let rerun = execute(vec![spec.clone()], &opts(1, &cache.dir));
-    assert_eq!((rerun.cache_hits, rerun.simulated), (0, 1), "the v2 cell re-simulates");
-    let rewritten = std::fs::read(&entry).unwrap();
-    assert_eq!(rewritten[..8], (SCHEMA.len() as u64).to_le_bytes());
-    assert_eq!(&rewritten[8..8 + SCHEMA.len()], SCHEMA.as_bytes(), "rewritten as v3");
-    assert!(cache.stale_entries().is_empty());
-    let warm = execute(vec![spec], &opts(1, &cache.dir));
-    assert_eq!(warm.cache_hits, 1, "the rewritten entry hits");
+/// Runs `relief-bench cache_hygiene <args>` on `dir`.
+fn hygiene(dir: &Path, args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_relief-bench"))
+        .arg("cache_hygiene")
+        .args(args)
+        .env("RELIEF_CACHE_DIR", dir)
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn old_schema_entries_miss_scan_stale_and_are_rewritten() {
+    assert!(SCHEMA.ends_with("/v4"));
+    let (cache, spec, _, entry) = one_entry("old-schema");
+    let current = std::fs::read(&entry).unwrap();
+    let label = spec.label();
+    let v2 = format!("relief-campaign-cache/v2 s{CODE_SALT} s{label}\n0 .\n").into_bytes();
+    for (version, old) in [("v2", v2), ("v3", as_v3(&current))] {
+        std::fs::write(&entry, &old).unwrap();
+        assert!(cache.lookup(&spec).is_none(), "a {version} entry must miss");
+        let name = entry.file_name().unwrap().to_string_lossy().into_owned();
+        assert_eq!(cache.stale_entries(), vec![name.clone()], "a {version} entry scans as stale");
+        let check = hygiene(&cache.dir, &[]);
+        assert_eq!(check.status.code(), Some(1), "a {version} entry fails the hygiene gate");
+        assert!(String::from_utf8_lossy(&check.stdout).contains(&name), "{version}");
+
+        let rerun = execute(vec![spec.clone()], &opts(1, &cache.dir));
+        assert_eq!((rerun.cache_hits, rerun.simulated), (0, 1), "the {version} cell re-simulates");
+        let rewritten = std::fs::read(&entry).unwrap();
+        assert_eq!(rewritten, current, "the {version} entry is rewritten as v4");
+        assert!(cache.stale_entries().is_empty());
+        let warm = execute(vec![spec.clone()], &opts(1, &cache.dir));
+        assert_eq!(warm.cache_hits, 1, "the rewritten entry hits");
+    }
     let _ = std::fs::remove_dir_all(&cache.dir);
 }
 
@@ -402,18 +434,10 @@ fn orphaned_temp_files_are_listed_and_purged() {
     let name = orphan.file_name().unwrap().to_string_lossy().into_owned();
     assert_eq!(cache.stale_entries(), vec![name.clone()]);
 
-    let hygiene = |args: &[&str]| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_relief-bench"))
-            .arg("cache_hygiene")
-            .args(args)
-            .env("RELIEF_CACHE_DIR", &cache.dir)
-            .output()
-            .unwrap()
-    };
-    let check = hygiene(&[]);
+    let check = hygiene(&cache.dir, &[]);
     assert_eq!(check.status.code(), Some(1), "an orphan fails the hygiene gate");
     assert!(String::from_utf8_lossy(&check.stdout).contains(&name));
-    let purge = hygiene(&["--purge"]);
+    let purge = hygiene(&cache.dir, &["--purge"]);
     assert!(purge.status.success(), "{}", String::from_utf8_lossy(&purge.stderr));
     assert!(!orphan.exists(), "purge removes the orphan");
     assert!(cache.stale_entries().is_empty());

@@ -27,7 +27,7 @@ use crate::queue::ReadyQueues;
 use crate::task::{TaskEntry, TaskKey};
 use relief_dag::AccTypeId;
 use relief_sim::Time;
-use relief_trace::{EventKind, TraceEvent, TraceSink};
+use relief_trace::{EventKind, Kind, KindSet, TraceEvent, TraceSink};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -169,6 +169,10 @@ impl TraceSink for ScheduleRecorder {
             }
             _ => {}
         }
+    }
+
+    fn kinds(&self) -> KindSet {
+        KindSet::of(&[Kind::TaskDispatched, Kind::WritebackIssued])
     }
 }
 

@@ -72,11 +72,12 @@
 use relief_accel::{AppSpec, SimResult, SocConfig, SocSim};
 use relief_core::{PolicyKind, Schedule, ScheduleRecorder, ScheduleReplay, ScheduledLaunch, TaskKey};
 use relief_dag::{Dag, NodeId};
-use relief_trace::{EventKind, TraceEvent, TraceSink, Tracer};
+use relief_trace::{EventKind, Kind, KindSet, TraceEvent, TraceSink, Tracer};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Search knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -414,7 +415,7 @@ impl<'a, F: Fn(PolicyKind) -> SocConfig> Searcher<'a, F> {
             let remaining = probe
                 .instance_app
                 .get(&task.instance)
-                .and_then(|sym| self.cp.get(sym))
+                .and_then(|sym| self.cp.get(&**sym))
                 .and_then(|t| t.get(task.node as usize))
                 .copied()
                 .unwrap_or(0);
@@ -445,7 +446,7 @@ fn critical_path_table(dag: &Dag, scale: f64) -> Vec<u64> {
 struct ProbeSink {
     ready: Vec<(TaskKey, u32, u64)>,
     dispatched: HashSet<TaskKey>,
-    instance_app: BTreeMap<u32, String>,
+    instance_app: BTreeMap<u32, Arc<str>>,
 }
 
 impl ProbeSink {
@@ -469,6 +470,10 @@ impl TraceSink for ProbeSink {
             _ => {}
         }
     }
+
+    fn kinds(&self) -> KindSet {
+        KindSet::of(&[Kind::TaskReady, Kind::TaskDispatched, Kind::DagArrived])
+    }
 }
 
 #[cfg(test)]
@@ -476,7 +481,6 @@ mod tests {
     use super::*;
     use relief_dag::{AccTypeId, DagBuilder, NodeSpec};
     use relief_sim::Dur;
-    use std::sync::Arc;
 
     fn diamond() -> Arc<Dag> {
         let mut b = DagBuilder::new("diamond", Dur::from_ms(2));

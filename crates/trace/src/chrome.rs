@@ -252,11 +252,12 @@ pub fn to_chrome_json(events: &[TraceEvent], opts: &ChromeOptions) -> String {
                 let args = format!("\"task\":\"{task}\",\"source\":\"{source}\",\"bytes\":{bytes}");
                 w.instant(PID_ACCEL, *inst, "input", at, &args);
             }
-            EventKind::ComputeEnd { task, inst, start_ps, label, forwarded_inputs, colocated_inputs } => {
+            EventKind::ComputeEnd { task, inst, start_ps, app, forwarded_inputs, colocated_inputs } => {
                 let args = format!(
                     "\"task\":\"{task}\",\"forwarded_inputs\":{forwarded_inputs},\"colocated_inputs\":{colocated_inputs}"
                 );
-                w.complete(PID_ACCEL, *inst, label, *start_ps, at, &args);
+                let label = format!("{app}:n{}", task.node);
+                w.complete(PID_ACCEL, *inst, &label, *start_ps, at, &args);
             }
             EventKind::WritebackIssued { task, inst, bytes, lazy } => {
                 let args = format!("\"task\":\"{task}\",\"bytes\":{bytes},\"lazy\":{lazy}");
@@ -552,7 +553,7 @@ mod tests {
                     task: TaskRef { instance: 0, node: 0 },
                     inst: 1,
                     start_ps: 10_000_000,
-                    label: "A:n0".to_string(),
+                    app: "A".into(),
                     forwarded_inputs: 0,
                     colocated_inputs: 1,
                 },
@@ -577,7 +578,7 @@ mod tests {
     fn names_are_escaped() {
         let events = vec![TraceEvent {
             at_ps: 0,
-            kind: EventKind::DagArrived { instance: 0, app: "we\"ird\\app".to_string(), nodes: 1 },
+            kind: EventKind::DagArrived { instance: 0, app: "we\"ird\\app".into(), nodes: 1 },
         }];
         let json = to_chrome_json(&events, &ChromeOptions::default());
         assert!(is_well_formed_json(&json), "{json}");

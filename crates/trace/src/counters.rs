@@ -6,12 +6,14 @@
 //! of them is lying.
 
 use crate::event::{Endpoint, EventKind, InputSource, TraceEvent};
+use crate::kind::{Kind, KindSet};
 
 /// Counters accumulated over a full event stream.
+///
+/// Dispatched kernel events are not counted here: the event queue's own
+/// count is `SimResult::events_dispatched`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventCounters {
-    /// Simulation-kernel events dispatched.
-    pub events_dispatched: u64,
     /// Tasks whose compute finished.
     pub tasks_completed: u64,
     /// DAG instances that arrived.
@@ -91,6 +93,16 @@ pub struct EventCounters {
 }
 
 impl EventCounters {
+    /// The kinds [`add`](Self::add) folds; it ignores every other kind.
+    pub const KINDS: KindSet = KindSet::ALL.without(KindSet::of(&[
+        Kind::EventDispatched,
+        Kind::ResourceBusy,
+        Kind::DmaStart,
+        Kind::TaskReady,
+        Kind::TaskDispatched,
+        Kind::ComputeStart,
+    ]));
+
     /// Accumulates counters over `events`.
     #[must_use]
     pub fn from_events(events: &[TraceEvent]) -> Self {
@@ -104,7 +116,6 @@ impl EventCounters {
     /// Folds a single event into the counters.
     pub fn add(&mut self, ev: &TraceEvent) {
         match &ev.kind {
-            EventKind::EventDispatched { .. } => self.events_dispatched += 1,
             EventKind::ComputeEnd { .. } => self.tasks_completed += 1,
             EventKind::DagArrived { .. } => self.dags_arrived += 1,
             EventKind::DagDone { met, .. } => {
@@ -169,7 +180,8 @@ impl EventCounters {
             EventKind::BreakerOpened { .. } => self.breaker_opens += 1,
             EventKind::BreakerHalfOpen { .. } => self.breaker_half_opens += 1,
             EventKind::BreakerClosed { .. } => self.breaker_closes += 1,
-            EventKind::ResourceBusy { .. }
+            EventKind::EventDispatched { .. }
+            | EventKind::ResourceBusy { .. }
             | EventKind::DmaStart { .. }
             | EventKind::TaskReady { .. }
             | EventKind::TaskDispatched { .. }
@@ -181,7 +193,9 @@ impl EventCounters {
 /// A [`TraceSink`](crate::TraceSink) that folds every event into an
 /// [`EventCounters`] as it arrives — O(1) memory, so it is safe to attach
 /// to unbounded runs (continuous contention) where a buffering sink would
-/// either grow without bound or evict events and undercount.
+/// either grow without bound or evict events and undercount. It
+/// subscribes to [`EventCounters::KINDS`], so the per-chunk kinds
+/// (`EventDispatched`, `ResourceBusy`, `DmaStart`) never reach it.
 ///
 /// The campaign engine attaches one per run to reconcile event-derived
 /// counts against the simulator's own `RunStats` bookkeeping.
@@ -214,6 +228,10 @@ impl CountersSink {
 impl crate::TraceSink for CountersSink {
     fn emit(&mut self, ev: TraceEvent) {
         self.counters.add(&ev);
+    }
+
+    fn kinds(&self) -> KindSet {
+        EventCounters::KINDS
     }
 }
 
@@ -298,7 +316,7 @@ mod tests {
                 task: t,
                 inst: 0,
                 start_ps: 0,
-                label: "A:n1".into(),
+                app: "A".into(),
                 forwarded_inputs: 0,
                 colocated_inputs: 0,
             },

@@ -7,6 +7,7 @@
 //! at the instrumentation point.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identity of one task: DAG instance index plus node index. Mirrors
 /// `relief_core::TaskKey` and renders the same way (`d3:n7`).
@@ -284,8 +285,8 @@ pub enum EventKind {
     DagArrived {
         /// DAG instance index.
         instance: u32,
-        /// Application symbol/name.
-        app: String,
+        /// Application symbol/name, shared by every record of the app.
+        app: Arc<str>,
         /// Node count of the DAG.
         nodes: u32,
     },
@@ -325,7 +326,8 @@ pub enum EventKind {
         inst: u32,
     },
     /// A task's functional unit finished. Self-contained record of the
-    /// whole compute span so span-based views need no other events.
+    /// whole compute span so span-based views need no other events; they
+    /// label the span `"<app>:n<node>"`.
     ComputeEnd {
         /// The task.
         task: TaskRef,
@@ -333,8 +335,9 @@ pub enum EventKind {
         inst: u32,
         /// Compute start time, picoseconds.
         start_ps: u64,
-        /// Render label, `"<app>:n<node>"`.
-        label: String,
+        /// Symbol of the task's application, shared by every record of
+        /// the app.
+        app: Arc<str>,
         /// Inputs that arrived via SPAD-to-SPAD forwarding.
         forwarded_inputs: u32,
         /// Inputs consumed in place via colocation.
@@ -574,10 +577,11 @@ impl fmt::Display for EventKind {
                 write!(f, " {bytes}B")
             }
             ComputeStart { task, inst } => write!(f, "compute-start {task} inst{inst}"),
-            ComputeEnd { task, inst, start_ps, label, forwarded_inputs, colocated_inputs } => {
+            ComputeEnd { task, inst, start_ps, app, forwarded_inputs, colocated_inputs } => {
                 write!(
                     f,
-                    "compute-end {task} inst{inst} start={start_ps} fwd={forwarded_inputs} coloc={colocated_inputs} {label}"
+                    "compute-end {task} inst{inst} start={start_ps} fwd={forwarded_inputs} coloc={colocated_inputs} {app}:n{}",
+                    task.node
                 )
             }
             WritebackIssued { task, inst, bytes, lazy } => {

@@ -14,9 +14,13 @@
 //!   the full task lifecycle (ready → dispatched → compute → writeback)
 //!   with forwarding/colocation provenance.
 //! * [`Tracer`] / [`TraceSink`] — a cloneable fan-out handle over shared
-//!   sinks. With no sink attached, [`Tracer::emit`] is one branch and the
-//!   event is never constructed. [`RingBufferSink`] is the bounded
-//!   in-memory collector; [`NullSink`] measures plumbing overhead.
+//!   sinks. Each sink declares the [`Kind`]s it consumes
+//!   ([`TraceSink::kinds`], a [`KindSet`]; every kind by default) and
+//!   receives only those. With no sink attached, [`Tracer::emit`] is one
+//!   branch and the event is never constructed; a kind no attached sink
+//!   consumes costs one mask test and is never delivered.
+//!   [`RingBufferSink`] is the bounded in-memory collector; [`NullSink`]
+//!   measures plumbing overhead.
 //! * [`chrome`] — hand-rolled Chrome/Perfetto `trace.json` export (open in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>).
 //! * [`text`] — the canonical line-oriented format, deterministic
@@ -24,7 +28,8 @@
 //! * [`diff`] — first-divergence comparison backing the `trace-diff`
 //!   binary: determinism as an enforceable regression test.
 //! * [`EventCounters`] — aggregates that `relief-metrics` reconciles
-//!   against its independently computed `RunStats`.
+//!   against its independently computed `RunStats`; [`CountersSink`]
+//!   folds them on the fly and subscribes to exactly the kinds they fold.
 //!
 //! # Examples
 //!
@@ -53,6 +58,7 @@ pub mod chrome;
 pub mod counters;
 pub mod diff;
 pub mod event;
+pub mod kind;
 pub mod sink;
 pub mod text;
 
@@ -62,4 +68,5 @@ pub use event::{
     DenyReason, Endpoint, EventKind, InputSource, ResourceId, ServiceClass, ShedCause, TaskRef,
     TraceEvent,
 };
+pub use kind::{Kind, KindSet};
 pub use sink::{NullSink, RingBufferSink, TraceSink, Tracer};

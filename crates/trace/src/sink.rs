@@ -1,21 +1,62 @@
 //! Event sinks and the [`Tracer`] fan-out handle.
 //!
 //! The simulator is single-threaded, so sinks are shared with
-//! `Rc<RefCell<_>>` rather than locks. A [`Tracer`] with no sinks is the
-//! "off" state: [`Tracer::emit`] takes a closure and never builds the
-//! event, so disabled tracing costs one branch per site.
+//! `Rc<RefCell<_>>` rather than locks. Each sink declares the event
+//! [`Kind`]s it consumes ([`TraceSink::kinds`]); a [`Tracer`] keeps the
+//! union of its sinks' sets. [`Tracer::emit`] takes a closure and tests
+//! the event's kind against that union: with no sink attached the closure
+//! never runs, and a kind no sink consumes costs one mask test and is
+//! never delivered.
 
 use crate::event::{EventKind, TraceEvent};
+use crate::kind::{Kind, KindSet};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
 /// A consumer of trace events.
+///
+/// # Examples
+///
+/// A sink that needs only some kinds names them, and no other kind is
+/// ever delivered to it:
+///
+/// ```
+/// use relief_trace::{EventKind, Kind, KindSet, TraceEvent, TraceSink, Tracer};
+/// use std::{cell::RefCell, rc::Rc};
+///
+/// #[derive(Default)]
+/// struct Misses(u64);
+///
+/// impl TraceSink for Misses {
+///     fn emit(&mut self, ev: TraceEvent) {
+///         if let EventKind::DagDone { met: false, .. } = ev.kind {
+///             self.0 += 1;
+///         }
+///     }
+///     fn kinds(&self) -> KindSet {
+///         KindSet::of(&[Kind::DagDone])
+///     }
+/// }
+///
+/// let misses = Rc::new(RefCell::new(Misses::default()));
+/// let tracer = Tracer::to_sink(misses.clone());
+/// tracer.emit(1, || EventKind::EventDispatched { index: 0 }); // not delivered
+/// tracer.emit(2, || EventKind::DagDone { instance: 0, met: false });
+/// assert_eq!(misses.borrow().0, 1);
+/// ```
 pub trait TraceSink {
     /// Accepts one event. Events arrive in non-decreasing `at_ps` order
     /// per emitting component but may interleave across components.
     fn emit(&mut self, ev: TraceEvent);
+
+    /// The event kinds this sink consumes; a [`Tracer`] delivers no
+    /// other kind to it. Read once, when the sink is attached. Defaults
+    /// to every kind.
+    fn kinds(&self) -> KindSet {
+        KindSet::ALL
+    }
 }
 
 /// A sink that discards everything. Useful for measuring the overhead of
@@ -111,9 +152,10 @@ impl TraceSink for RingBufferSink {
 
 /// A cloneable handle that fans events out to zero or more sinks.
 ///
-/// Every instrumented component holds (a clone of) one `Tracer`. With no
-/// sinks attached, [`Tracer::emit`] returns immediately without invoking
-/// the construction closure — the off state is effectively free.
+/// Every instrumented component holds (a clone of) one `Tracer`. Each
+/// event goes only to the sinks whose [`TraceSink::kinds`] contain its
+/// kind. With no sinks attached, [`Tracer::emit`] returns without
+/// invoking the construction closure — the off state is effectively free.
 ///
 /// # Examples
 ///
@@ -128,12 +170,18 @@ impl TraceSink for RingBufferSink {
 /// ```
 #[derive(Clone, Default)]
 pub struct Tracer {
-    sinks: Vec<Rc<RefCell<dyn TraceSink>>>,
+    /// Each sink with the kinds it consumes.
+    sinks: Vec<(KindSet, Rc<RefCell<dyn TraceSink>>)>,
+    /// Union of the sinks' kinds.
+    kinds: KindSet,
 }
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tracer").field("sinks", &self.sinks.len()).finish()
+        f.debug_struct("Tracer")
+            .field("sinks", &self.sinks.len())
+            .field("kinds", &self.kinds)
+            .finish()
     }
 }
 
@@ -147,17 +195,23 @@ impl Tracer {
     /// A tracer writing to a single sink.
     #[must_use]
     pub fn to_sink(sink: Rc<RefCell<dyn TraceSink>>) -> Self {
-        Tracer { sinks: vec![sink] }
+        let mut tracer = Tracer::off();
+        tracer.attach(sink);
+        tracer
     }
 
-    /// Adds a sink to the fan-out set.
+    /// Adds a sink to the fan-out set, subscribed to its
+    /// [`TraceSink::kinds`].
     pub fn attach(&mut self, sink: Rc<RefCell<dyn TraceSink>>) {
-        self.sinks.push(sink);
+        let kinds = sink.borrow().kinds();
+        self.kinds = self.kinds.union(kinds);
+        self.sinks.push((kinds, sink));
     }
 
-    /// Adopts every sink of `other` as well.
+    /// Adopts every sink of `other` as well, with its subscription.
     pub fn merge(&mut self, other: &Tracer) {
         self.sinks.extend(other.sinks.iter().cloned());
+        self.kinds = self.kinds.union(other.kinds);
     }
 
     /// True when at least one sink is attached.
@@ -166,19 +220,35 @@ impl Tracer {
         !self.sinks.is_empty()
     }
 
-    /// Emits an event at simulated time `at_ps`. The closure runs only
-    /// when a sink is attached, so argument formatting/allocation is
-    /// skipped entirely while tracing is off.
+    /// Emits an event at simulated time `at_ps` to every sink subscribed
+    /// to its kind. The closure runs only when some sink subscribes to
+    /// some kind, and an event no sink subscribes to is dropped after one
+    /// mask test; for a plain-data event the optimiser then removes its
+    /// construction as well.
+    #[inline]
     pub fn emit(&self, at_ps: u64, make: impl FnOnce() -> EventKind) {
-        if self.sinks.is_empty() {
+        if self.kinds.is_empty() {
             return;
         }
         let kind = make();
-        let Some((last, rest)) = self.sinks.split_last() else { return };
-        for sink in rest {
-            sink.borrow_mut().emit(TraceEvent { at_ps, kind: kind.clone() });
+        let k = kind.kind();
+        if self.kinds.contains(k) {
+            self.deliver(k, TraceEvent { at_ps, kind });
         }
-        last.borrow_mut().emit(TraceEvent { at_ps, kind });
+    }
+
+    /// Hands `ev` (of kind `k`) to each sink subscribed to `k`; the last
+    /// of them receives it without a clone.
+    #[inline(never)]
+    fn deliver(&self, k: Kind, ev: TraceEvent) {
+        let mut subscribed =
+            self.sinks.iter().filter(|(kinds, _)| kinds.contains(k)).map(|(_, sink)| sink);
+        let Some(mut sink) = subscribed.next() else { return };
+        for next in subscribed {
+            sink.borrow_mut().emit(ev.clone());
+            sink = next;
+        }
+        sink.borrow_mut().emit(ev);
     }
 }
 
@@ -244,6 +314,37 @@ mod tests {
         tracer.emit(7, || ev(7));
         assert_eq!(a.borrow().len(), 1);
         assert_eq!(b.borrow().len(), 1);
+    }
+
+    /// Collects only the kinds it was built with.
+    struct Only(KindSet, Vec<TraceEvent>);
+
+    impl TraceSink for Only {
+        fn emit(&mut self, ev: TraceEvent) {
+            self.1.push(ev);
+        }
+        fn kinds(&self) -> KindSet {
+            self.0
+        }
+    }
+
+    #[test]
+    fn unsubscribed_tracer_never_builds_events() {
+        let none = Rc::new(RefCell::new(Only(KindSet::default(), Vec::new())));
+        let tracer = Tracer::to_sink(none.clone());
+        assert!(tracer.is_on());
+        tracer.emit(0, || unreachable!("no sink subscribes to anything"));
+        assert!(none.borrow().1.is_empty());
+    }
+
+    #[test]
+    fn merge_keeps_each_subscription() {
+        let dags = Rc::new(RefCell::new(Only(KindSet::of(&[Kind::DagDone]), Vec::new())));
+        let mut left = Tracer::off();
+        left.merge(&Tracer::to_sink(dags.clone()));
+        left.emit(1, || ev(1));
+        left.emit(2, || EventKind::DagDone { instance: 0, met: false });
+        assert_eq!(dags.borrow().1.len(), 1);
     }
 
     #[test]

@@ -43,7 +43,11 @@
 //!    committed digests in `tests/corpus/behaviour.txt`), and
 //!    `oracle_conformance` (the ahead-of-time scheduling bound: oracle ≤
 //!    every online policy, prediction = replay bit-exactly, beam-width
-//!    monotonicity, recorded-run replay differentials).
+//!    monotonicity, recorded-run replay differentials), and
+//!    `trace_subsystem` (the structured event stream: determinism,
+//!    exporters, trace↔stats reconciliation, and kind subscription — a
+//!    subscribed sink receives exactly its kinds of the full stream, and
+//!    attaching it moves no other sink's capture).
 //! 6. `crates` — `cargo test --offline --workspace --exclude relief`:
 //!    every member crate's own unit, integration and doc tests (the
 //!    root package's tests are tier 1's `cargo test`). This is where
@@ -89,7 +93,7 @@ fn have_clippy() -> bool {
 }
 
 /// The integration-test suites step 5 runs, as `(package, test target)`.
-const TEST_SUITES: [(&str, &str); 10] = [
+const TEST_SUITES: [(&str, &str); 11] = [
     ("relief-bench", "campaign_engine"),
     ("relief-bench", "campaign_cache"),
     ("relief", "golden_experiments"),
@@ -100,6 +104,7 @@ const TEST_SUITES: [(&str, &str); 10] = [
     ("relief", "chaos_conformance"),
     ("relief", "behaviour_corpus"),
     ("relief", "oracle_conformance"),
+    ("relief", "trace_subsystem"),
 ];
 
 /// Names accepted by `check --suite` that are not test targets.
