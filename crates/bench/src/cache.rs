@@ -3,11 +3,32 @@
 //! Every campaign cell is a pure function of its [`RunSpec`]: the policy,
 //! workload label, platform label, and replicate index determine the seed
 //! and therefore every output byte (see `crate::campaign`'s determinism
-//! contract). That makes results cacheable by *content address*: the
-//! FNV-1a hash of the spec's canonical label salted with a code-version
-//! string names a file under the cache directory, and re-running a
-//! campaign only simulates cells whose entry is absent, stale, or
-//! unreadable.
+//! contract). That makes results cacheable by *content address*: a cell's
+//! canonical label, salted with a code-version string, names its record,
+//! and re-running a campaign only simulates cells whose record is absent,
+//! stale, or unreadable.
+//!
+//! **Packs.** The records live in *pack* files, one per
+//! `campaign::execute` call that simulated anything. After its worker
+//! pool joins, `execute` writes every cell it simulated into one pack; at
+//! its start it opens every pack in the directory, reads only their
+//! indexes, and answers each cell with one positioned read. A cold grid
+//! therefore creates one file rather than one per cell (creating a file
+//! costs far more than writing a few kilobytes on some hosts), and a warm
+//! grid opens one. A pack named `<fnv1a(salt ⧺ 0x1f ⧺ labels sorted,
+//! 0x1f-separated):016x>.pack` (schema v5) holds:
+//!
+//! 1. a header: [`SCHEMA`] and the salt;
+//! 2. the records, sorted by label, each a self-contained entry — its own
+//!    schema/salt/label header, the `SimResult`, the 38 `EventCounters`
+//!    fields, and an end marker;
+//! 3. an index: a count, then `(fnv1a(label), offset, length)` per record;
+//! 4. a 16-byte footer: the index's offset, then the end marker.
+//!
+//! Sorted records make a pack's bytes a function of the set of cells it
+//! stores, whatever the `--jobs` level or spec order. A process killed
+//! mid-`execute` keeps none of that call's cells (its temp file is an
+//! orphan for `cache_hygiene`); a cold grid is about a second of work.
 //!
 //! Design rules:
 //!
@@ -16,22 +37,25 @@
 //!   round-trip through their IEEE bit patterns), and reconciliation
 //!   mismatches are recomputed from those — so campaign stdout is
 //!   byte-identical with a cold or warm cache at any `--jobs` level.
-//! * **Corrupt-entry tolerance.** Any parse failure — truncation, a
-//!   schema bump, a salt or label mismatch, stray bytes — degrades to a
-//!   cache miss and the cell re-simulates; the fresh result then
-//!   overwrites the bad entry via an atomic temp-file rename.
+//! * **Corrupt-data tolerance.** A pack whose header, footer or index
+//!   fails to validate is ignored whole; a record that fails to parse —
+//!   truncation, a schema bump, a salt or label mismatch, stray bytes —
+//!   is a miss. Either way the cell re-simulates and lands in the next
+//!   pack. A label stored in several packs is tried in file-name order
+//!   until one copy decodes, so a corrupt copy never shadows a valid one.
 //! * **No third-party formats.** The workspace is hermetic (no serde at
 //!   run time), so entries are fixed-width little-endian binary: `u64`,
 //!   `Time`, `Dur` and `f64` bit patterns in 8 bytes, `bool` in one byte
 //!   (0 or 1), strings and collections length-prefixed (every length
-//!   bounded by the unread bytes before allocating), then an end marker.
+//!   bounded by the bytes that can hold it before allocating), then an
+//!   end marker.
 //! * **Trace captures bypass the cache.** Runs captured via
 //!   `ExecOptions::trace_labels` carry a full text trace that is not
 //!   persisted; they are neither served from nor stored to the cache.
 //!
 //! Besides per-cell records the cache also stores *rendered artifacts*
-//! (the oracle table, the Fig. 12 host-latency table) so a warm
-//! `all_experiments` rerun recomputes nothing at all.
+//! (the oracle table, the Fig. 12 host-latency table), one `.art` file
+//! each, so a warm `all_experiments` rerun recomputes nothing at all.
 
 use crate::campaign::{RunRecord, RunSpec};
 use relief_accel::{PredictionStats, SimResult, Span, Trace};
@@ -43,20 +67,45 @@ use relief_metrics::{
 use relief_sim::{fnv1a, Dur, Time};
 use relief_trace::EventCounters;
 use std::collections::BTreeMap;
-use std::io::Read as _;
+use std::fs::{self, File};
+use std::io::{self, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
-/// On-disk schema identifier; the first string of every entry. Bump the
-/// version suffix whenever the serialized layout changes shape — old
-/// entries then parse as misses instead of garbage.
-pub const SCHEMA: &str = "relief-campaign-cache/v4";
+/// On-disk schema identifier; the first string of every pack, record and
+/// artifact. Bump the version suffix whenever the serialized layout
+/// changes shape — old files then parse as misses instead of garbage.
+pub const SCHEMA: &str = "relief-campaign-cache/v5";
 
-/// Code-version salt folded into every content address. Bump whenever
-/// simulator *semantics* change (anything that can alter a `SimResult`
-/// byte), so every stale entry misses at once. The `xtask check`
-/// cache-hygiene step asserts the on-disk cache contains no entries
+/// The hand-kept half of [`CODE_SALT`]. Bump it for a behaviour change
+/// the behaviour corpus cannot see.
+const SALT_TAG: &str = "relief-sim/2026-08-09.chaos-hardened-serving";
+
+/// [`CODE_SALT`]'s bytes: [`SALT_TAG`], `+`, then the FNV-1a digest of
+/// the committed behaviour corpus in 16 lowercase hex digits.
+const SALT_BYTES: [u8; SALT_TAG.len() + 17] = {
+    let digest = fnv1a(include_bytes!("../../../tests/corpus/behaviour.txt"));
+    let mut out = [b'+'; SALT_TAG.len() + 17];
+    out.split_at_mut(SALT_TAG.len()).0.copy_from_slice(SALT_TAG.as_bytes());
+    let mut d = 0;
+    while d < 16 {
+        out[out.len() - 1 - d] = b"0123456789abcdef"[((digest >> (4 * d)) & 0xf) as usize];
+        d += 1;
+    }
+    out
+};
+
+/// Code-version salt folded into every content address and stored in
+/// every header: a hand-kept tag, `+`, and the FNV-1a digest of
+/// `tests/corpus/behaviour.txt`. Any intended change to simulated
+/// behaviour updates that corpus, so it re-salts the cache without a
+/// hand bump and every stale record misses at once. The `xtask check`
+/// cache-hygiene step asserts the on-disk cache contains no files
 /// written under another salt.
-pub const CODE_SALT: &str = "relief-sim/2026-08-09.chaos-hardened-serving";
+pub const CODE_SALT: &str = match std::str::from_utf8(&SALT_BYTES) {
+    Ok(salt) => salt,
+    Err(_) => panic!("the code salt is ASCII"),
+};
 
 /// Default cache location, relative to the working directory.
 pub const DEFAULT_DIR: &str = "target/campaign-cache";
@@ -66,9 +115,9 @@ pub const DEFAULT_DIR: &str = "target/campaign-cache";
 pub struct CacheConfig {
     /// Master switch; when false, lookups miss and stores are dropped.
     pub enabled: bool,
-    /// Directory holding the entries (created on first store).
+    /// Directory holding the packs and artifacts (created on first store).
     pub dir: PathBuf,
-    /// Code-version salt mixed into every key and stored in every entry.
+    /// Code-version salt mixed into every key and stored in every header.
     pub salt: String,
 }
 
@@ -86,13 +135,14 @@ impl CacheConfig {
         CacheConfig { enabled: false, dir: PathBuf::new(), salt: String::new() }
     }
 
-    /// The standard persistent cache the campaign binaries use:
-    /// [`DEFAULT_DIR`] (overridable via the `RELIEF_CACHE_DIR`
-    /// environment variable) under the current [`CODE_SALT`].
+    /// The standard persistent cache the campaign commands use:
+    /// [`DEFAULT_DIR`] (overridable via a non-empty `RELIEF_CACHE_DIR`
+    /// environment variable; an empty one means the default) under the
+    /// current [`CODE_SALT`].
     pub fn standard() -> Self {
         let dir = std::env::var_os("RELIEF_CACHE_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from(DEFAULT_DIR));
+            .filter(|dir| !dir.is_empty())
+            .map_or_else(|| PathBuf::from(DEFAULT_DIR), PathBuf::from);
         CacheConfig::at(dir)
     }
 
@@ -102,55 +152,67 @@ impl CacheConfig {
         CacheConfig { enabled: true, dir: dir.into(), salt: CODE_SALT.to_string() }
     }
 
-    /// The entry file for a cell label: 16 hex digits of
-    /// `fnv1a(salt ⧺ 0x1f ⧺ label)`.
-    fn entry_path(&self, label: &str, ext: &str) -> PathBuf {
+    /// The file for a set of labels: 16 hex digits of
+    /// `fnv1a(salt ⧺ 0x1f ⧺ labels, 0x1f-separated)`.
+    fn entry_path<'l>(&self, labels: impl IntoIterator<Item = &'l str>, ext: &str) -> PathBuf {
         let mut key = self.salt.clone().into_bytes();
-        key.push(0x1f);
-        key.extend_from_slice(label.as_bytes());
+        for label in labels {
+            key.push(0x1f);
+            key.extend_from_slice(label.as_bytes());
+        }
         self.dir.join(format!("{:016x}.{ext}", fnv1a(&key)))
     }
 
-    /// Fetches a cached record for `spec`, or `None` on any miss:
-    /// disabled cache, absent file, schema/salt/label mismatch, or a
-    /// corrupt body. Reconciliation mismatches are recomputed from the
-    /// deserialized counters and stats exactly as a live run would.
+    /// Fetches a cached record for `spec`, or `None` on any miss. This
+    /// opens the directory's packs for one lookup; `campaign::execute`
+    /// opens them once per call instead.
     pub fn lookup(&self, spec: &RunSpec) -> Option<RunRecord> {
-        self.lookup_labeled(spec, &spec.label())
+        Packs::open(self).lookup(spec, &spec.label())
     }
 
-    /// [`lookup`](Self::lookup) with the spec's label already computed.
-    pub(crate) fn lookup_labeled(&self, spec: &RunSpec, label: &str) -> Option<RunRecord> {
-        if !self.enabled {
-            return None;
-        }
-        let bytes = std::fs::read(self.entry_path(label, "run")).ok()?;
-        let (result, counters) = decode_record(&bytes, &self.salt, label)?;
-        // Truncated runs legitimately disagree byte-wise (transfers in
-        // flight at the cap) — same rule as `execute_instrumented`.
-        let truncated = spec.config().time_limit.is_some();
-        let mismatches =
-            if truncated { Vec::new() } else { reconcile(&counters, &result.stats) };
-        Some(RunRecord { result, counters, mismatches, trace_text: None })
-    }
-
-    /// Persists one run's record. Disabled caches, trace-captured records
-    /// (their text trace is not persisted), and I/O failures all degrade
-    /// to "not stored" — the cache is an accelerator, never a correctness
-    /// dependency.
+    /// Persists one run's record as a one-record pack. Disabled caches,
+    /// trace-captured records (their text trace is not persisted), and
+    /// I/O failures all degrade to "not stored" — the cache is an
+    /// accelerator, never a correctness dependency.
     pub fn store(&self, spec: &RunSpec, rec: &RunRecord) {
-        self.store_labeled(&spec.label(), rec);
+        self.write_pack(vec![(&spec.label(), rec)]);
     }
 
-    /// [`store`](Self::store) under an already-computed spec label.
-    pub(crate) fn store_labeled(&self, label: &str, rec: &RunRecord) {
-        if !self.enabled || rec.trace_text.is_some() {
+    /// Writes `records` (label, record) as one pack, encoding one record
+    /// at a time into its temp file. Trace-captured records are dropped,
+    /// and a label given twice is stored once. Nothing is written when no
+    /// record remains; I/O failures leave no file behind.
+    pub(crate) fn write_pack(&self, mut records: Vec<(&str, &RunRecord)>) {
+        records.retain(|(_, rec)| rec.trace_text.is_none());
+        if !self.enabled || records.is_empty() {
             return;
         }
-        let mut w = Writer::new(&self.salt, label);
-        write_sim_result(&mut w, &rec.result);
-        write_counters(&mut w, &rec.counters);
-        self.commit(&self.entry_path(label, "run"), &w.finish());
+        records.sort_unstable_by_key(|&(label, _)| label);
+        records.dedup_by_key(|&mut (label, _)| label);
+        let path = self.entry_path(records.iter().map(|&(label, _)| label), "pack");
+        let _ = self.install(&path, |file| {
+            let mut header = Writer { out: Vec::with_capacity(header_len(&self.salt)) };
+            header.string(SCHEMA);
+            header.string(&self.salt);
+            file.write_all(&header.out)?;
+            let mut at = header.out.len() as u64;
+            let mut index = Writer { out: Vec::with_capacity(24 * records.len() + 32) };
+            index.u64(records.len() as u64);
+            for (label, rec) in records {
+                let mut w = Writer::new(&self.salt, label);
+                write_sim_result(&mut w, &rec.result);
+                write_counters(&mut w, &rec.counters);
+                let record = w.finish();
+                file.write_all(&record)?;
+                index.u64(fnv1a(label.as_bytes()));
+                index.u64(at);
+                index.u64(record.len() as u64);
+                at += record.len() as u64;
+            }
+            // The footer: the index's offset, then the end marker.
+            index.u64(at);
+            file.write_all(&index.finish())
+        });
     }
 
     /// Fetches a cached rendered artifact (an already-formatted report
@@ -159,7 +221,7 @@ impl CacheConfig {
         if !self.enabled {
             return None;
         }
-        let bytes = std::fs::read(self.entry_path(name, "art")).ok()?;
+        let bytes = fs::read(self.entry_path([name], "art")).ok()?;
         let mut r = Reader::new(&bytes);
         r.expect_header(&self.salt, name)?;
         let body = r.string()?;
@@ -174,42 +236,51 @@ impl CacheConfig {
         }
         let mut w = Writer::new(&self.salt, name);
         w.string(body);
-        self.commit(&self.entry_path(name, "art"), &w.finish());
+        let bytes = w.finish();
+        let _ = self.install(&self.entry_path([name], "art"), |file| file.write_all(&bytes));
     }
 
-    /// Atomically installs `content` at `path` (temp file + rename), so a
-    /// concurrent reader sees either the old entry or the new one, never
-    /// a torn write. All I/O errors are swallowed: a failed store is a
-    /// future cache miss, not a campaign failure.
-    fn commit(&self, path: &Path, content: &[u8]) {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return;
-        }
+    /// Atomically installs a file at `path`: `write` fills
+    /// `<key>.tmp<pid>`, which is then renamed over `path`, so a
+    /// concurrent reader sees the old file or the new one, never a torn
+    /// write. On any failure the temp file is removed and nothing is
+    /// installed. Callers drop the error: a failed store is a future
+    /// cache miss, not a campaign failure.
+    fn install(
+        &self,
+        path: &Path,
+        write: impl FnOnce(&mut File) -> io::Result<()>,
+    ) -> io::Result<()> {
+        fs::create_dir_all(&self.dir)?;
         let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        if std::fs::write(&tmp, content).is_ok() && std::fs::rename(&tmp, path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        let installed = File::create(&tmp)
+            .and_then(|mut file| write(&mut file))
+            .and_then(|()| fs::rename(&tmp, path));
+        if installed.is_err() {
+            let _ = fs::remove_file(&tmp);
         }
+        installed
     }
 
-    /// Scans the cache directory for entries whose header does not carry
-    /// the current schema and salt, plus temp files orphaned by a writer
-    /// that died before its rename, returning the offending file names.
-    /// Only each entry's header bytes are read; unreadable files count as
-    /// stale (they would never hit). Used by the `xtask check`
-    /// cache-hygiene step; an absent directory is vacuously clean.
+    /// Scans the cache directory for files that can never hit, returning
+    /// their names: packs whose header, footer or index does not validate
+    /// under the current schema and salt, every `.run` file (the v2–v4
+    /// per-cell layout, which v5 never reads), artifacts with a wrong
+    /// header, and temp files orphaned by a writer that died before its
+    /// rename. Only headers, footers and indexes are read; unreadable
+    /// files count as stale. Used by the `xtask check` cache-hygiene
+    /// step; an absent directory is vacuously clean.
     pub fn stale_entries(&self) -> Vec<String> {
-        let Ok(dir) = std::fs::read_dir(&self.dir) else { return Vec::new() };
-        let header_len = 16 + SCHEMA.len() + self.salt.len();
+        let Ok(dir) = fs::read_dir(&self.dir) else { return Vec::new() };
         let mut stale = Vec::new();
         for entry in dir.flatten() {
             let path = entry.path();
             let fresh = match path.extension().and_then(|e| e.to_str()) {
-                Some("run" | "art") => std::fs::File::open(&path).is_ok_and(|f| {
-                    let mut head = Vec::with_capacity(header_len);
-                    let _ = f.take(header_len as u64).read_to_end(&mut head);
-                    let mut r = Reader::new(&head);
-                    r.str() == Some(SCHEMA) && r.str() == Some(&self.salt)
-                }),
+                Some("pack") => {
+                    File::open(&path).is_ok_and(|f| read_index(&f, &self.salt).is_some())
+                }
+                Some("art") => File::open(&path).is_ok_and(|f| has_header(&f, &self.salt)),
+                Some("run") => false,
                 Some(ext) if ext.starts_with("tmp") => false,
                 _ => continue,
             };
@@ -222,12 +293,134 @@ impl CacheConfig {
     }
 }
 
+/// Where one record sits: its pack (an index into `Packs::files`) and
+/// its byte range there.
+struct Slot {
+    key: u64,
+    file: usize,
+    offset: u64,
+    len: usize,
+}
+
+/// A cache directory's packs, opened for the duration of one
+/// `campaign::execute` call: the open files, and every record's slot
+/// keyed by `fnv1a(label)`.
+pub(crate) struct Packs<'a> {
+    salt: &'a str,
+    files: Vec<File>,
+    /// Sorted by key; equal keys keep file-name order.
+    slots: Vec<Slot>,
+}
+
+impl<'a> Packs<'a> {
+    /// Opens every `*.pack` in `cache.dir` in file-name order, reading
+    /// only its header, footer and index. A pack that fails to validate
+    /// is skipped whole. A disabled cache or absent directory has none.
+    pub(crate) fn open(cache: &'a CacheConfig) -> Self {
+        let mut packs = Packs { salt: &cache.salt, files: Vec::new(), slots: Vec::new() };
+        if !cache.enabled {
+            return packs;
+        }
+        let Ok(dir) = fs::read_dir(&cache.dir) else { return packs };
+        let mut paths: Vec<PathBuf> = dir
+            .flatten()
+            .map(|entry| entry.path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "pack"))
+            .collect();
+        paths.sort();
+        for path in paths {
+            let Ok(file) = File::open(&path) else { continue };
+            let Some(index) = read_index(&file, &cache.salt) else { continue };
+            let at = packs.files.len();
+            packs.slots.extend(
+                index.into_iter().map(|(key, offset, len)| Slot { key, file: at, offset, len }),
+            );
+            packs.files.push(file);
+        }
+        packs.slots.sort_by_key(|slot| slot.key);
+        packs
+    }
+
+    /// The record stored for `label`, or `None` when no pack holds a copy
+    /// that decodes. Each candidate costs one positioned read. Mismatches
+    /// are recomputed from the decoded counters and stats exactly as a
+    /// live run would.
+    pub(crate) fn lookup(&self, spec: &RunSpec, label: &str) -> Option<RunRecord> {
+        let key = fnv1a(label.as_bytes());
+        let first = self.slots.partition_point(|slot| slot.key < key);
+        let (result, counters) =
+            self.slots[first..].iter().take_while(|slot| slot.key == key).find_map(|slot| {
+                let mut bytes = vec![0; slot.len];
+                self.files[slot.file].read_exact_at(&mut bytes, slot.offset).ok()?;
+                decode_record(&bytes, self.salt, label)
+            })?;
+        // Truncated runs legitimately disagree byte-wise (transfers in
+        // flight at the cap) — same rule as `execute_instrumented`.
+        let truncated = spec.config().time_limit.is_some();
+        let mismatches =
+            if truncated { Vec::new() } else { reconcile(&counters, &result.stats) };
+        Some(RunRecord { result, counters, mismatches, trace_text: None })
+    }
+}
+
+/// Bytes of a pack's header (and of a record's or artifact's first two
+/// strings): [`SCHEMA`] and `salt`, each length-prefixed.
+fn header_len(salt: &str) -> usize {
+    16 + SCHEMA.len() + salt.len()
+}
+
+/// True when `file` starts with the [`SCHEMA`] and `salt` strings.
+fn has_header(file: &File, salt: &str) -> bool {
+    let mut head = vec![0; header_len(salt)];
+    if file.read_exact_at(&mut head, 0).is_err() {
+        return false;
+    }
+    let mut r = Reader::new(&head);
+    r.str() == Some(SCHEMA) && r.str() == Some(salt)
+}
+
+/// Reads a pack's header, footer and index — nothing else — and returns
+/// each record's `(fnv1a(label), offset, length)`. `None`, and the pack
+/// is ignored whole, when the header or footer fails, the index count
+/// exceeds what the index bytes can hold, the index has stray bytes, or
+/// a record's range leaves the records region. Every length is checked
+/// against the file's size before anything is allocated.
+fn read_index(file: &File, salt: &str) -> Option<Vec<(u64, u64, usize)>> {
+    if !has_header(file, salt) {
+        return None;
+    }
+    let records_at = header_len(salt) as u64;
+    let footer_at = file.metadata().ok()?.len().checked_sub(16)?;
+    let mut footer = [0; 16];
+    file.read_exact_at(&mut footer, footer_at).ok()?;
+    let mut r = Reader::new(&footer);
+    let index_at = r.u64()?;
+    r.finish()?;
+    if !(records_at..=footer_at).contains(&index_at) {
+        return None;
+    }
+    let mut index = vec![0; usize::try_from(footer_at - index_at).ok()?];
+    file.read_exact_at(&mut index, index_at).ok()?;
+    let mut r = Reader::new(&index);
+    let n = r.count(24)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (key, offset, len) = (r.u64()?, r.u64()?, r.u64()?);
+        if offset < records_at || offset.checked_add(len)? > index_at {
+            return None;
+        }
+        entries.push((key, offset, usize::try_from(len).ok()?));
+    }
+    r.buf.is_empty().then_some(entries)
+}
+
 // ---------------------------------------------------------------------
 // Binary codec
 // ---------------------------------------------------------------------
 
-/// Appended after the body; the reader requires it to be the last bytes
-/// of the entry, so truncation and trailing garbage both miss.
+/// Appended after every record, artifact and pack footer; the reader
+/// requires it to be the last bytes, so truncation and trailing garbage
+/// both miss.
 const END: [u8; 8] = *b"\0relief\n";
 
 /// Serializer for the fixed-width little-endian layout; `finish` appends
@@ -411,7 +604,7 @@ fn write_sim_result(w: &mut Writer, r: &SimResult) {
     w.u64(r.events_dispatched);
 }
 
-/// Decodes a whole `.run` entry: header, record, end marker.
+/// Decodes one record: header, `SimResult`, counters, end marker.
 fn decode_record(bytes: &[u8], salt: &str, label: &str) -> Option<(SimResult, EventCounters)> {
     let mut r = Reader::new(bytes);
     r.expect_header(salt, label)?;
@@ -855,5 +1048,32 @@ mod tests {
         cache.store_artifact("t", "body");
         assert_eq!(cache.lookup_artifact("t"), None);
         assert!(cache.stale_entries().is_empty());
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_file_and_installs_nothing() {
+        let dir = std::env::temp_dir().join(format!("relief-install-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = CacheConfig::at(&dir);
+        let path = dir.join("0123456789abcdef.pack");
+        let failed = cache.install(&path, |file| {
+            file.write_all(b"some bytes of a record")?;
+            Err(io::Error::other("disk full"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "the temp file was removed");
+        // A successful write installs exactly the target.
+        cache.install(&path, |file| file.write_all(b"ok")).unwrap();
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(names, vec![path.clone()]);
+        assert_eq!(fs::read(&path).unwrap(), b"ok");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn code_salt_ends_with_the_corpus_digest() {
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/behaviour.txt");
+        let digest = fnv1a(&fs::read(corpus).unwrap());
+        assert_eq!(CODE_SALT, format!("{SALT_TAG}+{digest:016x}"));
     }
 }

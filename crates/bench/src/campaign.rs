@@ -467,12 +467,17 @@ impl CampaignResults {
 /// simulator entirely thread-locally (`SocSim` is `!Send`), and slot the
 /// outcome by spec index. A panicking run is caught, attributed to its
 /// spec's label, and does not take down the campaign.
+///
+/// With the persistent cache enabled, the directory's packs are opened
+/// once up front and answer every cell they hold; after the pool joins,
+/// every cell simulated here is written as one new pack.
 pub fn execute(specs: Vec<RunSpec>, opts: &ExecOptions) -> CampaignResults {
     let n = specs.len();
     let jobs = opts.jobs.clamp(1, n.max(1));
     let cursor = AtomicUsize::new(0);
-    let hits = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let packs = crate::cache::Packs::open(&opts.cache);
+    // Each slot holds the outcome and whether it came from the cache.
+    let slots: Vec<Mutex<Option<(RunOutcome, bool)>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
@@ -486,45 +491,43 @@ pub fn execute(specs: Vec<RunSpec>, opts: &ExecOptions) -> CampaignResults {
                 // Trace captures bypass the persistent cache entirely:
                 // cached records carry no text trace, and storing one
                 // would leak a layout the reader doesn't model.
-                let cached = if capture { None } else { opts.cache.lookup_labeled(spec, &label) };
-                let outcome = match cached {
-                    Some(rec) => {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        Ok(rec)
-                    }
-                    None => {
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            spec.execute_instrumented(capture)
-                        }))
+                let cached = if capture { None } else { packs.lookup(spec, &label) };
+                let hit = cached.is_some();
+                let outcome = cached.map(Ok).unwrap_or_else(|| {
+                    catch_unwind(AssertUnwindSafe(|| spec.execute_instrumented(capture)))
                         .map_err(|payload| {
                             payload
                                 .downcast_ref::<&str>()
                                 .map(|s| (*s).to_string())
                                 .or_else(|| payload.downcast_ref::<String>().cloned())
                                 .unwrap_or_else(|| "non-string panic payload".to_string())
-                        });
-                        if let Ok(rec) = &run {
-                            opts.cache.store_labeled(&label, rec);
-                        }
-                        run
-                    }
-                };
+                        })
+                });
                 *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                    Some(RunOutcome { label, spec: spec.clone(), outcome });
+                    Some((RunOutcome { label, spec: spec.clone(), outcome }, hit));
             });
         }
     });
     // The cursor visits every index exactly once, so each slot is filled.
     #[allow(clippy::expect_used)]
-    let outcomes: Vec<RunOutcome> = slots
+    let (outcomes, hits): (Vec<RunOutcome>, Vec<bool>) = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .expect("every spec executed")
         })
-        .collect();
-    let cache_hits = hits.load(Ordering::Relaxed);
+        .unzip();
+    // Panicked cells are never stored; `write_pack` drops trace captures.
+    opts.cache.write_pack(
+        outcomes
+            .iter()
+            .zip(&hits)
+            .filter(|&(_, &hit)| !hit)
+            .filter_map(|(o, _)| Some((o.label.as_str(), o.outcome.as_ref().ok()?)))
+            .collect(),
+    );
+    let cache_hits = hits.iter().filter(|&&hit| hit).count();
     let simulated = n - cache_hits;
     if opts.cache.enabled {
         // Stderr only: stdout is the byte-identical campaign report.

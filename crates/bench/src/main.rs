@@ -8,7 +8,7 @@
 //! | `platform` | Tables I, V and VI: the modeled platform |
 //! | `ablations`, `sensitivity`, `rnn_scaling` | the extension studies of `relief_bench::studies` |
 //! | `service`, `chaos`, `resilience` | the campaign sweeps of the modules of the same names |
-//! | `campaign_smoke` | proof that a small grid reports byte-identically at 1 and 2 workers |
+//! | `campaign_smoke` | proof that a small grid reports byte-identically at 1 and 2 workers and from a warm cache |
 //! | `cache_hygiene` | stale campaign-cache entries; `--purge` deletes them |
 //!
 //! Every command parses through [`relief_bench::cli::Args`] and exits
@@ -250,7 +250,10 @@ fn fig2(mut args: Args) -> Result<ExitCode, String> {
 
 /// Expands a 2×2 (policy × workload) grid, executes it serially and with
 /// two workers, and fails unless both reports and summaries match byte
-/// for byte: the whole determinism contract in well under a second.
+/// for byte: the whole determinism contract in well under a second. The
+/// grid then runs cold (two workers) and warm (one) through a fresh
+/// persistent cache, which must leave exactly one pack and serve the warm
+/// pass entirely, with the uncached report.
 fn campaign_smoke() -> ExitCode {
     let mixes = Contention::Low.mixes();
     let spec = CampaignSpec::new(
@@ -279,21 +282,44 @@ fn campaign_smoke() -> ExitCode {
     if failed {
         return ExitCode::FAILURE;
     }
+    let dir = std::env::temp_dir().join(format!("relief-campaign-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cached = |jobs| ExecOptions { jobs, cache: CacheConfig::at(&dir), ..Default::default() };
+    let (_, clean3) = campaign::execute_reported(spec.expand(), &cached(2));
+    let (warm, clean4) = campaign::execute_reported(spec.expand(), &cached(1));
+    let packs = std::fs::read_dir(&dir).map_or(0, |files| {
+        files.flatten().filter(|f| f.path().extension().is_some_and(|e| e == "pack")).count()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    let same = warm.report() == serial.report();
+    if !(clean3 && clean4 && same) || warm.simulated != 0 || packs != 1 {
+        eprintln!(
+            "campaign cache round trip failed: {} cells simulated warm (want 0), {packs} packs \
+             (want 1), warm report {}",
+            warm.simulated,
+            if same { "identical" } else { "differs from the uncached one" },
+        );
+        return ExitCode::FAILURE;
+    }
     print!("{}", serial.summary());
-    println!("campaign smoke OK: jobs=1 and jobs=2 reports byte-identical");
+    println!(
+        "campaign smoke OK: jobs=1 and jobs=2 reports byte-identical, and a warm cache served \
+         every cell from one pack"
+    );
     ExitCode::SUCCESS
 }
 
 /// Campaign-cache hygiene (the `cache-hygiene` step of `xtask check`).
 ///
-/// Scans the standard cache directory (`target/campaign-cache/` or
-/// `$RELIEF_CACHE_DIR`) for entries written under another schema version
-/// or code-version salt, and for `<key>.tmp<pid>` files a writer left
-/// when killed before its rename. Neither can ever hit again (the salt is
-/// part of every key), so they only bloat the store and can hide a
-/// forgotten salt bump. None found: exit 0. Some found: list them and
-/// exit 1, or with `--purge` delete exactly those and exit 0. Entries
-/// under the current schema and salt are never touched.
+/// Scans the standard cache directory (`target/campaign-cache/`, or a
+/// non-empty `$RELIEF_CACHE_DIR`) for packs and artifacts written under
+/// another schema version or code-version salt, per-cell `.run` files of
+/// the v2–v4 layout, and `<key>.tmp<pid>` files a writer left when
+/// killed before its rename. None can ever hit again, so they only bloat
+/// the store and can hide a forgotten salt bump. None found: exit 0.
+/// Some found: list them and exit 1, or with `--purge` delete exactly
+/// those and exit 0. Files under the current schema and salt are never
+/// touched.
 fn cache_hygiene(args: Args) -> Result<ExitCode, String> {
     let mut purge = false;
     for flag in args {
@@ -310,7 +336,8 @@ fn cache_hygiene(args: Args) -> Result<ExitCode, String> {
     }
     let entries = |n: usize| if n == 1 { "entry" } else { "entries" };
     println!(
-        "cache-hygiene: {} stale {} (wrong schema or salt, or orphaned temp file) in {}:",
+        "cache-hygiene: {} stale {} (wrong schema or salt, old .run layout, or orphaned temp \
+         file) in {}:",
         stale.len(),
         entries(stale.len()),
         cache.dir.display()

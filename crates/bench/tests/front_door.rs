@@ -1,6 +1,7 @@
 //! The `relief-bench` binary's command table, spawned: argument errors
-//! exit 2 with the command's usage line, and `fig2 --trace-out` keeps a
-//! dotted stem whole.
+//! exit 2 with the command's usage line, `fig2 --trace-out` keeps a
+//! dotted stem whole, and an empty `RELIEF_CACHE_DIR` means the default
+//! cache directory.
 
 use std::process::{Command, Output};
 
@@ -65,5 +66,23 @@ fn fig2_trace_out_keeps_a_dotted_stem() {
         assert!(files[i + 1..].iter().all(|b| a != b), "trace file {i} is not distinct");
     }
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 4, "no other file is written");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_empty_cache_dir_variable_means_the_default_directory() {
+    let dir = std::env::temp_dir().join(format!("relief-empty-cache-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_relief-bench"))
+        .arg("cache_hygiene")
+        .env("RELIEF_CACHE_DIR", "")
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("target/campaign-cache"), "names the default: {stdout}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "the scan writes nothing");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -113,13 +113,16 @@ impl SplitMix64 {
 /// behind every seed derived from an identity (fault verdicts, arrival
 /// schedules, campaign specs) and every content digest (cache file names,
 /// the behaviour corpus). Inlined so the per-verdict and per-arrival
-/// callers in other crates keep it in their hot loops.
+/// callers in other crates keep it in their hot loops, and `const` so a
+/// digest of an embedded file (the campaign cache's code salt) is a
+/// compile-time constant.
 #[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub const fn fnv1a(mut bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
+    while let [b, rest @ ..] = bytes {
+        h ^= *b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        bytes = rest;
     }
     h
 }

@@ -14,11 +14,16 @@
 //!    clippy component is not installed.
 //! 3. `campaign-smoke` (release, `relief-bench campaign_smoke`) — the
 //!    deterministic campaign engine executes a small grid serially and
-//!    with two workers and proves the reports byte-identical.
+//!    with two workers and proves the reports byte-identical; then the
+//!    same grid runs cold (two workers) and warm (one) through a fresh
+//!    persistent cache under the system temp directory, and the warm pass
+//!    must simulate no cell, report byte-identically, and find exactly
+//!    one pack.
 //! 4. `cache-hygiene` (`relief-bench cache_hygiene`) — the standard
-//!    campaign-cache directory holds no entries written under a stale
-//!    schema version or code-version salt (they can never hit again;
-//!    `relief-bench cache_hygiene --purge` deletes them).
+//!    campaign-cache directory holds no packs or artifacts written under
+//!    a stale schema version or code-version salt, no per-cell `.run`
+//!    files of the old layout, and no orphaned temp files (none can ever
+//!    hit again; `relief-bench cache_hygiene --purge` deletes them).
 //!    `chaos-smoke` (release, `relief-bench chaos`) — the chaos campaign
 //!    executes a small fault × overload grid with the self-healing stack
 //!    on, and `invariants` proves the end-of-run conservation checks
@@ -27,9 +32,10 @@
 //!    must also reproduce the committed digests).
 //! 5. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
-//!    incremental-campaign store: warm reruns simulate zero cells with
-//!    byte-identical reports, corrupt entries fall back to simulation,
-//!    salt bumps invalidate), `golden_experiments`,
+//!    incremental-campaign store: a cold run writes one pack, warm
+//!    reruns simulate zero cells and touch no file with byte-identical
+//!    reports, corrupt records and packs fall back to simulation, salt
+//!    bumps invalidate), `golden_experiments`,
 //!    `scheduler_conformance`, `metamorphic_properties`,
 //!    `fault_injection`, `service_mode` (the open-loop streaming
 //!    frontend: byte-identical reports at any `--jobs`, bit-inert when
@@ -213,7 +219,7 @@ fn check(args: &[String]) -> ExitCode {
     }
     if wants("campaign-smoke") {
         ok &= run(
-            "campaign engine smoke test (jobs=1 vs jobs=2)",
+            "campaign engine smoke test (jobs=1 vs jobs=2, cold vs warm cache)",
             Command::new("cargo").args([
                 "run",
                 "--offline",
@@ -227,7 +233,7 @@ fn check(args: &[String]) -> ExitCode {
     }
     if wants("cache-hygiene") {
         ok &= run(
-            "campaign-cache hygiene (no stale schema/salt entries)",
+            "campaign-cache hygiene (no stale schema/salt, .run or temp files)",
             Command::new("cargo").args([
                 "run",
                 "--offline",
