@@ -1,14 +1,90 @@
-//! Behaviour corpus: all 91 cells of `tests/corpus/behaviour.txt` (see
-//! `corpus/mod.rs` for the line format and the cells), plus the two
+//! Behaviour corpus: all 94 cells of `tests/corpus/behaviour.txt` (see
+//! `corpus/mod.rs` for the line format and the cells), plus the
 //! single-path checks on the corpus's service streams.
 
 mod corpus;
 
 use relief::prelude::*;
+use relief::trace::{EventKind, Kind, KindSet, TraceEvent, TraceSink};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 #[test]
 fn corpus_matches_committed_file() {
-    corpus::assert_matches("", 91);
+    corpus::assert_matches("", 94);
+}
+
+/// Circuit-breaker transitions seen in one event stream.
+#[derive(Default)]
+struct BreakerLog {
+    opens: u64,
+    sheds: u64,
+    half_opens: u64,
+    reopens: u64,
+    closes: u64,
+    aborts: u64,
+    /// Tenants whose last breaker event was a half-open.
+    probing: [bool; 3],
+}
+
+impl TraceSink for BreakerLog {
+    fn emit(&mut self, ev: TraceEvent) {
+        match ev.kind {
+            EventKind::BreakerOpened { tenant, .. } => {
+                self.opens += 1;
+                if std::mem::take(&mut self.probing[tenant as usize]) {
+                    self.reopens += 1;
+                }
+            }
+            EventKind::BreakerHalfOpen { tenant } => {
+                self.half_opens += 1;
+                self.probing[tenant as usize] = true;
+            }
+            EventKind::BreakerClosed { tenant, .. } => {
+                self.closes += 1;
+                self.probing[tenant as usize] = false;
+            }
+            EventKind::RequestShed { cause: relief::trace::ShedCause::Breaker, .. } => {
+                self.sheds += 1;
+            }
+            EventKind::TaskAborted { .. } => self.aborts += 1,
+            _ => {}
+        }
+    }
+
+    fn kinds(&self) -> KindSet {
+        KindSet::of(&[
+            Kind::BreakerOpened,
+            Kind::BreakerHalfOpen,
+            Kind::BreakerClosed,
+            Kind::RequestShed,
+            Kind::TaskAborted,
+        ])
+    }
+}
+
+/// The breaker cells exist to pin the circuit breaker's whole cycle: the
+/// self-healing cells never shed by breaker nor close one. Between them
+/// the breaker cells must open, shed, half-open, re-open after a failed
+/// probe, close, and abort tasks of streamed requests.
+#[test]
+fn breaker_cells_cover_every_breaker_transition() {
+    let log = Rc::new(RefCell::new(BreakerLog::default()));
+    let tracer = Tracer::to_sink(log.clone());
+    let mut closed_open_ps = 0;
+    for (seed, rate, policy, task_rate) in corpus::BREAKER_CELLS {
+        log.borrow_mut().probing = [false; 3];
+        let r = corpus::breaker_cell(seed, rate, policy, task_rate).run_traced(&tracer);
+        closed_open_ps += r.stats.service.open_hist.count();
+    }
+    let log = log.borrow();
+    assert!(log.opens > 0, "no breaker opened");
+    assert!(log.sheds > 0, "no request was shed by a breaker");
+    assert!(log.half_opens > 0, "no breaker half-opened");
+    assert!(log.reopens > 0, "no failed probe re-opened a breaker");
+    assert!(log.closes > 0, "no breaker closed");
+    assert_eq!(closed_open_ps, log.closes, "every close records its open time");
+    assert!(log.aborts > 0, "no task aborted in stream mode");
 }
 
 /// Self-healing timeouts and hedges retire instances early, so the stream

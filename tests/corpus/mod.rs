@@ -1,9 +1,9 @@
 //! Behaviour corpus: every figure this repository reproduces is read off
-//! exact simulator output, so 91 representative cells pin that output in
+//! exact simulator output, so 94 representative cells pin that output in
 //! `tests/corpus/behaviour.txt`, one line per cell:
 //!
 //! ```text
-//! <label> <digest:016x> events=<events dispatched> sched_ops=<scheduler ops> live_hw=<live high-water>
+//! <label> <digest:016x> events=<events dispatched> sched_ops=<scheduler ops> live_hw=<live high-water>[ trace=<016x>]
 //! ```
 //!
 //! The digest is FNV-1a over the `Debug` text of the full `RunStats`, the
@@ -12,7 +12,12 @@
 //! in shortest round-trip form, so a one-ulp drift in any reported value
 //! changes the digest. `live_hw` (the peak count of live DAG-instance
 //! slots) is host-side bookkeeping, not simulated outcome, so it stays out
-//! of the digest and is pinned on its own.
+//! of the digest and is pinned on its own. Open-loop cells (an enabled
+//! stream) add `trace=`: FNV-1a over the full event stream as
+//! `relief_trace::text` renders it, one line per event, folded as the
+//! events arrive. It pins the order of the service events (admission,
+//! sheds, breaker transitions, timeouts, hedges) that the statistics
+//! alone cannot see.
 //!
 //! The cells: the eight fairness-study policies on a high-contention mix,
 //! FCFS/RELIEF on a second mix and on the 50 ms time-limited continuous
@@ -20,8 +25,10 @@
 //! rotating all eleven policies with faults folded in; open-loop service
 //! mode, also with the self-healing stack and DRAM outages (timeouts
 //! that fire after their slot was recycled must be dropped as stale);
-//! and the platform and predictor axes the default configuration never
-//! reaches, each under RELIEF, LAX and HetSched.
+//! the `chaos` command's stack on streams whose circuit breakers open,
+//! shed, half-open, re-open and close, and whose tasks abort; and the
+//! platform and predictor axes the default configuration never reaches,
+//! each under RELIEF, LAX and HetSched.
 //!
 //! `behaviour_corpus` checks the whole file; `hot_path_equivalence`
 //! checks the scenario groups one test each. A whole-file mismatch writes
@@ -30,13 +37,18 @@
 //! change copies that file over `tests/corpus/behaviour.txt` and names
 //! the drift in CHANGES.md.
 
+use relief::bench::chaos::ChaosSpec;
 use relief::bench::config_for;
 use relief::bench::service::ServiceSpec;
 use relief::core::DataMovePredictor;
 use relief::prelude::*;
 use relief::sim::fnv1a;
+use relief::trace::{TraceEvent, TraceSink};
 use relief_accel::SimResult;
 use relief_service::{AdmissionConfig, SelfHealConfig, StreamConfig, TenantCfg};
+use std::cell::RefCell;
+use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// One simulated cell: a label unique within the corpus, a configuration
 /// and a workload.
@@ -49,14 +61,25 @@ pub struct Cell {
 impl Cell {
     /// Runs the cell with the executed-task trace recorded.
     pub fn run(&self) -> SimResult {
+        self.run_traced(&Tracer::off())
+    }
+
+    /// Runs the cell with the executed-task trace recorded and `tracer`'s
+    /// sinks attached.
+    pub fn run_traced(&self, tracer: &Tracer) -> SimResult {
         let mut cfg = self.cfg.clone();
         cfg.record_trace = true;
-        SocSim::new(cfg, self.apps.clone()).run()
+        SocSim::new(cfg, self.apps.clone()).with_tracer(tracer).run()
     }
 
     /// The cell's corpus line (see the module docs for the format).
     fn line(&self) -> String {
-        let r = self.run();
+        let text = self.cfg.stream.enabled().then(|| Rc::new(RefCell::new(TextDigest::new())));
+        let tracer = match &text {
+            Some(sink) => Tracer::to_sink(sink.clone()),
+            None => Tracer::off(),
+        };
+        let r = self.run_traced(&tracer);
         let outcome = format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{}",
             r.stats,
@@ -66,14 +89,41 @@ impl Cell {
             r.trace,
             r.events_dispatched
         );
-        format!(
+        let mut line = format!(
             "{} {:016x} events={} sched_ops={} live_hw={}",
             self.label,
             fnv1a(outcome.as_bytes()),
             r.events_dispatched,
             r.stats.scheduler_ops,
             r.live_high_water
-        )
+        );
+        if let Some(sink) = text {
+            let _ = write!(line, " trace={:016x}", sink.borrow().hash);
+        }
+        line
+    }
+}
+
+/// Folds FNV-1a over the text rendering of every event it receives, one
+/// line per event, so a whole run's trace is digested without buffering.
+struct TextDigest {
+    hash: u64,
+    line: String,
+}
+
+impl TextDigest {
+    fn new() -> Self {
+        TextDigest { hash: fnv1a(b""), line: String::new() }
+    }
+}
+
+impl TraceSink for TextDigest {
+    fn emit(&mut self, ev: TraceEvent) {
+        self.line.clear();
+        let _ = writeln!(self.line, "{ev}");
+        for &b in self.line.as_bytes() {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
 }
 
@@ -196,6 +246,7 @@ fn cells() -> Vec<Cell> {
         }
     }
     cells.extend(SELF_HEAL_CELLS.map(|(seed, rate, policy)| self_heal_cell(seed, rate, policy)));
+    cells.extend(BREAKER_CELLS.map(|(seed, rate, policy, task)| breaker_cell(seed, rate, policy, task)));
 
     axis_cells(&mut cells);
     cells
@@ -224,6 +275,38 @@ pub fn self_heal_cell(seed: u64, rate: f64, policy: PolicyKind) -> Cell {
         },
     );
     Cell { label: format!("self-heal/{seed:#x}/{policy:?}"), cfg, apps: cgl_apps() }
+}
+
+/// `(stream seed, per-tenant rate, policy, task fault rate)` of the
+/// breaker cells. Between them their breakers open, shed, half-open,
+/// re-open after a failed probe and close, and the high task fault rate
+/// aborts requests in stream mode.
+pub const BREAKER_CELLS: [(u64, f64, PolicyKind, f64); 3] = [
+    (0xFEED, 400.0, PolicyKind::Relief, 0.02),
+    (0xB4EA_0005, 600.0, PolicyKind::Adaptive, 0.02),
+    (0xAB07, 400.0, PolicyKind::Relief, 0.3),
+];
+
+/// One `chaos` command cell: the CGL trio streamed for 40 ms under the
+/// command's self-healing stack (2x timeouts), an in-flight cap of 12,
+/// DMA and ECC faults at 0.02, a DRAM-channel outage every ~5 ms, and
+/// task faults at `task_rate`.
+pub fn breaker_cell(seed: u64, rate: f64, policy: PolicyKind, task_rate: f64) -> Cell {
+    let spec = ChaosSpec {
+        fault_seed: seed ^ 0xFA17,
+        stream_seed: seed,
+        fault_rates: vec![0.02],
+        arrival_rates: vec![rate],
+        dram_mttf_ps: 5_000_000_000,
+        duration_ps: 40_000_000_000,
+        warmup_ps: 4_000_000_000,
+        max_in_flight: 12,
+        policies: vec![policy],
+    };
+    let run = &spec.campaign().expand()[0];
+    let mut cfg = run.config();
+    cfg.fault.task_fault_rate = task_rate;
+    Cell { label: format!("breaker/{seed:#x}/{policy:?}"), cfg, apps: run.apps() }
 }
 
 /// One platform or predictor setting applied over a default config.
