@@ -18,12 +18,13 @@
 use crate::cache::CacheConfig;
 use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
 use crate::cli::Args;
+use crate::service::tenant_stream;
 use relief_accel::SocConfig;
 use relief_core::PolicyKind;
 use relief_fault::FaultConfig;
 use relief_metrics::report::Table;
 use relief_metrics::RunStats;
-use relief_service::{AdmissionConfig, ArrivalProcess, SelfHealConfig, StreamConfig, TenantCfg};
+use relief_service::{SelfHealConfig, StreamConfig};
 use std::fmt::Write as _;
 
 /// Knobs of one chaos sweep.
@@ -144,25 +145,14 @@ impl ChaosSpec {
 
     /// The stream configuration of one swept cell (self-healing on).
     fn stream_config(&self, rate: f64) -> StreamConfig {
-        StreamConfig {
-            seed: self.stream_seed,
-            duration_ps: self.duration_ps,
-            warmup_ps: self.warmup_ps,
-            process: ArrivalProcess::Poisson,
-            tenants: crate::service::TENANT_APPS
-                .iter()
-                .map(|&(_, q)| TenantCfg::new(q, rate))
-                .collect(),
-            admission: if self.max_in_flight > 0 {
-                AdmissionConfig {
-                    max_in_flight: self.max_in_flight,
-                    ..AdmissionConfig::default()
-                }
-            } else {
-                AdmissionConfig::default()
-            },
-            self_heal: Self::self_heal(),
-        }
+        let stream = tenant_stream(
+            self.stream_seed,
+            rate,
+            self.duration_ps,
+            self.warmup_ps,
+            self.max_in_flight,
+        );
+        StreamConfig { self_heal: Self::self_heal(), ..stream }
     }
 
     /// The platform label of one grid cell. Encodes every stream, fault,

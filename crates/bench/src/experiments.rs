@@ -5,8 +5,9 @@
 //! each simulation from a campaign-prewarmed [`Ctx`], falling back to
 //! inline execution on cache misses with byte-identical output; pass
 //! `&Ctx::empty()` to simulate everything inline. The [`grid`] module is
-//! the single source of truth for the canonical [`RunSpec`]s both sides
-//! use, so a cache hit and an inline run are always the same simulation.
+//! the single source of truth for the canonical
+//! [`RunSpec`](grid::RunSpec)s both sides use, so a cache hit and an
+//! inline run are always the same simulation.
 //! Only [`fig12`] takes no context: it times the host, not the
 //! simulator.
 
@@ -22,9 +23,9 @@ use relief_workloads::{App, Contention, Mix};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// Canonical [`RunSpec`]s for every simulation the paper artifacts need,
-/// plus [`grid::full_grid`] — the deduplicated union the campaign engine
-/// prewarms before `all_experiments` renders.
+/// Canonical [`RunSpec`](crate::campaign::RunSpec)s for every simulation
+/// the paper artifacts need, plus [`grid::full_grid`] — the deduplicated
+/// union the campaign engine prewarms before `all_experiments` renders.
 pub mod grid {
     use super::*;
     use crate::campaign::{PlatformSpec, WorkloadSpec};

@@ -20,10 +20,8 @@ use crate::cli::Args;
 use relief_accel::{AppSpec, SocConfig};
 use relief_core::PolicyKind;
 use relief_metrics::report::Table;
-use relief_metrics::{Histogram, RunStats, SERVICE_CLASSES};
-use relief_service::{
-    AdmissionConfig, ArrivalProcess, QosClass, SelfHealConfig, StreamConfig, TenantCfg,
-};
+use relief_metrics::{Histogram, RunStats};
+use relief_service::{AdmissionConfig, ArrivalProcess, QosClass, StreamConfig, TenantCfg};
 use relief_workloads::App;
 use std::fmt::Write as _;
 
@@ -34,6 +32,27 @@ pub(crate) const TENANT_APPS: [(App, QosClass); 3] = [
     (App::Gru, QosClass::Standard),
     (App::Lstm, QosClass::BestEffort),
 ];
+
+/// The Poisson stream of the tenant trio at `rate` requests/s per tenant,
+/// under an in-flight cap of `max_in_flight` (`0` = none) and without
+/// self-healing: the cell stream that the `service` sweep varies in its
+/// arrival process and the `chaos` sweep in its self-healing stack.
+pub(crate) fn tenant_stream(
+    seed: u64,
+    rate: f64,
+    duration_ps: u64,
+    warmup_ps: u64,
+    max_in_flight: u32,
+) -> StreamConfig {
+    StreamConfig {
+        seed,
+        duration_ps,
+        warmup_ps,
+        tenants: TENANT_APPS.iter().map(|&(_, q)| TenantCfg::new(q, rate)).collect(),
+        admission: AdmissionConfig { max_in_flight, ..AdmissionConfig::default() },
+        ..StreamConfig::default()
+    }
+}
 
 /// Knobs of one service sweep.
 #[derive(Debug, Clone)]
@@ -105,20 +124,8 @@ impl ServiceSpec {
     /// The stream configuration of one swept cell.
     fn stream_config(&self, rate: f64) -> StreamConfig {
         StreamConfig {
-            seed: self.seed,
-            duration_ps: self.duration_ps,
-            warmup_ps: self.warmup_ps,
             process: self.process.clone(),
-            tenants: TENANT_APPS.iter().map(|&(_, q)| TenantCfg::new(q, rate)).collect(),
-            admission: if self.max_in_flight > 0 {
-                AdmissionConfig {
-                    max_in_flight: self.max_in_flight,
-                    ..AdmissionConfig::default()
-                }
-            } else {
-                AdmissionConfig::default()
-            },
-            self_heal: SelfHealConfig::default(),
+            ..tenant_stream(self.seed, rate, self.duration_ps, self.warmup_ps, self.max_in_flight)
         }
     }
 
@@ -258,8 +265,8 @@ fn latency_row(policy: String, rate: String, s: &RunStats) -> Vec<String> {
         q_us(&lat.sojourn, 0.99),
         q_us(&lat.sojourn, 0.999),
     ];
-    for c in 0..SERVICE_CLASSES.len() {
-        row.push(q_us(&svc.classes[c].node_latency, 0.99));
+    for c in &svc.classes {
+        row.push(q_us(&c.node_latency, 0.99));
     }
     row
 }

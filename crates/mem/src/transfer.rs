@@ -204,7 +204,7 @@ fn gate_dram_start(outages: &mut Option<DramOutages>, tracer: &Tracer, mut start
 ///
 /// In-flight transfer state lives in a slab arena indexed by the dense
 /// slot of each [`TransferId`], split hot/cold: everything the per-chunk
-/// path touches is packed into one [`HotXfer`] row (a single cache line
+/// path touches is packed into one `HotXfer` row (a single cache line
 /// per transfer instead of one per field), while the begin/completion
 /// metadata (`bytes`/`serial`) stays in parallel cold columns. Slots are
 /// free-listed, so a steady-state run allocates nothing per transfer

@@ -27,10 +27,7 @@ pub mod summary;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use hist::Histogram;
 pub use reconcile::{reconcile, Mismatch};
-pub use stats::{
-    AppStats, ClassServiceStats, FaultStats, RunStats, ServiceStats, TrafficStats,
-    SERVICE_CLASSES,
-};
+pub use stats::{AppStats, ClassServiceStats, FaultStats, RunStats, ServiceStats, TrafficStats};
 
 // Thread-safety audit: per-run statistics are the campaign engine's
 // cross-thread output payload; keep them `Send + Sync`.

@@ -179,11 +179,6 @@ impl FaultStats {
     }
 }
 
-/// QoS class names in dense-index order; `ClassServiceStats` at index `i`
-/// of [`ServiceStats::classes`] describes `SERVICE_CLASSES[i]` traffic
-/// (the same order as `relief_service::QosClass::index`).
-pub const SERVICE_CLASSES: [&str; 3] = ["latency", "standard", "besteffort"];
-
 /// One QoS class's slice of a service run.
 ///
 /// The counters are run totals (used by trace reconciliation); the
@@ -250,14 +245,16 @@ pub struct ServiceStats {
     pub warmup_ps: u64,
     /// Request-generation horizon, picoseconds.
     pub duration_ps: u64,
-    /// Per-class breakdowns, indexed per [`SERVICE_CLASSES`].
+    /// Per-class breakdowns, indexed by
+    /// [`QosClass::index`](relief_trace::QosClass::index).
     pub classes: [ClassServiceStats; 3],
     /// In-flight transfers cancelled by request timeouts (each also emits
     /// a `DmaCancelled` trace record). Zero unless self-healing is
     /// enabled.
     pub timeout_cancelled_xfers: u64,
-    /// Attempts consumed per completed request (1 = no hedge), recorded
-    /// at completion. Empty unless self-healing is enabled.
+    /// The 0-based delivery attempt of each completed request (0 = no
+    /// hedge), recorded at completion. Empty unless self-healing is
+    /// enabled.
     pub retry_hist: Histogram,
     /// Time each circuit breaker spent not-closed, recorded when it
     /// closes again. Empty unless self-healing is enabled.

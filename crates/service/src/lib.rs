@@ -9,6 +9,13 @@
 //! metrics layer in `relief-metrics` reports tail latency and goodput
 //! under sustained load.
 //!
+//! [`Frontend`] is a streamed request's whole life outside the SoC: it
+//! numbers arrivals, passes them through each tenant's circuit breaker
+//! and admission control, decides timeouts and hedged relaunches, keeps
+//! the per-class `ServiceStats` and emits the service trace events. The
+//! simulator (`relief-accel`'s `SocSim`) releases and cancels the DAG
+//! instances it asks for, and nothing else.
+//!
 //! The determinism contract extends `relief-fault`'s: arrivals must be a
 //! pure function of the configuration, identical at any campaign
 //! parallelism and independent of event-loop interleaving. A mutable RNG
@@ -20,16 +27,22 @@
 //! thinning at the peak rate, with every accept/reject draw taken from
 //! that same per-index stream — still a pure function of the identity.
 //!
-//! Admission state (bucket levels, the in-flight count) *is* stateful,
-//! but it evolves inside a single simulation's event loop in deterministic
-//! event order, so service runs stay byte-identical across `--jobs`
-//! levels exactly like fault verdicts do.
+//! Admission state (bucket levels, the in-flight count) and the breakers
+//! *are* stateful, but they evolve inside a single simulation's event loop
+//! in deterministic event order, so service runs stay byte-identical
+//! across `--jobs` levels exactly like fault verdicts do.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+mod frontend;
+
+pub use frontend::{Arrival, Frontend};
+pub use relief_trace::QosClass;
+
 use relief_sim::{fnv1a, SplitMix64};
+use relief_trace::ShedCause;
 use std::fmt;
 
 /// Hash domain for inter-arrival draws, mixed into the identity so a
@@ -50,77 +63,6 @@ const MAX_THINNING_DRAWS: u32 = 1 << 16;
 
 /// Picoseconds per second, the unit conversion for `*_per_s` rates.
 const PS_PER_S: f64 = 1e12;
-
-/// QoS class of a tenant's requests (SQUASH-style per-class contracts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QosClass {
-    /// Interactive traffic: full admission headroom.
-    Latency,
-    /// Default traffic class.
-    #[default]
-    Standard,
-    /// Scavenger traffic: first to be shed under overload.
-    BestEffort,
-}
-
-impl QosClass {
-    /// Every class, in severity order.
-    pub const ALL: [QosClass; 3] = [QosClass::Latency, QosClass::Standard, QosClass::BestEffort];
-
-    /// Stable display/index name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            QosClass::Latency => "latency",
-            QosClass::Standard => "standard",
-            QosClass::BestEffort => "besteffort",
-        }
-    }
-
-    /// Dense index (`relief-metrics` keys its per-class breakdowns by this
-    /// same order).
-    #[must_use]
-    pub fn index(self) -> usize {
-        match self {
-            QosClass::Latency => 0,
-            QosClass::Standard => 1,
-            QosClass::BestEffort => 2,
-        }
-    }
-
-    /// Fraction of the global in-flight cap this class may fill before it
-    /// is capacity-shed: priority admission keeps headroom free for more
-    /// critical classes when the SoC saturates.
-    #[must_use]
-    pub fn capacity_share(self) -> f64 {
-        match self {
-            QosClass::Latency => 1.0,
-            QosClass::Standard => 0.85,
-            QosClass::BestEffort => 0.6,
-        }
-    }
-
-    /// Parses a class name as written by [`QosClass::name`] (plus common
-    /// short forms).
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending string on an unknown name.
-    pub fn parse(s: &str) -> Result<QosClass, String> {
-        match s {
-            "latency" | "lat" => Ok(QosClass::Latency),
-            "standard" | "std" => Ok(QosClass::Standard),
-            "besteffort" | "be" => Ok(QosClass::BestEffort),
-            other => Err(format!("unknown qos class '{other}'")),
-        }
-    }
-}
-
-impl fmt::Display for QosClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// The shape of one tenant's request stream over simulated time.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,18 +160,11 @@ pub struct AdmissionConfig {
     pub bucket_rate_per_s: f64,
     /// Token-bucket capacity (burst size) per tenant, in tokens.
     pub bucket_burst: f64,
-    /// Global cap on admitted-but-unfinished DAG instances; classes only
-    /// fill up to [`QosClass::capacity_share`] of it. `0` disables the
-    /// cap.
+    /// Global cap on admitted-but-unfinished DAG instances. Priority
+    /// admission keeps headroom for the more critical classes: `Latency`
+    /// may fill all of it, `Standard` 85 % and `BestEffort` 60 %. `0`
+    /// disables the cap.
     pub max_in_flight: u32,
-}
-
-impl AdmissionConfig {
-    /// True when any admission check can shed a request.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.bucket_rate_per_s > 0.0 || self.max_in_flight > 0
-    }
 }
 
 /// Self-healing knobs: per-tenant circuit breakers, deadline-aware
@@ -237,13 +172,14 @@ impl AdmissionConfig {
 /// all-[`Default`] configuration is off and takes no simulator branches.
 ///
 /// All stochastic decisions (half-open probe admission, hedge launches)
-/// are pure hashes of `(stream seed, domain, tenant, identity)` — see
-/// [`StreamPlan::probe_admit`] / [`StreamPlan::hedge_launch`] — so
-/// campaigns stay byte-identical at any `--jobs`.
+/// are pure hashes of `(stream seed, domain, tenant, identity)`, so
+/// campaigns stay byte-identical at any `--jobs`. [`Frontend`] applies
+/// these knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelfHealConfig {
-    /// Consecutive request failures (deadline miss, timeout, or abort)
-    /// that trip a tenant's breaker open. `0` disables the breaker.
+    /// Consecutive request failures that trip a tenant's breaker open. A
+    /// failure is a timeout or an abort; every completion is a success,
+    /// late or not. `0` disables the breaker.
     pub breaker_failures: u32,
     /// How long an open breaker sheds everything before entering
     /// half-open, picoseconds.
@@ -482,24 +418,6 @@ impl StreamConfig {
     }
 }
 
-/// Why the admission controller rejected a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShedReason {
-    /// The tenant's token bucket was empty.
-    Bucket,
-    /// The class's share of the global in-flight cap was full.
-    Capacity,
-}
-
-impl fmt::Display for ShedReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShedReason::Bucket => f.write_str("token-bucket"),
-            ShedReason::Capacity => f.write_str("in-flight-cap"),
-        }
-    }
-}
-
 /// An arrival plan: stateless, order-independent inter-arrival draws
 /// derived from a [`StreamConfig`].
 ///
@@ -538,12 +456,6 @@ impl StreamPlan {
         &self.cfg
     }
 
-    /// True when any tenant generates arrivals.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled()
-    }
-
     /// The per-identity stateless draw stream: a [`SplitMix64`] seeded by
     /// FNV-1a over `(seed, domain, tenant, index)`.
     fn draw(&self, domain: u8, tenant: u32, index: u64) -> SplitMix64 {
@@ -562,8 +474,7 @@ impl StreamPlan {
 
     /// Whether a half-open breaker admits arrival `index` of `tenant` as
     /// a probe — a pure hash of the identity, independent of event order.
-    #[must_use]
-    pub fn probe_admit(&self, tenant: u32, index: u64) -> bool {
+    fn probe_admit(&self, tenant: u32, index: u64) -> bool {
         let rate = self.cfg.self_heal.probe_rate;
         rate >= 1.0 || self.draw(DOMAIN_PROBE, tenant, index).f64_unit() < rate
     }
@@ -572,8 +483,7 @@ impl StreamPlan {
     /// relaunched as a hedge (budget permitting) — a pure hash of the
     /// identity. The attempt is folded into the index word so successive
     /// hedges of one request draw independently.
-    #[must_use]
-    pub fn hedge_launch(&self, tenant: u32, index: u64, attempt: u32) -> bool {
+    fn hedge_launch(&self, tenant: u32, index: u64, attempt: u32) -> bool {
         let rate = self.cfg.self_heal.hedge_rate;
         rate >= 1.0
             || self
@@ -708,16 +618,26 @@ struct TokenBucket {
 /// the global in-flight count. Evolves in simulation-event order inside
 /// one run; never shared across runs.
 #[derive(Debug, Clone)]
-pub struct AdmissionState {
+struct AdmissionState {
     cfg: AdmissionConfig,
     buckets: Vec<TokenBucket>,
     in_flight: u32,
 }
 
+/// Fraction of the global in-flight cap `class` may fill before it is
+/// capacity-shed: priority admission keeps headroom free for more
+/// critical classes when the SoC saturates.
+fn capacity_share(class: QosClass) -> f64 {
+    match class {
+        QosClass::Latency => 1.0,
+        QosClass::Standard => 0.85,
+        QosClass::BestEffort => 0.6,
+    }
+}
+
 impl AdmissionState {
     /// Fresh state for `cfg`'s tenants: buckets start full.
-    #[must_use]
-    pub fn new(cfg: &StreamConfig) -> Self {
+    fn new(cfg: &StreamConfig) -> Self {
         AdmissionState {
             cfg: cfg.admission.clone(),
             buckets: cfg
@@ -729,29 +649,18 @@ impl AdmissionState {
         }
     }
 
-    /// Admitted-but-unfinished instances.
-    #[must_use]
-    pub fn in_flight(&self) -> u32 {
-        self.in_flight
+    /// True when `class`'s share of the in-flight cap has a free slot.
+    fn has_room(&self, class: QosClass) -> bool {
+        let cap = self.cfg.max_in_flight;
+        cap == 0 || self.in_flight < ((f64::from(cap) * capacity_share(class)) as u32).max(1)
     }
 
     /// Decides arrival admission at `now_ps` for `tenant` in `class`,
-    /// consuming a token and an in-flight slot on success.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ShedReason`] when the request must be shed.
-    pub fn try_admit(
-        &mut self,
-        now_ps: u64,
-        tenant: usize,
-        class: QosClass,
-    ) -> Result<(), ShedReason> {
-        if self.cfg.max_in_flight > 0 {
-            let share = (f64::from(self.cfg.max_in_flight) * class.capacity_share()) as u32;
-            if self.in_flight >= share.max(1) {
-                return Err(ShedReason::Capacity);
-            }
+    /// consuming a token and an in-flight slot on success, or naming the
+    /// check that sheds the request.
+    fn try_admit(&mut self, now_ps: u64, tenant: usize, class: QosClass) -> Result<(), ShedCause> {
+        if !self.has_room(class) {
+            return Err(ShedCause::Capacity);
         }
         if self.cfg.bucket_rate_per_s > 0.0 {
             if let Some(b) = self.buckets.get_mut(tenant) {
@@ -760,7 +669,7 @@ impl AdmissionState {
                 b.tokens = (b.tokens + elapsed as f64 * self.cfg.bucket_rate_per_s / PS_PER_S)
                     .min(self.cfg.bucket_burst);
                 if b.tokens < 1.0 {
-                    return Err(ShedReason::Bucket);
+                    return Err(ShedCause::Bucket);
                 }
                 b.tokens -= 1.0;
             }
@@ -773,19 +682,16 @@ impl AdmissionState {
     /// hedged-retry path. A hedge replaces a request that already paid a
     /// token on first admission, so only the class capacity share gates
     /// it. Returns `false` (claiming nothing) when the share is full.
-    pub fn try_occupy(&mut self, class: QosClass) -> bool {
-        if self.cfg.max_in_flight > 0 {
-            let share = (f64::from(self.cfg.max_in_flight) * class.capacity_share()) as u32;
-            if self.in_flight >= share.max(1) {
-                return false;
-            }
+    fn try_occupy(&mut self, class: QosClass) -> bool {
+        if !self.has_room(class) {
+            return false;
         }
         self.in_flight += 1;
         true
     }
 
     /// Releases one in-flight slot (instance completed or aborted).
-    pub fn release(&mut self) {
+    fn release(&mut self) {
         self.in_flight = self.in_flight.saturating_sub(1);
     }
 }
@@ -795,7 +701,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<StreamConfig>();
     assert_send_sync::<StreamPlan>();
-    assert_send_sync::<AdmissionState>();
 };
 
 #[cfg(test)]
@@ -981,10 +886,10 @@ mod tests {
         // Burst capacity 2: two admits at t=0, then shed.
         assert!(adm.try_admit(0, 0, QosClass::Latency).is_ok());
         assert!(adm.try_admit(0, 0, QosClass::Latency).is_ok());
-        assert_eq!(adm.try_admit(0, 0, QosClass::Latency), Err(ShedReason::Bucket));
+        assert_eq!(adm.try_admit(0, 0, QosClass::Latency), Err(ShedCause::Bucket));
         // One microsecond refills one token.
         assert!(adm.try_admit(1_000_000, 0, QosClass::Latency).is_ok());
-        assert_eq!(adm.try_admit(1_000_000, 0, QosClass::Latency), Err(ShedReason::Bucket));
+        assert_eq!(adm.try_admit(1_000_000, 0, QosClass::Latency), Err(ShedCause::Bucket));
         // Tenants have independent buckets.
         assert!(adm.try_admit(1_000_000, 1, QosClass::BestEffort).is_ok());
     }
@@ -1004,22 +909,21 @@ mod tests {
         for _ in 0..6 {
             assert!(adm.try_admit(0, 1, QosClass::BestEffort).is_ok());
         }
-        assert_eq!(adm.try_admit(0, 1, QosClass::BestEffort), Err(ShedReason::Capacity));
+        assert_eq!(adm.try_admit(0, 1, QosClass::BestEffort), Err(ShedCause::Capacity));
         // Latency still has headroom up to the full cap.
         for _ in 6..10 {
             assert!(adm.try_admit(0, 0, QosClass::Latency).is_ok());
         }
-        assert_eq!(adm.try_admit(0, 0, QosClass::Latency), Err(ShedReason::Capacity));
+        assert_eq!(adm.try_admit(0, 0, QosClass::Latency), Err(ShedCause::Capacity));
         // Releases reopen the gate.
         adm.release();
         assert!(adm.try_admit(0, 0, QosClass::Latency).is_ok());
-        assert_eq!(adm.in_flight(), 10);
+        assert_eq!(adm.in_flight, 10);
     }
 
     #[test]
     fn admission_off_admits_everything() {
         let cfg = streaming(ArrivalProcess::Poisson);
-        assert!(!cfg.admission.enabled());
         let mut adm = AdmissionState::new(&cfg);
         for i in 0..10_000 {
             assert!(adm.try_admit(i, 0, QosClass::BestEffort).is_ok());

@@ -85,26 +85,63 @@ impl fmt::Display for DenyReason {
     }
 }
 
-/// QoS class of a streamed request. Mirrors `relief_service::QosClass`
-/// and renders the same names (this crate sits below `relief-service` and
-/// cannot name its types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServiceClass {
-    /// Interactive traffic.
+/// QoS class of a tenant's requests (SQUASH-style per-class contracts).
+///
+/// The one definition of the class: trace events carry it, the service
+/// frontend re-exports it as `relief_service::QosClass`, and the
+/// per-class statistics in `relief-metrics` are indexed by
+/// [`QosClass::index`]. It lives here because this crate sits below the
+/// others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum QosClass {
+    /// Interactive traffic: full admission headroom.
     Latency,
     /// Default traffic class.
+    #[default]
     Standard,
-    /// Scavenger traffic.
+    /// Scavenger traffic: first to be shed under overload.
     BestEffort,
 }
 
-impl fmt::Display for ServiceClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl QosClass {
+    /// Every class, in severity order.
+    pub const ALL: [QosClass; 3] = [QosClass::Latency, QosClass::Standard, QosClass::BestEffort];
+
+    /// Stable display/index name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
         match self {
-            ServiceClass::Latency => write!(f, "latency"),
-            ServiceClass::Standard => write!(f, "standard"),
-            ServiceClass::BestEffort => write!(f, "besteffort"),
+            QosClass::Latency => "latency",
+            QosClass::Standard => "standard",
+            QosClass::BestEffort => "besteffort",
         }
+    }
+
+    /// Dense index, the position in [`QosClass::ALL`].
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Parses a class name as written by [`QosClass::name`] (plus common
+    /// short forms).
+    ///
+    /// # Errors
+    ///
+    /// Returns the offending string on an unknown name.
+    pub fn parse(s: &str) -> Result<QosClass, String> {
+        match s {
+            "latency" | "lat" => Ok(QosClass::Latency),
+            "standard" | "std" => Ok(QosClass::Standard),
+            "besteffort" | "be" => Ok(QosClass::BestEffort),
+            other => Err(format!("unknown qos class '{other}'")),
+        }
+    }
+}
+
+impl fmt::Display for QosClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -444,7 +481,7 @@ pub enum EventKind {
         /// Per-tenant request index.
         index: u64,
         /// The tenant's QoS class.
-        class: ServiceClass,
+        class: QosClass,
     },
     /// The admission controller let a request in; a DAG instance was
     /// released.
@@ -463,7 +500,7 @@ pub enum EventKind {
         /// Per-tenant request index.
         index: u64,
         /// The tenant's QoS class.
-        class: ServiceClass,
+        class: QosClass,
         /// Which check rejected it.
         cause: ShedCause,
     },
@@ -474,7 +511,7 @@ pub enum EventKind {
         /// DAG instance index.
         instance: u32,
         /// The tenant's QoS class.
-        class: ServiceClass,
+        class: QosClass,
         /// Arrival-to-completion time, picoseconds.
         sojourn_ps: u64,
         /// Whether the DAG deadline was met.
@@ -488,7 +525,7 @@ pub enum EventKind {
         /// DAG instance index of the cancelled attempt.
         instance: u32,
         /// The tenant's QoS class.
-        class: ServiceClass,
+        class: QosClass,
         /// 0-based attempt index that timed out (hedges increment it).
         attempt: u32,
     },
@@ -667,7 +704,7 @@ mod tests {
         let arrival = EventKind::StreamArrival {
             tenant: 1,
             index: 42,
-            class: ServiceClass::Latency,
+            class: QosClass::Latency,
         };
         assert_eq!(arrival.to_string(), "stream-arrival t1#42 latency");
         let admit = EventKind::RequestAdmitted { tenant: 0, index: 3, instance: 7 };
@@ -675,14 +712,14 @@ mod tests {
         let shed = EventKind::RequestShed {
             tenant: 2,
             index: 9,
-            class: ServiceClass::BestEffort,
+            class: QosClass::BestEffort,
             cause: ShedCause::Capacity,
         };
         assert_eq!(shed.to_string(), "request-shed t2#9 besteffort in-flight-cap");
         let done = EventKind::RequestCompleted {
             tenant: 0,
             instance: 7,
-            class: ServiceClass::Standard,
+            class: QosClass::Standard,
             sojourn_ps: 1_000,
             met: true,
         };
@@ -710,7 +747,7 @@ mod tests {
         let timeout = EventKind::RequestTimedOut {
             tenant: 0,
             instance: 4,
-            class: ServiceClass::Latency,
+            class: QosClass::Latency,
             attempt: 0,
         };
         assert_eq!(timeout.to_string(), "request-timeout t0 inst4 latency attempt=0");
@@ -725,7 +762,7 @@ mod tests {
         let shed = EventKind::RequestShed {
             tenant: 2,
             index: 11,
-            class: ServiceClass::Standard,
+            class: QosClass::Standard,
             cause: ShedCause::Breaker,
         };
         assert_eq!(shed.to_string(), "request-shed t2#11 standard circuit-breaker");

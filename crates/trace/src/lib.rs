@@ -65,7 +65,7 @@ pub mod text;
 pub use counters::{CountersSink, EventCounters};
 pub use diff::{first_divergence_events, first_divergence_lines, Divergence, DivergenceCause};
 pub use event::{
-    DenyReason, Endpoint, EventKind, InputSource, ResourceId, ServiceClass, ShedCause, TaskRef,
+    DenyReason, Endpoint, EventKind, InputSource, QosClass, ResourceId, ShedCause, TaskRef,
     TraceEvent,
 };
 pub use kind::{Kind, KindSet};

@@ -11,7 +11,10 @@
 //!    roots opt into (tests carry a blanket allow; the few non-test
 //!    `expect`s document event-loop invariants via explicit
 //!    file/function-level allows). Skipped with a notice when the
-//!    clippy component is not installed.
+//!    clippy component is not installed. Then `docs`:
+//!    `RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace
+//!    --no-deps` — every intra-doc link resolves, unambiguously, and no
+//!    public documentation links to a private item.
 //! 3. `campaign-smoke` (release, `relief-bench campaign_smoke`) — the
 //!    deterministic campaign engine executes a small grid serially and
 //!    with two workers and proves the reports byte-identical; then the
@@ -43,10 +46,12 @@
 //!    whose live-slot high-water mark stays under its bound),
 //!    `chaos_conformance` (memory-side fault domains, circuit breakers,
 //!    timeouts and hedges, the simulation watchdog, and the
-//!    campaign-cache round trip), `behaviour_corpus` (91 simulated cells
+//!    campaign-cache round trip), `behaviour_corpus` (94 simulated cells
 //!    — all eleven policies, forty seeds, faults, service mode, instance
-//!    recycling, and the platform and predictor axes — against the
-//!    committed digests in `tests/corpus/behaviour.txt`), and
+//!    recycling, every circuit-breaker transition, and the platform and
+//!    predictor axes — against the committed digests in
+//!    `tests/corpus/behaviour.txt`, open-loop cells with a digest of
+//!    their whole event stream too), and
 //!    `oracle_conformance` (the ahead-of-time scheduling bound: oracle ≤
 //!    every online policy, prediction = replay bit-exactly, beam-width
 //!    monotonicity, recorded-run replay differentials), and
@@ -114,9 +119,10 @@ const TEST_SUITES: [(&str, &str); 11] = [
 ];
 
 /// Names accepted by `check --suite` that are not test targets.
-const META_SUITES: [&str; 8] = [
+const META_SUITES: [&str; 9] = [
     "build",
     "lint",
+    "docs",
     "campaign-smoke",
     "cache-hygiene",
     "chaos-smoke",
@@ -216,6 +222,14 @@ fn check(args: &[String]) -> ExitCode {
         } else {
             println!("==> clippy component not installed; skipping lint gate");
         }
+    }
+    if wants("docs") {
+        ok &= run(
+            "RUSTDOCFLAGS=\"-D warnings\" cargo doc --offline --workspace --no-deps",
+            Command::new("cargo")
+                .args(["doc", "--offline", "--workspace", "--no-deps"])
+                .env("RUSTDOCFLAGS", "-D warnings"),
+        );
     }
     if wants("campaign-smoke") {
         ok &= run(

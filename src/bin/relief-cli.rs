@@ -398,8 +398,7 @@ fn main() -> ExitCode {
             sv.shed_rate() * 100.0,
             sv.completed(),
         );
-        for (i, name) in relief::metrics::SERVICE_CLASSES.iter().enumerate() {
-            let c = &sv.classes[i];
+        for (c, name) in sv.classes.iter().zip(QosClass::ALL) {
             if c.arrivals == 0 {
                 continue;
             }

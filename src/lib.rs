@@ -23,7 +23,7 @@
 //!   the simulator's timing model, replayable schedules, "% of oracle"
 //! * [`trace`] — structured event tracing, Chrome/Perfetto export, and
 //!   the `trace-diff` regression tool
-//! * [`bench`] — the paper-experiment harness and the deterministic
+//! * [`bench`](mod@bench) — the paper-experiment harness and the deterministic
 //!   parallel campaign engine (`bench::campaign`)
 //!
 //! # Quickstart

@@ -74,7 +74,7 @@ fn breaker_cells_cover_every_breaker_transition() {
     let mut closed_open_ps = 0;
     for (seed, rate, policy, task_rate) in corpus::BREAKER_CELLS {
         log.borrow_mut().probing = [false; 3];
-        let r = corpus::breaker_cell(seed, rate, policy, task_rate).run_traced(&tracer);
+        let r = corpus::breaker_cell(seed, rate, policy, task_rate).run(&tracer);
         closed_open_ps += r.stats.service.open_hist.count();
     }
     let log = log.borrow();
@@ -95,7 +95,7 @@ fn breaker_cells_cover_every_breaker_transition() {
 fn service_mode_with_self_healing_recycles() {
     for (seed, rate, policy) in corpus::SELF_HEAL_CELLS {
         let cell = corpus::self_heal_cell(seed, rate, policy);
-        let r = cell.run();
+        let r = cell.run(&Tracer::off());
         let svc = &r.stats.service;
         assert!(svc.completed() > 0, "{}: no request completed", cell.label);
         assert!(

@@ -59,14 +59,9 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Runs the cell with the executed-task trace recorded.
-    pub fn run(&self) -> SimResult {
-        self.run_traced(&Tracer::off())
-    }
-
     /// Runs the cell with the executed-task trace recorded and `tracer`'s
     /// sinks attached.
-    pub fn run_traced(&self, tracer: &Tracer) -> SimResult {
+    pub fn run(&self, tracer: &Tracer) -> SimResult {
         let mut cfg = self.cfg.clone();
         cfg.record_trace = true;
         SocSim::new(cfg, self.apps.clone()).with_tracer(tracer).run()
@@ -79,7 +74,7 @@ impl Cell {
             Some(sink) => Tracer::to_sink(sink.clone()),
             None => Tracer::off(),
         };
-        let r = self.run_traced(&tracer);
+        let r = self.run(&tracer);
         let outcome = format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{}",
             r.stats,

@@ -11,7 +11,7 @@ use relief_service::SelfHealConfig;
 use relief_trace::chrome::{to_chrome_json, is_well_formed_json, ChromeOptions};
 use relief_trace::{
     first_divergence_events, first_divergence_lines, text, CountersSink, DenyReason, Endpoint,
-    EventCounters, EventKind, InputSource, Kind, KindSet, ResourceId, ServiceClass, ShedCause,
+    EventCounters, EventKind, InputSource, Kind, KindSet, QosClass, ResourceId, ShedCause,
     TaskRef, TraceEvent, TraceSink,
 };
 use relief_workloads::App;
@@ -231,7 +231,7 @@ fn subscribed_counters_lose_nothing() {
 fn one_of_each_kind() -> Vec<EventKind> {
     let task = TaskRef { instance: 1, node: 2 };
     let parent = TaskRef { instance: 1, node: 0 };
-    let class = ServiceClass::Standard;
+    let class = QosClass::Standard;
     let (src, dst) = (Endpoint::Dram, Endpoint::Spad(1));
     vec![
         EventKind::EventDispatched { index: 1 },
