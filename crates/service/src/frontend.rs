@@ -125,12 +125,14 @@ impl Frontend {
             opened_at: Time::ZERO,
         };
         let tenants = cfg.tenants.len();
+        let breakers =
+            if cfg.self_heal.breaker_enabled() { vec![closed; tenants] } else { Vec::new() };
         Some(Frontend {
             plan: StreamPlan::new(cfg.clone()),
             admission: AdmissionState::new(cfg),
             stats,
             next_index: vec![0; tenants],
-            breakers: if cfg.self_heal.breaker_enabled() { vec![closed; tenants] } else { Vec::new() },
+            breakers,
             tracer: Tracer::off(),
         })
     }
@@ -216,7 +218,8 @@ impl Frontend {
             BreakerPhase::Open
                 if now.saturating_since(b.opened_at) >= Dur::from_ps(self.heal().breaker_open_ps) =>
             {
-                self.breakers[tenant] = Breaker { phase: BreakerPhase::HalfOpen, successes: 0, ..b };
+                self.breakers[tenant] =
+                    Breaker { phase: BreakerPhase::HalfOpen, successes: 0, ..b };
                 self.tracer
                     .emit(now.as_ps(), || EventKind::BreakerHalfOpen { tenant: tenant as u32 });
                 self.plan.probe_admit(tenant as u32, index)
@@ -375,9 +378,12 @@ impl Frontend {
             (BreakerPhase::HalfOpen, true) if b.successes + 1 >= heal.probes_to_close => {
                 let open_ps = now.saturating_since(b.opened_at).as_ps();
                 self.stats.open_hist.record(open_ps);
-                self.tracer
-                    .emit(now.as_ps(), || EventKind::BreakerClosed { tenant: tenant as u32, open_ps });
-                Breaker { phase: BreakerPhase::Closed, failures: 0, successes: b.successes + 1, ..b }
+                self.tracer.emit(now.as_ps(), || EventKind::BreakerClosed {
+                    tenant: tenant as u32,
+                    open_ps,
+                });
+                let successes = b.successes + 1;
+                Breaker { phase: BreakerPhase::Closed, failures: 0, successes, ..b }
             }
             (BreakerPhase::HalfOpen, true) => Breaker { successes: b.successes + 1, ..b },
             // A failed probe re-opens at once; the failure count reported

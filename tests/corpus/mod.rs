@@ -241,7 +241,9 @@ fn cells() -> Vec<Cell> {
         }
     }
     cells.extend(SELF_HEAL_CELLS.map(|(seed, rate, policy)| self_heal_cell(seed, rate, policy)));
-    cells.extend(BREAKER_CELLS.map(|(seed, rate, policy, task)| breaker_cell(seed, rate, policy, task)));
+    cells.extend(
+        BREAKER_CELLS.map(|(seed, rate, policy, task)| breaker_cell(seed, rate, policy, task)),
+    );
 
     axis_cells(&mut cells);
     cells
