@@ -13,11 +13,13 @@
 //! changes the digest. `live_hw` (the peak count of live DAG-instance
 //! slots) is host-side bookkeeping, not simulated outcome, so it stays out
 //! of the digest and is pinned on its own. Open-loop cells (an enabled
-//! stream) add `trace=`: FNV-1a over the full event stream as
-//! `relief_trace::text` renders it, one line per event, folded as the
-//! events arrive. It pins the order of the service events (admission,
-//! sheds, breaker transitions, timeouts, hedges) that the statistics
-//! alone cannot see.
+//! stream) and fault cells (an enabled fault config) add `trace=`: FNV-1a
+//! over the full event stream as `relief_trace::text` renders it, one
+//! line per event, folded as the events arrive. It pins the fields and
+//! the order of the service events (admission, sheds, breaker
+//! transitions, timeouts, hedges) and of the fault events (task and DMA
+//! faults, retries, aborts, unit outages, ECC invalidations) that the
+//! statistics alone cannot see.
 //!
 //! The cells: the eight fairness-study policies on a high-contention mix,
 //! FCFS/RELIEF on a second mix and on the 50 ms time-limited continuous
@@ -69,7 +71,8 @@ impl Cell {
 
     /// The cell's corpus line (see the module docs for the format).
     fn line(&self) -> String {
-        let text = self.cfg.stream.enabled().then(|| Rc::new(RefCell::new(TextDigest::new())));
+        let text = (self.cfg.stream.enabled() || self.cfg.fault.enabled())
+            .then(|| Rc::new(RefCell::new(TextDigest::new())));
         let tracer = match &text {
             Some(sink) => Tracer::to_sink(sink.clone()),
             None => Tracer::off(),
