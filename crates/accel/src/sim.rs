@@ -34,9 +34,9 @@ use relief_core::{
     ComputeProfile, MemTimePredictor, Policy, ReadyQueues, TaskEntry, TaskKey,
 };
 use relief_dag::{Dag, DagTiming, DeadlineAssignment, NodeId};
-use relief_fault::{FaultPlan, Outage, OutageSchedule};
+use relief_fault::{FaultDomain, Refetch, TaskFault};
 use relief_mem::{Port, Progress, Route, TransferEngine, TransferId};
-use relief_metrics::{AppStats, FaultStats, RunStats, TrafficStats};
+use relief_metrics::{AppStats, RunStats, TrafficStats};
 use relief_service::Frontend;
 use relief_sim::{
     AppId, Dur, EventQueue, Intern, InternId, KindId, SlotAlloc, SplitMix64, StallError,
@@ -116,8 +116,6 @@ struct NodeRt {
     actual_bytes: u64,
     /// 0-based compute attempt (only ever nonzero under fault injection).
     attempts: u32,
-    /// True after a task fault until a retry completes successfully.
-    faulted: bool,
 }
 
 impl NodeRt {
@@ -133,7 +131,6 @@ impl NodeRt {
             actual_compute: Dur::ZERO,
             actual_bytes: 0,
             attempts: 0,
-            faulted: false,
         }
     }
 }
@@ -170,7 +167,7 @@ struct DagInst {
     /// hedges, whose end-to-end sojourn spans every attempt).
     first_arrival: Time,
     /// Monotonic admission serial — the *public* instance identity.
-    /// Every [`TaskKey`], trace event, fault-plan draw, and statistic
+    /// Every [`TaskKey`], trace event, fault verdict, and statistic
     /// uses the serial, so recycling the storage slot underneath is
     /// unobservable: the behaviour corpus pins every simulated output
     /// while slots are reused.
@@ -303,10 +300,10 @@ enum Ev {
     StreamArrival(usize),
     /// An ECC-invalidated forwarded edge's backoff expired; re-fetch the
     /// parent's checkpointed DRAM copy into the waiting consumer. The
-    /// payload indexes [`SocSim::refetches`] — parked out of line so `Ev`
-    /// stays two words (the event queue is a sorted vec that memmoves on
-    /// insert; a fat variant would tax every event, and re-fetches are
-    /// rare).
+    /// payload is the re-fetch's handle in the fault domain — parked out of
+    /// line so `Ev` stays two words (the event queue is a sorted vec that
+    /// memmoves on insert; a fat variant would tax every event, and
+    /// re-fetches are rare).
     EccRefetch(u32),
     /// A streamed request's deadline-derived timeout expired. A timeout
     /// deliberately outlives resolved requests, so it carries both the
@@ -320,17 +317,15 @@ enum Ev {
 /// [`Ev::EccRefetch`]).
 const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
 
-/// One parked ECC re-fetch request (see [`Ev::EccRefetch`]); slots are
-/// reused through [`SocSim::free_refetches`].
+/// One in-flight transfer the simulator tracks.
 #[derive(Debug, Clone, Copy)]
-struct Refetch {
-    child: TaskKey,
-    parent: TaskKey,
-    attempt: u32,
-    dst: u32,
-    /// Storage slot of `child`'s instance; the parked re-fetch inherits
-    /// the cancelled transfer's pin on it.
-    slot: u32,
+struct Tracked {
+    /// The engine's id, so the chaos paths (ECC invalidation, timeout
+    /// cancellation) can address the transfer.
+    id: TransferId,
+    purpose: Purpose,
+    /// Delivered chunks so far, the ECC verdict's chunk identity.
+    chunks: u32,
 }
 
 /// The simulated SoC.
@@ -396,31 +391,20 @@ pub struct SocSim {
     events: EventQueue<Ev>,
     now: Time,
     seq: u64,
-    /// In-flight transfer purposes, indexed by the engine's dense slot id
+    /// In-flight transfers, indexed by the engine's dense slot id
     /// ([`TransferId::slot`]): a bounds check instead of a hash probe on
     /// every chunk event, with slot reuse keeping the column at the
     /// high-water mark of concurrent transfers.
-    transfers: Vec<Option<Purpose>>,
-    /// In-flight transfer ids by slot, so the chaos paths (ECC
-    /// invalidation, timeout cancellation) can address transfers the
-    /// purpose column tracks.
-    transfer_ids: Vec<Option<TransferId>>,
-    /// Per-slot count of delivered chunks, the ECC verdict's chunk
-    /// identity; reset whenever a slot is re-tracked.
-    chunk_seq: Vec<u32>,
+    transfers: Vec<Option<Tracked>>,
     manager: Timeline,
     mem_pred: MemTimePredictor,
     profile: ComputeProfile,
     rng: SplitMix64,
-    // --- fault injection (`relief-fault`) ---
-    /// Stateless fault decisions; a pure function of `cfg.fault`, so fault
-    /// schedules are identical at any campaign parallelism.
-    fault: FaultPlan,
-    fault_stats: FaultStats,
-    /// Per-instance outage streams (empty iterators when outages are off).
-    outage_iters: Vec<OutageSchedule>,
-    /// The armed outage window per instance, if any.
-    next_outage: Vec<Option<Outage>>,
+    /// The fault domain (`relief-fault`): verdicts, recovery rules, outage
+    /// schedules, parked ECC re-fetches and fault statistics. Its verdicts
+    /// are pure functions of `cfg.fault`, so fault schedules are identical
+    /// at any campaign parallelism.
+    faults: FaultDomain,
     /// Arrival events still in the queue (initial + repeat re-arms); with
     /// live DAG work, the signal that outage re-arming may continue
     /// without keeping a drained simulation alive forever.
@@ -433,10 +417,6 @@ pub struct SocSim {
     /// (ECC invalidation or request timeouts); gates the per-chunk
     /// liveness check off the fault-free hot path.
     cancels_on: bool,
-    /// Parked [`Ev::EccRefetch`] payloads, indexed by the event's `u32`.
-    refetches: Vec<Refetch>,
-    /// Free slots in `refetches`.
-    free_refetches: Vec<u32>,
     // --- per-app caches (pure functions of the immutable app specs) ---
     /// Deadline assignment computed on each app's first arrival.
     app_deadlines: Vec<Option<Arc<DeadlineAssignment>>>,
@@ -471,7 +451,6 @@ pub struct SocSim {
     spad_access_bytes: u64,
     all_dram_baseline_bytes: u64,
     sched_ops: u64,
-    sched_time: Dur,
     prediction: PredictionStats,
     /// Fan-out handle shared (as clones) by every instrumented component.
     tracer: Tracer,
@@ -546,18 +525,11 @@ impl SocSim {
                 pending_arrivals += 1;
             }
         }
-        let mut app_syms: Intern<AppId> = Intern::new();
-        let app_ids: Vec<AppId> = apps.iter().map(|a| app_syms.intern(&a.symbol)).collect();
         // Arm the first deterministic outage window of every instance.
-        let fault = FaultPlan::new(cfg.fault.clone());
-        let fault_on = fault.enabled();
-        let mut outage_iters: Vec<OutageSchedule> =
-            (0..total_insts).map(|i| fault.outages(i as u32)).collect();
-        let mut next_outage: Vec<Option<Outage>> = vec![None; total_insts];
-        for (i, it) in outage_iters.iter_mut().enumerate() {
-            if let Some(w) = it.next() {
-                next_outage[i] = Some(w);
-                events.push(Time::from_ps(w.down_ps), Ev::UnitDown(i));
+        let mut faults = FaultDomain::new(&cfg.fault, total_insts);
+        for i in 0..total_insts {
+            if let Some(at) = faults.arm_outage(i) {
+                events.push(at, Ev::UnitDown(i));
             }
         }
         let mem_pred = MemTimePredictor {
@@ -565,12 +537,19 @@ impl SocSim {
             data_movement: cfg.dm_predictor,
             icn_bandwidth: cfg.mem.interconnect_bandwidth,
         };
-        let app_stats = apps
+        // One `AppStats` per symbol: the first app spec of a symbol names it
+        // and gives its deadline.
+        let mut app_syms: Intern<AppId> = Intern::new();
+        let mut app_stats = Vec::new();
+        let app_ids: Vec<AppId> = apps
             .iter()
-            .map(|a| AppStats {
-                name: a.symbol.clone(),
-                deadline: a.dag.relative_deadline(),
-                ..AppStats::default()
+            .map(|a| {
+                let id = app_syms.intern(&a.symbol);
+                if id.index() == app_stats.len() {
+                    let (name, deadline) = (a.symbol.clone(), a.dag.relative_deadline());
+                    app_stats.push(AppStats { name, deadline, ..AppStats::default() });
+                }
+                id
             })
             .collect();
         let n_apps = apps.len();
@@ -590,21 +569,14 @@ impl SocSim {
             now: Time::ZERO,
             seq: 0,
             transfers: Vec::new(),
-            transfer_ids: Vec::new(),
-            chunk_seq: Vec::new(),
             manager: Timeline::new(),
             mem_pred,
             profile: ComputeProfile::new(),
             rng: SplitMix64::new(cfg.seed),
-            fault,
-            fault_stats: FaultStats::default(),
-            outage_iters,
-            next_outage,
             pending_arrivals,
-            cancels_on: fault_on || frontend.as_ref().is_some_and(Frontend::self_heal_on),
+            cancels_on: faults.enabled() || frontend.as_ref().is_some_and(Frontend::self_heal_on),
+            faults,
             frontend,
-            refetches: Vec::new(),
-            free_refetches: Vec::new(),
             app_deadlines: vec![None; n_apps],
             app_profiled: vec![false; n_apps],
             app_kind_ids: vec![Vec::new(); n_apps],
@@ -622,7 +594,6 @@ impl SocSim {
             spad_access_bytes: 0,
             all_dram_baseline_bytes: 0,
             sched_ops: 0,
-            sched_time: Dur::ZERO,
             prediction: PredictionStats::default(),
             tracer: Tracer::off(),
             span_sink: None,
@@ -631,12 +602,11 @@ impl SocSim {
             cfg,
             apps,
         };
-        if sim.cfg.fault.dram_mttf_ps > 0 {
-            // Deterministic DRAM-channel blackout windows: installed before
-            // any transfer begins, so the engine's gate sees the schedule
-            // from picosecond zero.
-            let windows = sim.fault.channel_outages().map(|w| (w.down_ps, w.up_ps));
-            sim.engine.set_dram_outages(Box::new(windows));
+        // Deterministic DRAM-channel blackout windows: installed before any
+        // transfer begins, so the engine's gate sees the schedule from
+        // picosecond zero.
+        if let Some(windows) = sim.faults.channel_windows() {
+            sim.engine.set_dram_outages(windows);
         }
         if sim.cfg.record_trace {
             let sink = Rc::new(RefCell::new(SpanCollector::new()));
@@ -677,6 +647,7 @@ impl SocSim {
         self.engine.set_tracer(self.tracer.clone());
         self.policy.set_tracer(self.tracer.clone());
         self.manager.set_tracer(self.tracer.clone(), ResourceId::Manager);
+        self.faults.set_tracer(self.tracer.clone());
         if let Some(fe) = &mut self.frontend {
             fe.set_tracer(self.tracer.clone());
         }
@@ -1085,7 +1056,7 @@ impl SocSim {
         // the instance must stay resident while this loop still reads it.
         let mut cancelled = 0;
         for t in 0..self.transfers.len() {
-            let Some(purpose) = self.transfers[t] else { continue };
+            let Some(Tracked { id, purpose, .. }) = self.transfers[t] else { continue };
             let (src_spad, pslot) = match purpose {
                 Purpose::InputEdge { src_spad, slot: pslot, .. } => (src_spad, pslot),
                 Purpose::DramInput { slot: pslot, .. } => (None, pslot),
@@ -1094,7 +1065,6 @@ impl SocSim {
             if pslot != slot {
                 continue;
             }
-            let id = self.transfer_ids[t].expect("tracked transfer has an id");
             self.engine.cancel(id, self.now);
             cancelled += 1;
             self.transfers[t] = None;
@@ -1266,7 +1236,6 @@ impl SocSim {
         self.sched_ops += inserted;
         let launch_at = if self.cfg.model_sched_overhead {
             let cost = self.cfg.sched_base_cost + self.cfg.sched_insert_cost * inserted;
-            self.sched_time += cost;
             let (_, end) = self.manager.reserve(self.now, cost);
             end
         } else {
@@ -1490,7 +1459,7 @@ impl SocSim {
             let r = self.insts[inst_idx].running.as_ref().expect("task assigned");
             (r.key, r.slot)
         };
-        let app_idx = self.dags[slot as usize].app_idx;
+        let app = self.app_ids[self.dags[slot as usize].app_idx].index();
         // The Arc clone detaches the parent/child slices from `self`'s
         // borrow, so the loop needs no owned copy of either.
         let dag = Arc::clone(&self.dags[slot as usize].dag);
@@ -1503,14 +1472,14 @@ impl SocSim {
             let pk = TaskKey::new(key.instance, p.0);
             let bytes = dag.node(p).output_bytes;
             input_bytes += bytes;
-            self.app_stats[app_idx].edges_consumed += 1;
+            self.app_stats[app].edges_consumed += 1;
 
             // Colocation: data already in place on this accelerator.
             let is_coloc = coloc_part.is_some()
                 && self.node_rt(slot, pk.node).out.spad() == coloc_part.map(|c| (inst_idx, c))
                 && self.insts[inst_idx].last_node == Some(pk);
             if is_coloc {
-                self.app_stats[app_idx].colocations += 1;
+                self.app_stats[app].colocations += 1;
                 self.colocated_bytes += bytes;
                 self.consume_reader(slot, pk.node);
                 self.insts[inst_idx].running.as_mut().expect("task assigned").coloc_inputs += 1;
@@ -1540,7 +1509,7 @@ impl SocSim {
             let (route, src_spad) = match fwd_src {
                 Some((si, sp)) => {
                     self.insts[si].parts[sp].ongoing_reads += 1;
-                    self.app_stats[app_idx].forwards += 1;
+                    self.app_stats[app].forwards += 1;
                     self.insts[inst_idx].running.as_mut().expect("task assigned").fwd_inputs += 1;
                     self.spad_access_bytes += 2 * bytes; // producer read + local write
                     (Route { src: Port::Spad(si), dst: Port::Spad(inst_idx) }, Some((si, sp)))
@@ -1680,12 +1649,11 @@ impl SocSim {
         // resources, but the output is corrupt — discard and recover
         // instead of publishing. No `ComputeEnd` is emitted, so every
         // completed task still has exactly one compute span.
-        if self.fault.enabled() {
-            let attempt = self.node_rt(slot, key.node).attempts;
-            if self.fault.task_faults(key.instance, key.node, attempt) {
-                self.on_task_fault(inst_idx, r, attempt);
-                return;
-            }
+        let attempt = self.node_rt(slot, key.node).attempts;
+        let verdict = self.faults.compute_done(self.now, tref(key), inst_idx as u32, attempt);
+        if let Some(verdict) = verdict {
+            self.on_task_fault(inst_idx, r, attempt, verdict);
+            return;
         }
         self.insts[inst_idx].last_node = Some(key);
         // All-loads-and-stores-to-DRAM baseline (Fig. 5 normalization).
@@ -1711,10 +1679,6 @@ impl SocSim {
             rt.phase = NodePhase::Done;
             rt.out = OutLoc::Spad { inst: inst_idx, part: r.out_part };
         }
-        if self.node_rt(slot, key.node).faulted {
-            self.node_rt_mut(slot, key.node).faulted = false;
-            self.fault_stats.recovered += 1;
-        }
         self.last_completion = self.now;
 
         // Per-node statistics.
@@ -1727,7 +1691,7 @@ impl SocSim {
             (d.app_idx, nd, dag_done, met, d.arrival)
         };
         {
-            let stats = &mut self.app_stats[app_idx];
+            let stats = &mut self.app_stats[self.app_ids[app_idx].index()];
             stats.nodes_completed += 1;
             if self.now <= node_deadline {
                 stats.node_deadlines_met += 1;
@@ -1803,7 +1767,7 @@ impl SocSim {
         // consumer cut off by a quarantined forwarding source — always has
         // verified data to re-read. Forwarding itself still happens; only
         // the write-back *elision* is given up.
-        let all_next_in_line = !self.fault.enabled()
+        let all_next_in_line = !self.faults.enabled()
             && self.cfg.forwarding
             && !children.is_empty()
             && match self.policy.writeback_elision(key) {
@@ -1839,18 +1803,12 @@ impl SocSim {
     fn on_dag_done(&mut self, instance: u32, slot: u32, app_idx: usize, met: bool) {
         self.tracer.emit(self.now.as_ps(), || EventKind::DagDone { instance, met });
         self.active_work -= 1;
-        let faults = self.dags[slot as usize].faults;
-        if !met && faults > 0 {
-            // The instance absorbed fault-recovery delay and missed its
-            // deadline: attribute the miss (a fault-free miss under the
-            // same contention is possible, but the attribution is what the
-            // resilience campaign sweeps).
-            self.fault_stats.fault_attributed_misses += 1;
-            self.tracer
-                .emit(self.now.as_ps(), || EventKind::FaultAttributedMiss { instance, faults });
-        }
+        // A miss after fault-recovery delay is attributed to the faults (a
+        // fault-free miss under the same contention is possible, but the
+        // attribution is what the resilience campaign sweeps).
+        self.faults.dag_done(self.now, instance, met, self.dags[slot as usize].faults);
         let runtime = self.now.saturating_since(self.dags[slot as usize].arrival);
-        let stats = &mut self.app_stats[app_idx];
+        let stats = &mut self.app_stats[self.app_ids[app_idx].index()];
         stats.dags_completed += 1;
         if met {
             stats.dag_deadlines_met += 1;
@@ -1876,18 +1834,12 @@ impl SocSim {
 
     /// Handles a corrupt compute attempt: release the claimed output
     /// partition, restore the parents' reader counts (the retry will
-    /// re-consume every edge), and either schedule a backoff re-queue or
-    /// abort the task when its retry budget is exhausted.
-    fn on_task_fault(&mut self, inst_idx: usize, r: Running, attempt: u32) {
+    /// re-consume every edge), and act on the fault domain's verdict:
+    /// re-queue the task after its backoff, or abort it.
+    fn on_task_fault(&mut self, inst_idx: usize, r: Running, attempt: u32, verdict: TaskFault) {
         let key = r.key;
         let slot = r.slot;
-        self.fault_stats.task_faults += 1;
         self.dags[slot as usize].faults += 1;
-        self.tracer.emit(self.now.as_ps(), || EventKind::TaskFaulted {
-            task: tref(key),
-            inst: inst_idx as u32,
-            attempt,
-        });
         // Release the output partition: nothing was published into it.
         {
             let part = &mut self.insts[inst_idx].parts[r.out_part];
@@ -1905,36 +1857,31 @@ impl SocSim {
         for &p in dag.parents(NodeId(key.node)) {
             self.node_rt_mut(slot, p.0).pending_readers += 1;
         }
-        {
-            let rt = self.node_rt_mut(slot, key.node);
-            debug_assert_eq!(rt.out, OutLoc::NotProduced);
-            rt.faulted = true;
-        }
-        let max_retries = self.fault.cfg().max_retries;
-        if attempt < max_retries {
-            self.node_rt_mut(slot, key.node).attempts = attempt + 1;
-            self.node_rt_mut(slot, key.node).phase = NodePhase::Waiting; // Ready ⟺ queued
-            let backoff = Dur::from_ps(self.fault.backoff_ps(attempt));
-            // The scheduled requeue takes its own pin before the running
-            // task's pin drops below.
-            self.dags[slot as usize].pins += 1;
-            self.events.push(self.now + backoff, Ev::Requeue { slot, key });
-        } else {
-            self.fault_stats.tasks_aborted += 1;
-            self.node_rt_mut(slot, key.node).phase = NodePhase::Aborted;
-            let was_aborted = std::mem::replace(&mut self.dags[slot as usize].aborted, true);
-            if !was_aborted {
-                self.active_work -= 1;
-                // The instance will never complete; later sibling aborts
-                // must not report the request again.
-                if let Some(fe) = &mut self.frontend {
-                    fe.on_abort(self.now, self.dags[slot as usize].app_idx);
-                }
+        debug_assert_eq!(self.node_rt(slot, key.node).out, OutLoc::NotProduced);
+        match verdict {
+            TaskFault::Retry(backoff) => {
+                let rt = self.node_rt_mut(slot, key.node);
+                rt.attempts = attempt + 1;
+                rt.phase = NodePhase::Waiting; // Ready ⟺ queued
+                // The scheduled requeue takes its own pin before the
+                // running task's pin drops below.
+                self.dags[slot as usize].pins += 1;
+                self.events.push(self.now + backoff, Ev::Requeue { slot, key });
             }
-            self.tracer.emit(self.now.as_ps(), || EventKind::TaskAborted {
-                task: tref(key),
-                attempts: attempt + 1,
-            });
+            TaskFault::Abort => {
+                self.node_rt_mut(slot, key.node).phase = NodePhase::Aborted;
+                let was_aborted = std::mem::replace(&mut self.dags[slot as usize].aborted, true);
+                if !was_aborted {
+                    self.active_work -= 1;
+                    // The instance will never complete; later sibling
+                    // aborts must not report the request again. Any
+                    // breaker transition precedes the abort's record.
+                    if let Some(fe) = &mut self.frontend {
+                        fe.on_abort(self.now, self.dags[slot as usize].app_idx);
+                    }
+                }
+                self.faults.aborted(self.now, tref(key), attempt + 1);
+            }
         }
         self.unpin_dag(slot); // the faulted task's pin
         // The freed partition and idle unit may unblock stalled work.
@@ -1959,12 +1906,7 @@ impl SocSim {
             let d = &self.dags[slot as usize];
             d.dag.node(NodeId(key.node)).acc
         };
-        self.fault_stats.task_retries += 1;
-        self.tracer.emit(self.now.as_ps(), || EventKind::TaskRetried {
-            task: tref(key),
-            acc: acc.0,
-            attempt,
-        });
+        self.faults.retried(self.now, tref(key), acc.0, attempt);
         self.node_rt_mut(slot, key.node).phase = NodePhase::Ready;
         let mut batch = self.take_batch_buf();
         batch.push(self.make_entry(key, slot, false, None));
@@ -1979,14 +1921,9 @@ impl SocSim {
     /// but the unit leaves the dispatch candidate set and its scratchpad
     /// is denied as a forwarding source until the restore fires.
     fn on_unit_down(&mut self, inst_idx: usize) {
-        let Some(w) = self.next_outage[inst_idx] else { return };
+        let Some(up) = self.faults.unit_down(self.now, inst_idx) else { return };
         self.insts[inst_idx].quarantined = true;
-        self.fault_stats.unit_quarantines += 1;
-        self.tracer.emit(self.now.as_ps(), || EventKind::UnitQuarantined {
-            inst: inst_idx as u32,
-            until_ps: w.up_ps,
-        });
-        self.events.push(Time::from_ps(w.up_ps), Ev::UnitUp(inst_idx));
+        self.events.push(up, Ev::UnitUp(inst_idx));
     }
 
     /// The outage's repair completed: the unit rejoins the candidate set.
@@ -1994,21 +1931,14 @@ impl SocSim {
     /// drained simulation is not kept alive by an infinite outage stream.
     fn on_unit_up(&mut self, inst_idx: usize) {
         self.insts[inst_idx].quarantined = false;
-        self.tracer
-            .emit(self.now.as_ps(), || EventKind::UnitRestored { inst: inst_idx as u32 });
-        self.events.push(self.now, Ev::Launch);
         // Cancelled instances never finish their remaining nodes, so they
         // must not keep the outage stream (and thus the run) alive.
         let outstanding = self.pending_arrivals > 0 || self.active_work > 0;
-        self.next_outage[inst_idx] = if outstanding {
-            let next = self.outage_iters[inst_idx].next();
-            if let Some(w) = next {
-                self.events.push(Time::from_ps(w.down_ps), Ev::UnitDown(inst_idx));
-            }
-            next
-        } else {
-            None
-        };
+        let next_down = self.faults.unit_up(self.now, inst_idx, outstanding);
+        self.events.push(self.now, Ev::Launch);
+        if let Some(at) = next_down {
+            self.events.push(at, Ev::UnitDown(inst_idx));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2054,13 +1984,9 @@ impl SocSim {
         let slot = id.slot();
         if slot >= self.transfers.len() {
             self.transfers.resize(slot + 1, None);
-            self.transfer_ids.resize(slot + 1, None);
-            self.chunk_seq.resize(slot + 1, 0);
         }
         debug_assert!(self.transfers[slot].is_none(), "slot reused while purpose still tracked");
-        self.transfers[slot] = Some(purpose);
-        self.transfer_ids[slot] = Some(id);
-        self.chunk_seq[slot] = 0;
+        self.transfers[slot] = Some(Tracked { id, purpose, chunks: 0 });
     }
 
     fn on_chunk(&mut self, id: TransferId) {
@@ -2072,22 +1998,16 @@ impl SocSim {
         // Per-chunk ECC verdict on forwarded edges (relief-fault): each
         // chunk event marks one chunk's arrival, so the chunk that just
         // landed is checked before the engine advances the transfer.
-        if self.fault.enabled() {
-            if let Some(Purpose::InputEdge {
-                child,
-                parent,
-                src_spad: Some(src),
-                attempt,
-                dst,
-                slot,
-            }) = self.transfers[id.slot()]
+        if self.faults.enabled() {
+            let t = self.transfers[id.slot()].as_mut().expect("live transfers are tracked");
+            let chunk = t.chunks;
+            t.chunks += 1;
+            if let Purpose::InputEdge { src_spad: Some(src), child, parent, attempt, dst, slot } =
+                t.purpose
             {
-                let chunk = self.chunk_seq[id.slot()];
-                self.chunk_seq[id.slot()] = chunk + 1;
-                if self.fault.ecc_chunk_faults(child.instance, child.node, parent.node, chunk, attempt)
-                {
-                    let req =
-                        Refetch { child, parent, attempt, dst: dst as u32, slot };
+                let task = tref(child);
+                if self.faults.ecc_chunk_faults(task, parent.node, chunk, attempt) {
+                    let req = Refetch { task, parent: parent.node, attempt, dst: dst as u32, slot };
                     self.on_ecc_fault(id, src, req);
                     return;
                 }
@@ -2096,7 +2016,7 @@ impl SocSim {
         match self.engine.on_chunk_done(id, self.now) {
             Progress::Chunk(next) => self.events.push(next, Ev::Chunk(id)),
             Progress::Done { start, end, bytes } => {
-                let purpose = self.transfers[id.slot()].take().expect("tracked transfer");
+                let purpose = self.transfers[id.slot()].take().expect("tracked transfer").purpose;
                 self.on_transfer_done(purpose, start, end, bytes);
                 // Unpin after the handler: a fault recovery inside it may
                 // re-track a fresh transfer for the same instance, and the
@@ -2122,9 +2042,8 @@ impl SocSim {
                 // accounted above) but are unusable. The edge is consumed
                 // only on successful delivery, so the retry's bookkeeping
                 // stays exact.
-                if self.fault.enabled()
-                    && self.fault.dma_faults(child.instance, child.node, parent.node, attempt)
-                {
+                let task = tref(child);
+                if self.faults.delivery_corrupt(self.now, task, Some(parent.node), bytes, attempt) {
                     self.on_dma_fault(child, Some(parent), bytes, attempt, dst, slot);
                     return;
                 }
@@ -2136,9 +2055,7 @@ impl SocSim {
             Purpose::DramInput { child, attempt, dst, slot } => {
                 self.account_mem_time(slot, bytes, false);
                 self.observe_bandwidth(slot, child.node, bytes, dur);
-                if self.fault.enabled()
-                    && self.fault.dma_faults(child.instance, child.node, u32::MAX, attempt)
-                {
+                if self.faults.delivery_corrupt(self.now, tref(child), None, bytes, attempt) {
                     self.on_dma_fault(child, None, bytes, attempt, dst, slot);
                     return;
                 }
@@ -2164,8 +2081,8 @@ impl SocSim {
     /// write-backs), and the edge no longer counts as forwarded — the
     /// forwarding statistics recorded at issue time stand for the bytes
     /// that did move, while the recovery traffic is plain DRAM traffic.
-    /// `FaultPlan::dma_faults` never faults attempt `max_retries`, so the
-    /// chain is bounded by a verified final read.
+    /// The fault domain never corrupts delivery attempt `max_retries`, so
+    /// the chain is bounded by a verified final read.
     fn on_dma_fault(
         &mut self,
         child: TaskKey,
@@ -2175,49 +2092,49 @@ impl SocSim {
         dst: usize,
         slot: u32,
     ) {
-        self.fault_stats.dma_faults += 1;
         self.dags[slot as usize].faults += 1;
-        self.tracer.emit(self.now.as_ps(), || EventKind::DmaFaulted {
-            task: tref(child),
-            parent: parent.map(tref),
-            bytes,
-            attempt,
-        });
         let inst_idx = self.consumer_inst(child, dst);
-        self.spad_access_bytes += bytes; // the retry rewrites the local SPAD
-        self.node_rt_mut(slot, child.node).actual_bytes += bytes;
-        let route = Route { src: Port::Dram, dst: Port::Spad(inst_idx) };
-        let (id, first) = self.engine.begin(route, bytes, inst_idx, self.now);
-        let purpose = match parent {
-            Some(pk) => Purpose::InputEdge {
-                child,
-                parent: pk,
-                src_spad: None,
-                attempt: attempt + 1,
-                dst: inst_idx,
-                slot,
-            },
-            None => Purpose::DramInput { child, attempt: attempt + 1, dst: inst_idx, slot },
-        };
-        self.track(id, purpose);
-        self.events.push(first, Ev::Chunk(id));
+        self.reread(child, parent, bytes, attempt + 1, inst_idx, slot);
         // The released forwarding-source partition may unblock a claim.
         self.retry_stalled();
+    }
+
+    /// Starts delivery attempt `attempt` of `child`'s input from DRAM into
+    /// its unit `dst`: the edge from `parent`, or the primary input when
+    /// `parent` is `None`. The retry rewrites the local scratchpad.
+    fn reread(
+        &mut self,
+        child: TaskKey,
+        parent: Option<TaskKey>,
+        bytes: u64,
+        attempt: u32,
+        dst: usize,
+        slot: u32,
+    ) {
+        self.spad_access_bytes += bytes;
+        self.node_rt_mut(slot, child.node).actual_bytes += bytes;
+        let route = Route { src: Port::Dram, dst: Port::Spad(dst) };
+        let (id, first) = self.engine.begin(route, bytes, dst, self.now);
+        self.track(
+            id,
+            match parent {
+                Some(parent) => {
+                    Purpose::InputEdge { child, parent, src_spad: None, attempt, dst, slot }
+                }
+                None => Purpose::DramInput { child, attempt, dst, slot },
+            },
+        );
+        self.events.push(first, Ev::Chunk(id));
     }
 
     /// A forwarded chunk failed its ECC check: the forwarding window is
     /// invalidated. The whole transfer is cancelled (chunks that already
     /// moved keep their attribution — the bytes crossed the wire before
     /// failing verification), the producer partition's reader count
-    /// drops, and after a bounded backoff the edge re-fetches the
-    /// parent's checkpointed DRAM copy — which exists by construction,
-    /// since fault injection forces write-backs.
-    /// `req` carries the failing edge with its *current* attempt number;
-    /// the parked re-fetch is stored with the attempt bumped.
+    /// drops, and the fault domain parks a re-fetch of the parent's
+    /// checkpointed DRAM copy — which exists by construction, since fault
+    /// injection forces write-backs — due after a bounded backoff.
     fn on_ecc_fault(&mut self, id: TransferId, src: (usize, usize), req: Refetch) {
-        let attempt = req.attempt;
-        self.fault_stats.ecc_faults += 1;
-        self.fault_stats.forward_invalidations += 1;
         self.dags[req.slot as usize].faults += 1;
         let moved = self.engine.cancel(id, self.now);
         // The cancelled transfer's pin on the instance transfers to the
@@ -2229,24 +2146,8 @@ impl SocSim {
             let p = &mut self.insts[si].parts[sp];
             p.ongoing_reads = p.ongoing_reads.saturating_sub(1);
         }
-        self.tracer.emit(self.now.as_ps(), || EventKind::EccCorrupted {
-            task: tref(req.child),
-            parent: tref(req.parent),
-            attempt,
-        });
-        let backoff = Dur::from_ps(self.fault.backoff_ps(attempt));
-        let req = Refetch { attempt: attempt + 1, ..req };
-        let idx = match self.free_refetches.pop() {
-            Some(i) => {
-                self.refetches[i as usize] = req;
-                i
-            }
-            None => {
-                self.refetches.push(req);
-                self.refetches.len() as u32 - 1
-            }
-        };
-        self.events.push(self.now + backoff, Ev::EccRefetch(idx));
+        let (due, idx) = self.faults.ecc_corrupted(self.now, req);
+        self.events.push(due, Ev::EccRefetch(idx));
         // The released reader may unblock a partition claim.
         self.retry_stalled();
     }
@@ -2257,28 +2158,20 @@ impl SocSim {
     /// was cancelled in the meantime the re-fetch is dropped — the unit
     /// was already released.
     fn on_ecc_refetch(&mut self, idx: u32) {
-        let Refetch { child, parent, attempt, dst, slot } = self.refetches[idx as usize];
-        self.free_refetches.push(idx);
-        let dst = dst as usize;
+        let Refetch { task, parent, attempt, dst, slot } = self.faults.take_refetch(idx);
         if self.dags[slot as usize].cancelled {
             // The request timed out during the backoff; drop the parked
             // pin (the unit was already released at cancellation).
             self.unpin_dag(slot);
             return;
         }
-        let bytes = {
-            let d = &self.dags[slot as usize];
-            d.dag.node(NodeId(parent.node)).output_bytes
-        };
-        self.spad_access_bytes += bytes; // the retry rewrites the local SPAD
-        self.node_rt_mut(slot, child.node).actual_bytes += bytes;
-        let route = Route { src: Port::Dram, dst: Port::Spad(dst) };
-        let (id, first) = self.engine.begin(route, bytes, dst, self.now);
-        self.track(id, Purpose::InputEdge { child, parent, src_spad: None, attempt, dst, slot });
+        let bytes = self.dags[slot as usize].dag.node(NodeId(parent)).output_bytes;
+        let child = TaskKey::new(task.instance, task.node);
+        let parent = TaskKey::new(task.instance, parent);
+        self.reread(child, Some(parent), bytes, attempt, dst as usize, slot);
         // The fresh transfer re-pinned the instance; the parked re-fetch's
         // pin hands off to it.
         self.dags[slot as usize].pins -= 1;
-        self.events.push(first, Ev::Chunk(id));
     }
 
     /// Charges a transfer's *service* time (volume over the path's peak
@@ -2392,7 +2285,6 @@ impl SocSim {
     // ------------------------------------------------------------------
 
     fn finalize(mut self) -> SimResult {
-        self.fault_stats.channel_outages = self.engine.channel_outages_applied();
         #[cfg(any(debug_assertions, feature = "invariants"))]
         self.check_invariants();
         // Data-movement prediction errors (Table VIII): compare per
@@ -2423,12 +2315,12 @@ impl SocSim {
             _ => self.last_completion.saturating_since(Time::ZERO),
         };
 
-        // Starvation: a repeating app that never completed while others did.
+        // Starvation, judged per symbol: a repeating app that never
+        // completed while others did.
         let any_completed = self.app_stats.iter().any(|a| a.dags_completed > 0);
-        for (i, app) in self.apps.iter().enumerate() {
-            if app.repeat && any_completed && self.app_stats[i].dags_completed == 0 {
-                self.app_stats[i].starved = true;
-            }
+        for (app, id) in self.apps.iter().zip(&self.app_ids) {
+            let stats = &mut self.app_stats[id.index()];
+            stats.starved |= app.repeat && any_completed && stats.dags_completed == 0;
         }
 
         let traffic = TrafficStats {
@@ -2440,18 +2332,15 @@ impl SocSim {
             all_dram_bytes: self.all_dram_baseline_bytes,
         };
         // The only point where the dense AppId-indexed accumulators take
-        // their public string-keyed form: one pass over the app specs
-        // builds all three maps (app specs sharing a symbol collapse to
-        // the same key with the same dense accumulator, exactly as the
-        // separate per-map loops did).
+        // their public string-keyed form: one pass over the symbols builds
+        // all three maps.
         let mut apps_map = BTreeMap::new();
         let mut per_app_mem_time = BTreeMap::new();
         let mut per_app_compute_time = BTreeMap::new();
-        for (a, id) in self.app_stats.iter().zip(&self.app_ids) {
-            let name = a.name.clone();
-            per_app_mem_time.insert(name.clone(), self.per_app_mem_time[id.index()]);
-            per_app_compute_time.insert(name.clone(), self.per_app_compute_time[id.index()]);
-            apps_map.insert(name, a.clone());
+        for (id, a) in self.app_stats.iter().enumerate() {
+            per_app_mem_time.insert(a.name.clone(), self.per_app_mem_time[id]);
+            per_app_compute_time.insert(a.name.clone(), self.per_app_compute_time[id]);
+            apps_map.insert(a.name.clone(), a.clone());
         }
         let edges_total = self.app_stats.iter().map(|a| a.edges_consumed).sum();
         let stats = RunStats {
@@ -2463,9 +2352,9 @@ impl SocSim {
             interconnect_busy: self.engine.interconnect_busy(),
             dram_busy: self.engine.dram_busy(),
             scheduler_ops: self.sched_ops,
-            scheduler_time: self.sched_time,
+            scheduler_time: self.manager.stats().busy,
             edges_total,
-            faults: self.fault_stats,
+            faults: self.faults.into_stats(self.engine.channel_outages_applied()),
             service: self.frontend.take().map(Frontend::into_stats).unwrap_or_default(),
         };
         let trace = match &self.span_sink {

@@ -510,3 +510,28 @@ fn staggered_arrivals_are_honored() {
     assert!(first_a >= Time::from_us(500));
     assert_eq!(r.stats.apps["A"].dags_completed, 1);
 }
+
+#[test]
+fn app_specs_sharing_a_symbol_pool_their_stats() {
+    // Two instances of one app under one symbol: every count covers both,
+    // and the trace agrees with the statistics.
+    let dag = chain_alternating(4, Dur::from_ms(10));
+    let counters = relief_trace::CountersSink::shared();
+    let result = SocSim::new(
+        SocConfig::generic(vec![2, 2], PolicyKind::Relief),
+        vec![AppSpec::once("A", Arc::clone(&dag)), AppSpec::once("A", dag)],
+    )
+    .with_tracer(&relief_trace::Tracer::to_sink(counters.clone()))
+    .run();
+    let stats = &result.stats;
+    assert_eq!(stats.apps.len(), 1);
+    let a = &stats.apps["A"];
+    assert_eq!(a.dags_completed, 2);
+    assert_eq!(a.nodes_completed, 8);
+    assert_eq!(a.edges_consumed, 6);
+    assert_eq!(a.edges_consumed, stats.edges_total);
+    assert_eq!(a.dag_runtimes.len(), 2);
+    assert_eq!(a.forwards + a.colocations, 6, "every edge forwards or colocates");
+    let mismatches = relief_metrics::reconcile(counters.borrow().counters(), stats);
+    assert!(mismatches.is_empty(), "{mismatches:?}");
+}

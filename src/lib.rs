@@ -62,7 +62,7 @@ pub mod prelude {
     pub use relief_accel::{AppSpec, BwPredictorKind, SocConfig, SocSim};
     pub use relief_core::{PolicyKind, ReadyQueues, TaskEntry, TaskKey};
     pub use relief_dag::{AccTypeId, Dag, DagBuilder, NodeId, NodeSpec};
-    pub use relief_fault::{FaultConfig, FaultPlan};
+    pub use relief_fault::{FaultConfig, FaultDomain};
     pub use relief_metrics::{EnergyModel, Histogram, RunStats};
     pub use relief_service::{
         AdmissionConfig, ArrivalProcess, QosClass, StreamConfig, StreamPlan, TenantCfg,

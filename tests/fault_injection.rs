@@ -2,9 +2,9 @@
 //! accounting contracts of the `relief-fault` layer, checked end to end
 //! through the simulator, the campaign engine, and the trace subsystem.
 //!
-//! 1. **Schedule determinism** — a fault plan is a pure function of its
-//!    seed: same config → byte-identical schedule digest, different seed
-//!    → a different schedule.
+//! 1. **Schedule determinism** — the fault schedule is a pure function of
+//!    its seed: two runs of the same config emit identical fault events,
+//!    a reseeded run different ones.
 //! 2. **Jobs-invariance** — a faulted resilience campaign renders
 //!    byte-identical reports at `--jobs 1` and `--jobs N`.
 //! 3. **Replay** — two runs of the same faulted configuration produce a
@@ -26,7 +26,7 @@ use relief::metrics::FaultStats;
 use relief::prelude::*;
 use relief_accel::SimResult;
 use relief_trace::event::{EventKind, TaskRef};
-use relief_trace::{first_divergence_events, text, EventCounters, TraceEvent};
+use relief_trace::{first_divergence_events, text, EventCounters, Kind, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -94,15 +94,33 @@ fn key(t: &TaskRef) -> (u32, u32) {
     (t.instance, t.node)
 }
 
+/// The eight kinds the fault domain emits.
+const FAULT_KINDS: [Kind; 8] = [
+    Kind::TaskFaulted,
+    Kind::TaskRetried,
+    Kind::TaskAborted,
+    Kind::DmaFaulted,
+    Kind::UnitQuarantined,
+    Kind::UnitRestored,
+    Kind::FaultAttributedMiss,
+    Kind::EccCorrupted,
+];
+
+/// The text of a faulted diamond run's fault events, in order.
+fn fault_events(fault: FaultConfig) -> Vec<String> {
+    let (_, events) = traced_faulted_run(PolicyKind::Relief, fault);
+    events.iter().filter(|e| FAULT_KINDS.contains(&e.kind.kind())).map(|e| e.to_string()).collect()
+}
+
 #[test]
 fn fault_schedule_is_a_pure_function_of_the_seed() {
     let cfg = faulty(0.1, 500);
-    let a = FaultPlan::new(cfg.clone()).schedule_digest(8, 8, 64);
-    let b = FaultPlan::new(cfg.clone()).schedule_digest(8, 8, 64);
-    assert_eq!(a, b, "same seed and spec must yield a byte-identical fault schedule");
-    assert!(a.contains("task "), "rate 0.1 over 512 identities must schedule some task fault");
-    let reseeded = FaultPlan::new(FaultConfig { seed: 0x5EED, ..cfg });
-    assert_ne!(a, reseeded.schedule_digest(8, 8, 64), "reseeding must move the schedule");
+    let a = fault_events(cfg.clone());
+    assert_eq!(a, fault_events(cfg.clone()), "same seed and spec must yield identical faults");
+    assert!(a.iter().any(|e| e.contains("task-fault")), "rate 0.1 must fault some task");
+    assert!(a.iter().any(|e| e.contains("unit-quarantine")), "a 500 us MTTF must fire");
+    let reseeded = fault_events(FaultConfig { seed: 0x5EED, ..cfg });
+    assert_ne!(a, reseeded, "reseeding must move the schedule");
 }
 
 #[test]
