@@ -31,8 +31,9 @@
 //!    executes a small fault × overload grid with the self-healing stack
 //!    on, and `invariants` proves the end-of-run conservation checks
 //!    also hold in a release build via the `invariants` feature, on the
-//!    chaos suite and on every behaviour-corpus cell (whose release build
-//!    must also reproduce the committed digests).
+//!    chaos suite, the fault-injection suite and every behaviour-corpus
+//!    cell (whose release build must also reproduce the committed
+//!    digests).
 //! 5. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
 //!    incremental-campaign store: a cold run writes one pack, warm
@@ -50,8 +51,8 @@
 //!    — all eleven policies, forty seeds, faults, service mode, instance
 //!    recycling, every circuit-breaker transition, and the platform and
 //!    predictor axes — against the committed digests in
-//!    `tests/corpus/behaviour.txt`, open-loop cells with a digest of
-//!    their whole event stream too), and
+//!    `tests/corpus/behaviour.txt`, open-loop and fault cells with a
+//!    digest of their whole event stream too), and
 //!    `oracle_conformance` (the ahead-of-time scheduling bound: oracle ≤
 //!    every online policy, prediction = replay bit-exactly, beam-width
 //!    monotonicity, recorded-run replay differentials), and
@@ -296,6 +297,8 @@ fn check(args: &[String]) -> ExitCode {
                 "relief",
                 "--test",
                 "chaos_conformance",
+                "--test",
+                "fault_injection",
                 "--test",
                 "behaviour_corpus",
             ]),
