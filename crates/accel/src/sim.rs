@@ -1863,10 +1863,10 @@ impl SocSim {
                 let rt = self.node_rt_mut(slot, key.node);
                 rt.attempts = attempt + 1;
                 rt.phase = NodePhase::Waiting; // Ready ⟺ queued
+                self.events.push(self.now + backoff, Ev::Requeue { slot, key });
                 // The scheduled requeue takes its own pin before the
                 // running task's pin drops below.
                 self.dags[slot as usize].pins += 1;
-                self.events.push(self.now + backoff, Ev::Requeue { slot, key });
             }
             TaskFault::Abort => {
                 self.node_rt_mut(slot, key.node).phase = NodePhase::Aborted;
@@ -2115,15 +2115,13 @@ impl SocSim {
         self.node_rt_mut(slot, child.node).actual_bytes += bytes;
         let route = Route { src: Port::Dram, dst: Port::Spad(dst) };
         let (id, first) = self.engine.begin(route, bytes, dst, self.now);
-        self.track(
-            id,
-            match parent {
-                Some(parent) => {
-                    Purpose::InputEdge { child, parent, src_spad: None, attempt, dst, slot }
-                }
-                None => Purpose::DramInput { child, attempt, dst, slot },
-            },
-        );
+        let purpose = match parent {
+            Some(parent) => {
+                Purpose::InputEdge { child, parent, src_spad: None, attempt, dst, slot }
+            }
+            None => Purpose::DramInput { child, attempt, dst, slot },
+        };
+        self.track(id, purpose);
         self.events.push(first, Ev::Chunk(id));
     }
 
