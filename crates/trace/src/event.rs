@@ -459,7 +459,7 @@ pub enum EventKind {
     FaultAttributedMiss {
         /// DAG instance index.
         instance: u32,
-        /// Faults (task + DMA) the instance absorbed.
+        /// Faults (task, DMA and ECC) the instance absorbed.
         faults: u64,
     },
     /// A forwarded chunk failed its ECC check: the in-flight forward was
