@@ -59,7 +59,7 @@ pub mod workload;
 pub use config::{BwPredictorKind, SocConfig};
 pub use kinds::{AccKind, PLANE_BYTES};
 pub use result::{PredictionStats, SimResult};
-pub use sim::SocSim;
+pub use sim::{ForkError, SocSim};
 pub use trace::{Span, SpanCollector, Trace};
 pub use workload::AppSpec;
 

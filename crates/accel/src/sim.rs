@@ -45,8 +45,30 @@ use relief_sim::{
 use relief_trace::{EventKind, InputSource, ResourceId, TaskRef, Tracer};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// Why [`SocSim::fork`] cannot copy a simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ForkError {
+    /// The run serves an open-loop stream (`cfg.stream` is enabled): the
+    /// request frontend's admission, breaker and service state is not
+    /// copied.
+    OpenLoopStream,
+}
+
+impl fmt::Display for ForkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ForkError::OpenLoopStream => {
+                write!(f, "cannot fork an open-loop run: the request frontend is not copied")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ForkError {}
 
 /// Converts a task key into the trace layer's id type.
 fn tref(key: TaskKey) -> TaskRef {
@@ -136,7 +158,7 @@ impl NodeRt {
 }
 
 /// One live DAG instance.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DagInst {
     app_idx: usize,
     dag: Arc<Dag>,
@@ -209,7 +231,7 @@ enum RunPhase {
     Compute,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Running {
     key: TaskKey,
     /// Storage slot of `key`'s instance (pinned while the task runs).
@@ -231,7 +253,7 @@ struct Running {
 }
 
 /// One accelerator instance.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct AccInst {
     running: Option<Running>,
     /// Previously executed node — the colocation tracker (§III-B).
@@ -310,6 +332,14 @@ enum Ev {
     /// storage slot and the admission serial: a mismatch (or a retired
     /// slot) means the slot was recycled and the event is stale.
     Timeout { slot: u32, serial: u32 },
+}
+
+/// The watchdog's view of progress: when simulated time last advanced,
+/// and the dispatch count at that moment.
+#[derive(Debug, Default)]
+struct Watchdog {
+    last_time: Time,
+    last_advance: u64,
 }
 
 /// Every queued event pays `Ev`'s size in the event queue's insert
@@ -398,7 +428,9 @@ pub struct SocSim {
     transfers: Vec<Option<Tracked>>,
     manager: Timeline,
     mem_pred: MemTimePredictor,
-    profile: ComputeProfile,
+    /// Boot-time compute profile. It changes only at an app's first
+    /// arrival, so forks share it and copy it on such a write.
+    profile: Rc<ComputeProfile>,
     rng: SplitMix64,
     /// The fault domain (`relief-fault`): verdicts, recovery rules, outage
     /// schedules, parked ECC re-fetches and fault statistics. Its verdicts
@@ -571,7 +603,7 @@ impl SocSim {
             transfers: Vec::new(),
             manager: Timeline::new(),
             mem_pred,
-            profile: ComputeProfile::new(),
+            profile: Rc::new(ComputeProfile::new()),
             rng: SplitMix64::new(cfg.seed),
             pending_arrivals,
             cancels_on: faults.enabled() || frontend.as_ref().is_some_and(Frontend::self_heal_on),
@@ -680,9 +712,7 @@ impl SocSim {
     /// Returns [`StallError`] when the simulation deadlocks or livelocks
     /// (both are model bugs, never a legitimate outcome of valid input).
     pub fn try_run(mut self) -> Result<SimResult, StallError> {
-        let window = self.cfg.watchdog_window;
-        let mut last_time = Time::ZERO;
-        let mut last_advance = 0u64;
+        let mut watch = Watchdog::default();
         let mut cohort: Vec<Ev> = Vec::new();
         while let Some(at) = self.events.pop_cohort(&mut cohort) {
             if let Some(limit) = self.cfg.time_limit {
@@ -695,20 +725,144 @@ impl SocSim {
                     break;
                 }
             }
-            self.now = at;
-            if at > last_time {
-                last_time = at;
-                last_advance = self.events.dispatched();
-            }
-            for &ev in &cohort {
-                self.events.mark_dispatched(at);
-                self.dispatch(ev);
-            }
-            if window > 0 && self.events.dispatched() - last_advance > window {
-                return Err(self.stall(StallKind::NoProgressWindow));
-            }
+            self.dispatch_cohort(at, &cohort, &mut watch)?;
         }
         self.finish()
+    }
+
+    /// Dispatches every event cohort scheduled before `t`, then pauses so
+    /// [`fork`](Self::fork) can copy the state. The first cohort at or
+    /// after `t` stays queued, as does one past the configured time limit
+    /// (left for [`try_run`](Self::try_run) to truncate at). Resuming with
+    /// `try_run`, or pausing again at a later `t`, dispatches exactly the
+    /// events an uninterrupted run would, in the same order.
+    ///
+    /// The watchdog's no-progress window restarts at each call. That is
+    /// exact: every cohort at one instant is dispatched within one call,
+    /// and the window only counts events since simulated time last
+    /// advanced.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StallError`] when the no-progress window elapses before
+    /// `t` (a livelock).
+    pub fn run_until(&mut self, t: Time) -> Result<(), StallError> {
+        let mut watch = Watchdog::default();
+        let mut cohort: Vec<Ev> = Vec::new();
+        let limit = self.cfg.time_limit;
+        while self.events.peek_time().is_some_and(|at| at < t && limit.is_none_or(|l| at <= l)) {
+            let Some(at) = self.events.pop_cohort(&mut cohort) else { break };
+            self.dispatch_cohort(at, &cohort, &mut watch)?;
+        }
+        Ok(())
+    }
+
+    /// Dispatches one drained cohort at `at` and applies the watchdog's
+    /// no-progress window: shared by [`try_run`](Self::try_run) and
+    /// [`run_until`](Self::run_until).
+    #[inline(always)]
+    fn dispatch_cohort(
+        &mut self,
+        at: Time,
+        cohort: &[Ev],
+        watch: &mut Watchdog,
+    ) -> Result<(), StallError> {
+        self.now = at;
+        if at > watch.last_time {
+            watch.last_time = at;
+            watch.last_advance = self.events.dispatched();
+        }
+        for &ev in cohort {
+            self.events.mark_dispatched(at);
+            self.dispatch(ev);
+        }
+        let window = self.cfg.watchdog_window;
+        if window > 0 && self.events.dispatched() - watch.last_advance > window {
+            return Err(self.stall(StallKind::NoProgressWindow));
+        }
+        Ok(())
+    }
+
+    /// Copies a paused simulation (see [`run_until`](Self::run_until)):
+    /// every queued event, in-flight transfer, scratchpad partition,
+    /// ready queue, predictor, RNG draw position, fault cursor and
+    /// statistic, with `policy` in place of the policy object and
+    /// `tracer`'s sinks in place of the attached ones (the internal span
+    /// collector of `cfg.record_trace` is copied with its spans). The
+    /// original is untouched and may be forked again.
+    ///
+    /// The policy object's state is not copied: pass one that continues
+    /// where the original's left off, such as a
+    /// [`ScheduleReplay`](relief_core::ScheduleReplay) of the launches not
+    /// yet dispatched. Then resuming the fork reproduces the uninterrupted
+    /// run's results, event count and trace from the pause on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ForkError::OpenLoopStream`] when `cfg.stream` is enabled:
+    /// the request frontend's state is not copied.
+    pub fn fork(&self, policy: Box<dyn Policy>, tracer: &Tracer) -> Result<SocSim, ForkError> {
+        if self.frontend.is_some() {
+            return Err(ForkError::OpenLoopStream);
+        }
+        let mut sim = SocSim {
+            cfg: self.cfg.clone(),
+            apps: self.apps.clone(),
+            policy,
+            queues: self.queues.clone(),
+            engine: self.engine.clone(),
+            insts: self.insts.clone(),
+            type_insts: self.type_insts.clone(),
+            dags: self.dags.clone(),
+            dag_slots: self.dag_slots.clone(),
+            next_dag_serial: self.next_dag_serial,
+            node_pools: self.node_pools.clone(),
+            active_work: self.active_work,
+            retired_dm: self.retired_dm.clone(),
+            events: self.events.clone(),
+            now: self.now,
+            seq: self.seq,
+            transfers: self.transfers.clone(),
+            manager: self.manager.clone(),
+            mem_pred: self.mem_pred.clone(),
+            profile: self.profile.clone(),
+            rng: self.rng.clone(),
+            faults: self.faults.clone(),
+            pending_arrivals: self.pending_arrivals,
+            frontend: None,
+            cancels_on: self.cancels_on,
+            app_deadlines: self.app_deadlines.clone(),
+            app_profiled: self.app_profiled.clone(),
+            app_ids: self.app_ids.clone(),
+            app_symbols: self.app_symbols.clone(),
+            app_kind_ids: self.app_kind_ids.clone(),
+            // The scratch buffers are empty between events.
+            batch_scratch: Vec::new(),
+            ready_scratch: Vec::new(),
+            idle_scratch: Vec::new(),
+            dm_bytes_scratch: Vec::new(),
+            child_type_counts: vec![0; self.child_type_counts.len()],
+            app_stats: self.app_stats.clone(),
+            per_app_mem_time: self.per_app_mem_time.clone(),
+            per_app_compute_time: self.per_app_compute_time.clone(),
+            colocated_bytes: self.colocated_bytes,
+            spad_access_bytes: self.spad_access_bytes,
+            all_dram_baseline_bytes: self.all_dram_baseline_bytes,
+            sched_ops: self.sched_ops,
+            prediction: self.prediction.clone(),
+            tracer: Tracer::off(),
+            span_sink: None,
+            last_completion: self.last_completion,
+            truncated: self.truncated,
+        };
+        if let Some(spans) = &self.span_sink {
+            let copy = Rc::new(RefCell::new(spans.borrow().clone()));
+            sim.tracer.attach(copy.clone());
+            sim.span_sink = Some(copy);
+        }
+        sim.tracer.merge(tracer);
+        sim.wire_tracer();
+        Ok(sim)
     }
 
     /// Post-drain gate: a non-truncated run whose queue emptied while a
@@ -863,18 +1017,16 @@ impl SocSim {
         // per (accelerator, operation) pair, so only an app's first arrival
         // can add anything.
         if !self.app_profiled[app_idx] {
+            let profile = Rc::make_mut(&mut self.profile);
             for spec in dag.nodes() {
-                if self.profile.predict(spec.acc, &spec.label).is_none() {
-                    self.profile.observe(spec.acc, &spec.label, spec.compute);
+                if profile.predict(spec.acc, &spec.label).is_none() {
+                    profile.observe(spec.acc, &spec.label, spec.compute);
                 }
             }
             // Intern each node's label once; `make_entry` predicts by
             // these dense ids on every subsequent ready-queue insert.
-            let kinds = dag
-                .nodes()
-                .iter()
-                .map(|spec| self.profile.intern_kind(&spec.label))
-                .collect::<Vec<_>>();
+            let kinds =
+                dag.nodes().iter().map(|spec| profile.intern_kind(&spec.label)).collect::<Vec<_>>();
             self.app_kind_ids[app_idx] = kinds;
             self.app_profiled[app_idx] = true;
         }

@@ -116,7 +116,7 @@ impl Trace {
 /// A [`TraceSink`] that keeps only `ComputeEnd` events, each distilled
 /// into a [`Span`]. The simulator attaches one internally when
 /// [`SocConfig::record_trace`](crate::SocConfig) is set.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SpanCollector {
     spans: Vec<Span>,
 }

@@ -535,3 +535,225 @@ fn app_specs_sharing_a_symbol_pool_their_stats() {
     let mismatches = relief_metrics::reconcile(counters.borrow().counters(), stats);
     assert!(mismatches.is_empty(), "{mismatches:?}");
 }
+
+// ---------------------------------------------------------------------
+// Pausing and forking (`SocSim::run_until`, `SocSim::fork`)
+// ---------------------------------------------------------------------
+
+use relief_core::{Schedule, ScheduleRecorder, ScheduleReplay, TaskKey};
+use relief_trace::{EventKind, TraceEvent, TraceSink, Tracer};
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::rc::Rc;
+
+/// Keeps every event of a run, in emission order.
+#[derive(Default)]
+struct EventLog(Vec<TraceEvent>);
+
+impl TraceSink for EventLog {
+    fn emit(&mut self, ev: TraceEvent) {
+        self.0.push(ev);
+    }
+}
+
+fn event_log() -> (Rc<RefCell<EventLog>>, Tracer) {
+    let log = Rc::new(RefCell::new(EventLog::default()));
+    let tracer = Tracer::to_sink(log.clone());
+    (log, tracer)
+}
+
+/// The eleven online policies.
+fn every_policy() -> Vec<PolicyKind> {
+    PolicyKind::ALL.into_iter().chain(PolicyKind::EXTENSIONS).collect()
+}
+
+/// `policy`'s own run of the workload, as a replayable schedule.
+fn recorded(cfg: &SocConfig, apps: &[AppSpec]) -> Schedule {
+    let recorder = ScheduleRecorder::shared();
+    SocSim::new(cfg.clone(), apps.to_vec()).with_tracer(&Tracer::to_sink(recorder.clone())).run();
+    let schedule = recorder.borrow().schedule();
+    schedule
+}
+
+fn replay_of(schedule: &Schedule, cfg: &SocConfig) -> Box<ScheduleReplay> {
+    Box::new(ScheduleReplay::new(schedule, &cfg.acc_instances).impersonating(cfg.policy))
+}
+
+/// Everything a run reports, as text.
+fn outcome(result: &relief_accel::SimResult) -> String {
+    format!("{:?}\nevents {}", result, result.events_dispatched)
+}
+
+/// Replays `schedule` uninterrupted and, for each cut `t`, as
+/// `run_until(t)` + `fork` (with a replay of the launches not dispatched
+/// yet) + `try_run`. Asserts identical results and event counts, and that
+/// the origin's events followed by the fork's are the uninterrupted trace.
+/// Without the manager's modeled latency, a launch pass fires at the
+/// instant its batch was enqueued, so one instant holds several cohorts:
+/// the run is then also cut right before such an instant.
+fn assert_fork_resumes(label: &str, cfg: &SocConfig, apps: &[AppSpec], schedule: &Schedule) {
+    let (whole_log, tracer) = event_log();
+    let whole = SocSim::new(cfg.clone(), apps.to_vec())
+        .with_policy_object(replay_of(schedule, cfg))
+        .with_tracer(&tracer)
+        .try_run()
+        .unwrap();
+    let whole_events = std::mem::take(&mut whole_log.borrow_mut().0);
+    let end_ps = whole_events.last().map_or(0, |e| e.at_ps);
+    // The busiest instant after 0: where the most events fire at once
+    // (several same-instant cohorts when handlers push at the current
+    // time).
+    let mut busiest = (0, 0u64);
+    for w in whole_events.chunk_by(|a, b| a.at_ps == b.at_ps) {
+        let fired =
+            w.iter().filter(|e| matches!(e.kind, EventKind::EventDispatched { .. })).count();
+        if w[0].at_ps > 0 && fired > busiest.0 {
+            busiest = (fired, w[0].at_ps);
+        }
+    }
+    if !cfg.model_sched_overhead {
+        assert!(busiest.0 > 1, "{label}: no instant after 0 fires twice");
+    }
+    for t in [0, busiest.1, busiest.1 + 1, end_ps / 2, end_ps + 1] {
+        let (origin_log, tracer) = event_log();
+        let mut origin = SocSim::new(cfg.clone(), apps.to_vec())
+            .with_policy_object(replay_of(schedule, cfg))
+            .with_tracer(&tracer);
+        origin.run_until(Time::from_ps(t)).unwrap();
+        let before = std::mem::take(&mut origin_log.borrow_mut().0);
+        let dispatched: HashSet<TaskKey> = before
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::TaskDispatched { task, .. } => {
+                    Some(TaskKey::new(task.instance, task.node))
+                }
+                _ => None,
+            })
+            .collect();
+        let rest = Schedule {
+            launches: schedule
+                .launches
+                .iter()
+                .filter(|l| !dispatched.contains(&l.task))
+                .copied()
+                .collect(),
+            eager_writebacks: schedule.eager_writebacks.clone(),
+        };
+        let (fork_log, tracer) = event_log();
+        let resumed = origin.fork(replay_of(&rest, cfg), &tracer).unwrap().try_run().unwrap();
+        assert_eq!(outcome(&resumed), outcome(&whole), "{label}: cut at {t} ps");
+        let after = std::mem::take(&mut fork_log.borrow_mut().0);
+        assert!(before.iter().all(|e| e.at_ps < t), "{label}: paused at or past {t} ps");
+        if t == busiest.1 {
+            assert_eq!(after[0].at_ps, t, "{label}: the fork starts with the busy instant");
+        }
+        assert_eq!(
+            relief_trace::text::to_text(&[before, after].concat()),
+            relief_trace::text::to_text(&whole_events),
+            "{label}: trace cut at {t} ps"
+        );
+        assert!(origin_log.borrow().0.is_empty(), "{label}: the fork wrote to the origin's sinks");
+    }
+}
+
+#[test]
+fn forked_replays_resume_bit_exactly_on_mixes() {
+    use relief_workloads::Contention;
+    for (i, mix) in Contention::High.mixes().into_iter().take(2).enumerate() {
+        let apps = mix.workload();
+        for policy in every_policy() {
+            let mut cfg = SocConfig::mobile(policy);
+            cfg.model_sched_overhead = i == 0;
+            let label = format!("{} {}", mix.label(), policy.name());
+            assert_fork_resumes(&label, &cfg, &apps, &recorded(&cfg, &apps));
+        }
+    }
+}
+
+#[test]
+fn forked_replays_resume_bit_exactly_on_generated_platforms() {
+    use relief_workloads::synthetic::{random_dag, SyntheticParams};
+    let platforms: [&[usize]; 3] = [&[1, 2], &[2, 1, 1], &[1, 1]];
+    for seed in 0..3u64 {
+        let instances = platforms[seed as usize].to_vec();
+        let params = SyntheticParams {
+            nodes: 10,
+            acc_types: instances.len() as u32,
+            ..SyntheticParams::default()
+        };
+        let apps = vec![
+            AppSpec::once("S0", random_dag(&params, seed)),
+            AppSpec::once("S1", random_dag(&params, seed + 100)),
+        ];
+        for policy in every_policy() {
+            let mut cfg = SocConfig::generic(instances.clone(), policy);
+            cfg.model_sched_overhead = seed != 0;
+            let label = format!("seed {seed} {}", policy.name());
+            assert_fork_resumes(&label, &cfg, &apps, &recorded(&cfg, &apps));
+        }
+    }
+}
+
+#[test]
+fn forked_faulted_and_truncated_runs_resume_bit_exactly() {
+    // Stateless policies continue from any point with a fresh policy
+    // object, so no replay is needed: the fault domain, the DRAM-channel
+    // blackout cursor and the time-limit truncation carry the test.
+    use relief_workloads::Contention;
+    let fault = relief_fault::FaultConfig {
+        task_fault_rate: 0.05,
+        dma_fault_rate: 0.02,
+        ecc_chunk_rate: 0.01,
+        unit_mttf_ps: 400_000_000,
+        unit_repair_ps: 20_000_000,
+        dram_mttf_ps: 300_000_000,
+        dram_repair_ps: 10_000_000,
+        ..relief_fault::FaultConfig::default()
+    };
+    let mix = &Contention::Continuous.mixes()[0];
+    for policy in [PolicyKind::Fcfs, PolicyKind::GedfD, PolicyKind::GedfN, PolicyKind::Ll] {
+        let cfg =
+            SocConfig::mobile(policy).with_fault(fault.clone()).with_time_limit(Time::from_ms(5));
+        let whole = SocSim::new(cfg.clone(), mix.workload()).try_run().unwrap();
+        assert!(whole.stats.faults.task_faults > 0, "{}: faults fire", policy.name());
+        for t in [Time::from_ms(2), Time::from_ms(6)] {
+            let mut origin = SocSim::new(cfg.clone(), mix.workload());
+            origin.run_until(t).unwrap();
+            let resumed = origin.fork(policy.build(), &Tracer::off()).unwrap().try_run().unwrap();
+            assert_eq!(outcome(&resumed), outcome(&whole), "{} cut at {t:?}", policy.name());
+        }
+    }
+}
+
+#[test]
+fn forking_leaves_the_origin_untouched() {
+    let dag = chain_alternating(8, Dur::from_ms(10));
+    let apps = vec![AppSpec::once("A", Arc::clone(&dag)), AppSpec::once("B", dag)];
+    let mut cfg = SocConfig::generic(vec![1, 1], PolicyKind::Relief);
+    cfg.record_trace = true;
+    let whole = SocSim::new(cfg.clone(), apps.clone()).run();
+    let mut origin = SocSim::new(cfg, apps);
+    origin.run_until(Time::from_us(45)).unwrap();
+    // Relief's escalation counters are not part of any output, so a
+    // fresh policy object continues the run.
+    let first = origin.fork(PolicyKind::Relief.build(), &Tracer::off()).unwrap().run();
+    let second = origin.fork(PolicyKind::Relief.build(), &Tracer::off()).unwrap().run();
+    assert_eq!(outcome(&first), outcome(&second));
+    assert_eq!(outcome(&first), outcome(&whole));
+    assert_eq!(first.trace.spans, whole.trace.spans, "the span collector is copied");
+    assert_eq!(outcome(&origin.try_run().unwrap()), outcome(&whole));
+}
+
+#[test]
+fn open_loop_runs_refuse_to_fork() {
+    use relief_service::{QosClass, StreamConfig, TenantCfg};
+    let stream = StreamConfig {
+        duration_ps: 1_000_000_000,
+        tenants: vec![TenantCfg::new(QosClass::Standard, 1000.0)],
+        ..StreamConfig::default()
+    };
+    let cfg = SocConfig::generic(vec![1, 1], PolicyKind::Fcfs).with_stream(stream);
+    let sim = SocSim::new(cfg, vec![AppSpec::once("A", chain_alternating(3, Dur::from_ms(1)))]);
+    let err = sim.fork(PolicyKind::Fcfs.build(), &Tracer::off()).err();
+    assert_eq!(err, Some(relief_accel::ForkError::OpenLoopStream));
+}

@@ -48,6 +48,10 @@ pub struct Refetch {
 /// outage arming, ECC re-fetch parking), the run's [`FaultStats`] and the
 /// fault trace events.
 ///
+/// A clone carries the outage cursors, armed windows, parked re-fetches and
+/// statistics; its tracer shares the original's sinks until
+/// [`set_tracer`](Self::set_tracer) replaces it.
+///
 /// # Examples
 ///
 /// ```
@@ -65,7 +69,7 @@ pub struct Refetch {
 /// assert_eq!(faults.compute_done(Time::ZERO, task, 0, 1), Some(TaskFault::Abort));
 /// assert_eq!(faults.into_stats(0).task_faults, 2);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FaultDomain {
     cfg: FaultConfig,
     stats: FaultStats,
@@ -171,10 +175,10 @@ impl FaultDomain {
     /// The DRAM channel's blackout windows as `(down_ps, up_ps)` pairs, for
     /// the transfer engine's gate; `None` when channel outages are off.
     #[must_use]
-    pub fn channel_windows(&self) -> Option<Box<dyn Iterator<Item = (u64, u64)>>> {
+    pub fn channel_windows(&self) -> Option<impl Iterator<Item = (u64, u64)> + Clone> {
         let (mttf, repair) = (self.cfg.dram_mttf_ps, self.cfg.dram_repair_ps);
         let windows = OutageSchedule::new(self.cfg.seed, DOMAIN_CHANNEL, 0, mttf, repair);
-        (mttf > 0).then(|| Box::new(windows.map(|w| (w.down_ps, w.up_ps))) as Box<_>)
+        (mttf > 0).then(|| windows.map(|w| (w.down_ps, w.up_ps)))
     }
 
     /// Arms `unit`'s next outage window and returns when it opens; `None`

@@ -154,11 +154,28 @@ fn spad_of(x: i32) -> Option<usize> {
 /// channel from its gated start), which is what lets the cursor advance
 /// monotonically through the stream.
 struct DramOutages {
-    feed: Box<dyn Iterator<Item = (u64, u64)>>,
+    feed: Box<dyn WindowFeed>,
     /// The frontier window: every earlier window has already been passed.
     next: (u64, u64),
     /// Windows that actually delayed a chunk start.
     applied: u64,
+}
+
+/// A blackout-window stream the engine can copy along with itself.
+trait WindowFeed: Iterator<Item = (u64, u64)> {
+    fn boxed_clone(&self) -> Box<dyn WindowFeed>;
+}
+
+impl<I: Iterator<Item = (u64, u64)> + Clone + 'static> WindowFeed for I {
+    fn boxed_clone(&self) -> Box<dyn WindowFeed> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for DramOutages {
+    fn clone(&self) -> Self {
+        DramOutages { feed: self.feed.boxed_clone(), next: self.next, applied: self.applied }
+    }
 }
 
 impl fmt::Debug for DramOutages {
@@ -210,7 +227,12 @@ fn gate_dram_start(outages: &mut Option<DramOutages>, tracer: &Tracer, mut start
 /// free-listed, so a steady-state run allocates nothing per transfer
 /// once the arena reaches the concurrency high-water mark, and the
 /// per-chunk lookup is a bounds check instead of a hash probe.
-#[derive(Debug)]
+///
+/// A clone copies every in-flight transfer, resource timeline, ledger and
+/// the blackout cursor, so the copy delivers the same chunks at the same
+/// times as the original; its tracer shares the original's sinks until
+/// [`set_tracer`](TransferEngine::set_tracer) replaces it.
+#[derive(Debug, Clone)]
 pub struct TransferEngine {
     config: MemConfig,
     dram: Timeline,
@@ -295,10 +317,13 @@ impl TransferEngine {
     /// Installs a DRAM-channel blackout schedule: no new chunk may start
     /// on a DRAM route inside any `(down_ps, up_ps)` window. Windows must
     /// be non-overlapping and sorted; the feed may be infinite (only the
-    /// frontier window is held).
-    pub fn set_dram_outages(&mut self, mut windows: Box<dyn Iterator<Item = (u64, u64)>>) {
+    /// frontier window is held). The feed is cloned with the engine.
+    pub fn set_dram_outages(
+        &mut self,
+        mut windows: impl Iterator<Item = (u64, u64)> + Clone + 'static,
+    ) {
         let next = windows.next().unwrap_or((u64::MAX, u64::MAX));
-        self.dram_outages = Some(DramOutages { feed: windows, next, applied: 0 });
+        self.dram_outages = Some(DramOutages { feed: Box::new(windows), next, applied: 0 });
     }
 
     /// How many blackout windows have actually delayed a chunk start.
@@ -867,7 +892,7 @@ mod tests {
         let run = |reference: bool| {
             let mut e = TransferEngine::new(MemConfig::default(), 2);
             e.reference_alloc_path = reference;
-            e.set_dram_outages(Box::new(windows.clone().into_iter()));
+            e.set_dram_outages(windows.clone().into_iter());
             let (a, fa) =
                 e.begin(Route { src: Port::Dram, dst: Port::Spad(0) }, 20_000, 0, Time::ZERO);
             let (b, fb) =

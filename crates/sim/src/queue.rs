@@ -23,6 +23,7 @@ use crate::time::Time;
 use relief_trace::{EventKind, Tracer};
 
 /// One scheduled entry: fire time and payload.
+#[derive(Clone)]
 struct Entry<E> {
     at: Time,
     event: E,
@@ -43,6 +44,11 @@ struct Entry<E> {
 /// assert_eq!(q.peek_time(), Some(Time::from_ns(1)));
 /// assert_eq!(q.pop(), Some((Time::from_ns(1), 'a')));
 /// ```
+///
+/// A clone copies the pending events, the sequence and dispatch counters
+/// and the tracer handle (which shares its sinks with the original), so
+/// both queues pop identically from the copy point on.
+#[derive(Clone)]
 pub struct EventQueue<E> {
     /// Pending events, sorted *descending* by `(at, seq)` so the earliest
     /// sits at the back.
