@@ -558,7 +558,10 @@ pub fn fig11_with(ctx: &Ctx) -> String {
 /// ordering is the reproducible part).
 ///
 /// This artifact times *host* wall-clock latency with `Instant`, so it is
-/// inherently nondeterministic and is never cached or campaign-executed.
+/// inherently nondeterministic and never campaign-executed. `relief-bench
+/// all_experiments` caches the rendered text as the `fig12-host-latency`
+/// artifact, so a warm rerun prints it byte-identically and `--no-cache`
+/// re-measures.
 pub fn fig12() -> String {
     use relief_core::{ReadyQueues, TaskEntry, TaskKey};
     use relief_dag::AccTypeId;
@@ -687,17 +690,60 @@ fn sweep_all_contention(
 }
 
 /// Colocation-only percentage sweep, printed right after Fig. 4 (the
-/// figure stacks COL under FWD).
+/// figure stacks COL under FWD). A mix may colocate nothing (D alone
+/// reads every input from DRAM or a forward), and one 0 pulls a geometric
+/// mean to 0, so a block with a zero entry ends in a `Gmean>0` row: each
+/// column's geometric mean over its nonzero entries.
 pub fn fig4_colocations_with(ctx: &Ctx) -> String {
-    sweep_all_contention(ctx, "Fig. 4 (colocations only)", "colocations / edges (%)", 1, |r| {
-        r.stats.colocation_percent()
-    })
+    let mut out = String::new();
+    for contention in Contention::ALL {
+        let sweep = PolicySweep::collect_with(ctx, contention, &MAIN_POLICIES, |r| {
+            r.stats.colocation_percent()
+        });
+        let _ = writeln!(
+            out,
+            "[Fig. 4 (colocations only) — {contention} contention]\n{}",
+            colocation_table(&sweep)
+        );
+    }
+    out
+}
+
+/// Renders one colocation sweep (see [`fig4_colocations_with`]).
+fn colocation_table(sweep: &PolicySweep) -> String {
+    const HEADER: &str = "colocations / edges (%)";
+    if !sweep.rows.iter().any(|(_, values)| values.contains(&0.0)) {
+        return sweep.render(HEADER, 1);
+    }
+    let nonzero: Vec<f64> = (0..sweep.policies.len())
+        .map(|i| geometric_mean(sweep.rows.iter().map(|(_, v)| v[i]).filter(|&v| v > 0.0)))
+        .collect();
+    sweep.render_with_footer(HEADER, 1, "Gmean>0", &nonzero)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use grid::RunSpec;
+
+    #[test]
+    fn colocation_gmean_skips_zero_entries() {
+        let sweep = |d: f64| PolicySweep {
+            policies: vec![PolicyKind::Fcfs, PolicyKind::Relief],
+            rows: vec![
+                ("C".to_string(), vec![4.0, 2.0]),
+                ("D".to_string(), vec![d, d]),
+                ("G".to_string(), vec![9.0, 32.0]),
+            ],
+        };
+        let footer = |table: String| -> Vec<String> {
+            table.lines().last().unwrap().split_whitespace().map(str::to_string).collect()
+        };
+        // D's 0 is left out of the footer, which says so.
+        assert_eq!(footer(colocation_table(&sweep(0.0))), ["Gmean>0", "6.0", "8.0"]);
+        // Without a zero entry the footer is the plain geometric mean.
+        assert_eq!(footer(colocation_table(&sweep(1.0))), ["Gmean", "3.3", "4.0"]);
+    }
 
     #[test]
     fn fig2_workload_shape() {

@@ -97,13 +97,24 @@ impl PolicySweep {
 
     /// Renders the sweep as a table with a Gmean footer.
     pub fn render(&self, value_header: &str, precision: usize) -> String {
+        self.render_with_footer(value_header, precision, "Gmean", &self.gmeans())
+    }
+
+    /// Renders the sweep as a table ending in a `footer_label` row.
+    pub(crate) fn render_with_footer(
+        &self,
+        value_header: &str,
+        precision: usize,
+        footer_label: &str,
+        footer: &[f64],
+    ) -> String {
         let mut cols = vec!["mix".to_string()];
         cols.extend(self.policies.iter().map(|p| p.name().to_string()));
         let mut t = relief_metrics::report::Table::new(cols);
         for (label, values) in &self.rows {
             t.num_row(label, values, precision);
         }
-        t.num_row("Gmean", &self.gmeans(), precision);
+        t.num_row(footer_label, footer, precision);
         format!("[{value_header}]\n{}", t.render())
     }
 }
