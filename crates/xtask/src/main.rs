@@ -31,9 +31,10 @@
 //!    executes a small fault × overload grid with the self-healing stack
 //!    on, and `invariants` proves the end-of-run conservation checks
 //!    also hold in a release build via the `invariants` feature, on the
-//!    chaos suite, the fault-injection suite and every behaviour-corpus
-//!    cell (whose release build must also reproduce the committed
-//!    digests).
+//!    chaos suite, the fault-injection suite, the oracle suite (whose
+//!    search resumes forked simulations, each checked at its end) and
+//!    every behaviour-corpus cell (whose release build must also
+//!    reproduce the committed digests).
 //! 5. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
 //!    incremental-campaign store: a cold run writes one pack, warm
@@ -299,6 +300,8 @@ fn check(args: &[String]) -> ExitCode {
                 "chaos_conformance",
                 "--test",
                 "fault_injection",
+                "--test",
+                "oracle_conformance",
                 "--test",
                 "behaviour_corpus",
             ]),
