@@ -466,7 +466,10 @@ impl CampaignResults {
 /// Workers claim specs through an atomic cursor, build and run each
 /// simulator entirely thread-locally (`SocSim` is `!Send`), and slot the
 /// outcome by spec index. A panicking run is caught, attributed to its
-/// spec's label, and does not take down the campaign.
+/// spec's label, and does not take down the campaign. A pool of one runs
+/// on the calling thread: a fresh worker would inherit the malloc arena
+/// of whatever thread ran last, so how much memory each call faults in
+/// again would depend on earlier, unrelated work.
 ///
 /// With the persistent cache enabled, the directory's packs are opened
 /// once up front and answer every cell they hold; after the pool joins,
@@ -478,36 +481,42 @@ pub fn execute(specs: Vec<RunSpec>, opts: &ExecOptions) -> CampaignResults {
     let packs = crate::cache::Packs::open(&opts.cache);
     // Each slot holds the outcome and whether it came from the cache.
     let slots: Vec<Mutex<Option<(RunOutcome, bool)>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let spec = &specs[i];
-                let label = spec.label();
-                let capture = opts.trace_labels.contains(&label);
-                // Trace captures bypass the persistent cache entirely:
-                // cached records carry no text trace, and storing one
-                // would leak a layout the reader doesn't model.
-                let cached = if capture { None } else { packs.lookup(spec, &label) };
-                let hit = cached.is_some();
-                let outcome = cached.map(Ok).unwrap_or_else(|| {
-                    catch_unwind(AssertUnwindSafe(|| spec.execute_instrumented(capture)))
-                        .map_err(|payload| {
-                            payload
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".to_string())
-                        })
-                });
-                *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                    Some((RunOutcome { label, spec: spec.clone(), outcome }, hit));
-            });
+    let worker = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
-    });
+        let spec = &specs[i];
+        let label = spec.label();
+        let capture = opts.trace_labels.contains(&label);
+        // Trace captures bypass the persistent cache entirely:
+        // cached records carry no text trace, and storing one
+        // would leak a layout the reader doesn't model.
+        let cached = if capture { None } else { packs.lookup(spec, &label) };
+        let hit = cached.is_some();
+        let outcome = cached.map(Ok).unwrap_or_else(|| {
+            catch_unwind(AssertUnwindSafe(|| spec.execute_instrumented(capture))).map_err(
+                |payload| {
+                    payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string())
+                },
+            )
+        });
+        *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
+            Some((RunOutcome { label, spec: spec.clone(), outcome }, hit));
+    };
+    if jobs == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(worker);
+            }
+        });
+    }
     // The cursor visits every index exactly once, so each slot is filled.
     #[allow(clippy::expect_used)]
     let (outcomes, hits): (Vec<RunOutcome>, Vec<bool>) = slots

@@ -101,20 +101,26 @@ fn parallel_rows(scenarios: &[App], jobs: usize) -> Vec<Vec<String>> {
 
     let next = AtomicUsize::new(0);
     let out: Mutex<Vec<Option<Vec<String>>>> = Mutex::new(vec![None; scenarios.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(scenarios.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&app) = scenarios.get(i) else { break };
-                let row = row_for(app);
-                #[allow(clippy::unwrap_used)] // a poisoned lock is already a test failure
-                {
-                    out.lock().unwrap()[i] = Some(row);
-                }
-            });
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&app) = scenarios.get(i) else { break };
+        let row = row_for(app);
+        #[allow(clippy::unwrap_used)] // a poisoned lock is already a test failure
+        {
+            out.lock().unwrap()[i] = Some(row);
         }
-    });
-    #[allow(clippy::unwrap_used)] // every slot was filled by the scope above
+    };
+    // One worker runs on the calling thread, as in `campaign::execute`.
+    if jobs == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..jobs.min(scenarios.len()) {
+                scope.spawn(worker);
+            }
+        });
+    }
+    #[allow(clippy::unwrap_used)] // every slot was filled by the workers above
     out.into_inner().unwrap().into_iter().map(|r| r.unwrap()).collect()
 }
 
