@@ -95,7 +95,7 @@ pub struct SocConfig {
     /// Watchdog no-progress window: the maximum events dispatched without
     /// simulated time advancing before the run is declared livelocked and
     /// converted into a [`relief_sim::StallError`]. The default is far
-    /// above any legitimate same-timestamp cohort; `0` disables the
+    /// above any legitimate burst of same-timestamp events; `0` disables the
     /// watchdog. Detection only — a run that never trips it is
     /// byte-identical at any setting.
     pub watchdog_window: u64,

@@ -688,11 +688,8 @@ impl SocSim {
     /// Runs the simulation to completion (all work drained, or the
     /// configured time limit reached) and returns the collected results.
     ///
-    /// The loop drains same-timestamp event *cohorts* into a reused
-    /// scratch vector and dispatches each in one pass, checking the time
-    /// limit (and updating `now`) once per cohort; events a handler pushes
-    /// at the current instant get later sequence numbers and form the
-    /// *next* cohort at the same time.
+    /// The loop pops and dispatches one event at a time, checking the
+    /// time limit against the head of the queue before each.
     pub fn run(self) -> SimResult {
         match self.try_run() {
             Ok(result) => result,
@@ -713,32 +710,29 @@ impl SocSim {
     /// (both are model bugs, never a legitimate outcome of valid input).
     pub fn try_run(mut self) -> Result<SimResult, StallError> {
         let mut watch = Watchdog::default();
-        let mut cohort: Vec<Ev> = Vec::new();
-        while let Some(at) = self.events.pop_cohort(&mut cohort) {
-            if let Some(limit) = self.cfg.time_limit {
-                if at > limit {
-                    // A truncated run counts exactly one event past the
-                    // limit as dispatched (the first one popped there);
-                    // the continuous-contention corpus cells pin this.
-                    self.events.mark_dispatched(at);
-                    self.truncated = true;
-                    break;
-                }
+        while let Some(at) = self.events.peek_time() {
+            if self.cfg.time_limit.is_some_and(|limit| at > limit) {
+                // A truncated run counts exactly one event past the limit
+                // as dispatched (the first one popped there); the
+                // continuous-contention corpus cells pin this.
+                self.events.pop();
+                self.truncated = true;
+                break;
             }
-            self.dispatch_cohort(at, &cohort, &mut watch)?;
+            self.step(&mut watch)?;
         }
         self.finish()
     }
 
-    /// Dispatches every event cohort scheduled before `t`, then pauses so
-    /// [`fork`](Self::fork) can copy the state. The first cohort at or
+    /// Dispatches every event scheduled before `t`, then pauses so
+    /// [`fork`](Self::fork) can copy the state. The first event at or
     /// after `t` stays queued, as does one past the configured time limit
     /// (left for [`try_run`](Self::try_run) to truncate at). Resuming with
     /// `try_run`, or pausing again at a later `t`, dispatches exactly the
     /// events an uninterrupted run would, in the same order.
     ///
     /// The watchdog's no-progress window restarts at each call. That is
-    /// exact: every cohort at one instant is dispatched within one call,
+    /// exact: every event at one instant is dispatched within one call,
     /// and the window only counts events since simulated time last
     /// advanced.
     ///
@@ -748,34 +742,27 @@ impl SocSim {
     /// `t` (a livelock).
     pub fn run_until(&mut self, t: Time) -> Result<(), StallError> {
         let mut watch = Watchdog::default();
-        let mut cohort: Vec<Ev> = Vec::new();
         let limit = self.cfg.time_limit;
         while self.events.peek_time().is_some_and(|at| at < t && limit.is_none_or(|l| at <= l)) {
-            let Some(at) = self.events.pop_cohort(&mut cohort) else { break };
-            self.dispatch_cohort(at, &cohort, &mut watch)?;
+            self.step(&mut watch)?;
         }
         Ok(())
     }
 
-    /// Dispatches one drained cohort at `at` and applies the watchdog's
-    /// no-progress window: shared by [`try_run`](Self::try_run) and
-    /// [`run_until`](Self::run_until).
+    /// Pops and dispatches the head event, then applies the watchdog's
+    /// no-progress window: the one dispatch step of
+    /// [`try_run`](Self::try_run) and [`run_until`](Self::run_until).
+    /// A livelock is reported at the first event past the window.
     #[inline(always)]
-    fn dispatch_cohort(
-        &mut self,
-        at: Time,
-        cohort: &[Ev],
-        watch: &mut Watchdog,
-    ) -> Result<(), StallError> {
+    fn step(&mut self, watch: &mut Watchdog) -> Result<(), StallError> {
+        let Some((at, ev)) = self.events.pop() else { return Ok(()) };
         self.now = at;
         if at > watch.last_time {
+            // The event that advances time is the first of the window.
             watch.last_time = at;
-            watch.last_advance = self.events.dispatched();
+            watch.last_advance = self.events.dispatched() - 1;
         }
-        for &ev in cohort {
-            self.events.mark_dispatched(at);
-            self.dispatch(ev);
-        }
+        self.dispatch(ev);
         let window = self.cfg.watchdog_window;
         if window > 0 && self.events.dispatched() - watch.last_advance > window {
             return Err(self.stall(StallKind::NoProgressWindow));

@@ -278,7 +278,10 @@ pub fn fig4_with(ctx: &Ctx) -> String {
 }
 
 /// Figs. 5a–d: data movement reaching DRAM as a percent of the all-DRAM
-/// baseline (the paper's lower bars; 100 − this − SPAD% = colocated).
+/// baseline (the paper's lower bars; 100 − this − SPAD% = colocated). A
+/// mix whose edges all colocate moves no bytes scratchpad to scratchpad,
+/// so a SPAD-to-SPAD block with such a mix ends in a `Gmean>0` row (see
+/// [`fig4_colocations_with`]).
 pub fn fig5_with(ctx: &Ctx) -> String {
     let mut out = String::new();
     for contention in Contention::ALL {
@@ -292,7 +295,7 @@ pub fn fig5_with(ctx: &Ctx) -> String {
             out,
             "[Fig. 5 — {contention} contention]\n{}\n{}",
             dram.render("DRAM traffic (% of all-DRAM baseline)", 1),
-            spad.render("SPAD-to-SPAD traffic (% of all-DRAM baseline)", 1),
+            zero_aware_table(&spad, "SPAD-to-SPAD traffic (% of all-DRAM baseline)"),
         );
     }
     out
@@ -703,28 +706,33 @@ pub fn fig4_colocations_with(ctx: &Ctx) -> String {
         let _ = writeln!(
             out,
             "[Fig. 4 (colocations only) — {contention} contention]\n{}",
-            colocation_table(&sweep)
+            zero_aware_table(&sweep, "colocations / edges (%)")
         );
     }
     out
 }
 
-/// Renders one colocation sweep (see [`fig4_colocations_with`]).
-fn colocation_table(sweep: &PolicySweep) -> String {
-    const HEADER: &str = "colocations / edges (%)";
+/// Renders a percentage sweep at one decimal. A sweep with a zero entry
+/// ends in a `Gmean>0` row, each column's geometric mean over its nonzero
+/// entries; any other ends in the plain `Gmean` row.
+fn zero_aware_table(sweep: &PolicySweep, header: &str) -> String {
     if !sweep.rows.iter().any(|(_, values)| values.contains(&0.0)) {
-        return sweep.render(HEADER, 1);
+        return sweep.render(header, 1);
     }
     let nonzero: Vec<f64> = (0..sweep.policies.len())
         .map(|i| geometric_mean(sweep.rows.iter().map(|(_, v)| v[i]).filter(|&v| v > 0.0)))
         .collect();
-    sweep.render_with_footer(HEADER, 1, "Gmean>0", &nonzero)
+    sweep.render_with_footer(header, 1, "Gmean>0", &nonzero)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use grid::RunSpec;
+
+    fn footer(table: String) -> Vec<String> {
+        table.lines().last().unwrap().split_whitespace().map(str::to_string).collect()
+    }
 
     #[test]
     fn colocation_gmean_skips_zero_entries() {
@@ -736,13 +744,31 @@ mod tests {
                 ("G".to_string(), vec![9.0, 32.0]),
             ],
         };
-        let footer = |table: String| -> Vec<String> {
-            table.lines().last().unwrap().split_whitespace().map(str::to_string).collect()
-        };
         // D's 0 is left out of the footer, which says so.
-        assert_eq!(footer(colocation_table(&sweep(0.0))), ["Gmean>0", "6.0", "8.0"]);
+        assert_eq!(footer(zero_aware_table(&sweep(0.0), "h")), ["Gmean>0", "6.0", "8.0"]);
         // Without a zero entry the footer is the plain geometric mean.
-        assert_eq!(footer(colocation_table(&sweep(1.0))), ["Gmean", "3.3", "4.0"]);
+        assert_eq!(footer(zero_aware_table(&sweep(1.0), "h")), ["Gmean", "3.3", "4.0"]);
+    }
+
+    /// Fig. 5's low-contention SPAD-to-SPAD shape: G and L colocate every
+    /// edge and move nothing scratchpad to scratchpad. The clamped
+    /// geometric mean printed 0.0 over entries up to 39.5; the footer
+    /// now skips the zeros.
+    #[test]
+    fn fig5_spad_gmean_skips_all_colocated_mixes() {
+        let sweep = PolicySweep {
+            policies: vec![PolicyKind::Fcfs, PolicyKind::Relief],
+            rows: vec![
+                ("C".to_string(), vec![28.3, 32.9]),
+                ("D".to_string(), vec![39.5, 39.5]),
+                ("G".to_string(), vec![0.0, 0.0]),
+                ("H".to_string(), vec![31.8, 31.8]),
+                ("L".to_string(), vec![0.0, 0.0]),
+            ],
+        };
+        let plain = footer(sweep.render("h", 1));
+        assert_eq!(plain, ["Gmean", "0.0", "0.0"], "the clamp the footer replaces");
+        assert_eq!(footer(zero_aware_table(&sweep, "h")), ["Gmean>0", "32.9", "34.6"]);
     }
 
     #[test]

@@ -190,6 +190,10 @@ pub struct ScheduleReplay {
     /// impersonated run) and the `kind()` label. Placement and ordering
     /// always come from the schedule, never from the impersonated policy.
     impersonates: PolicyKind,
+    /// The impersonated policy's deadline scheme, fixed when
+    /// `impersonates` is set: the simulator asks at every ready-queue
+    /// insert.
+    scheme: DeadlineScheme,
 }
 
 impl ScheduleReplay {
@@ -225,6 +229,7 @@ impl ScheduleReplay {
             prescribed,
             eager_writebacks: schedule.eager_writebacks.clone(),
             impersonates: PolicyKind::Fcfs,
+            scheme: PolicyKind::Fcfs.build().deadline_scheme(),
         }
     }
 
@@ -233,6 +238,7 @@ impl ScheduleReplay {
     #[must_use]
     pub fn impersonating(mut self, kind: PolicyKind) -> Self {
         self.impersonates = kind;
+        self.scheme = kind.build().deadline_scheme();
         self
     }
 
@@ -250,9 +256,9 @@ impl Policy for ScheduleReplay {
     }
 
     fn deadline_scheme(&self) -> DeadlineScheme {
-        // Forward the impersonated policy's scheme so replayed entries
-        // carry identical deadlines (and thus identical deadline metrics).
-        self.impersonates.build().deadline_scheme()
+        // The impersonated policy's scheme, so replayed entries carry
+        // identical deadlines (and thus identical deadline metrics).
+        self.scheme
     }
 
     fn enqueue_ready(
@@ -409,6 +415,17 @@ mod tests {
         let q = ScheduleReplay::new(&Schedule::new(), &[1]);
         assert_eq!(q.kind(), PolicyKind::Fcfs);
         assert_eq!(q.deadline_scheme(), DeadlineScheme::Dag);
+    }
+
+    #[test]
+    fn impersonated_scheme_matches_the_built_policy() {
+        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::EXTENSIONS) {
+            let p = ScheduleReplay::new(&Schedule::new(), &[1]).impersonating(kind);
+            assert_eq!(p.deadline_scheme(), kind.build().deadline_scheme(), "{kind:?}");
+            // Re-impersonating replaces the scheme too.
+            let q = p.impersonating(PolicyKind::Fcfs);
+            assert_eq!(q.deadline_scheme(), DeadlineScheme::Dag, "{kind:?}");
+        }
     }
 
     #[test]

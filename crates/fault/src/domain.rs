@@ -72,6 +72,9 @@ pub struct Refetch {
 #[derive(Debug, Clone)]
 pub struct FaultDomain {
     cfg: FaultConfig,
+    /// `cfg.enabled()`, computed once: the simulator asks on every chunk
+    /// event.
+    enabled: bool,
     stats: FaultStats,
     /// Per-unit outage streams (empty when unit outages are off).
     outages: Vec<OutageSchedule>,
@@ -102,6 +105,7 @@ impl FaultDomain {
                 .collect(),
             armed: vec![None; units],
             cfg: cfg.clone(),
+            enabled: cfg.enabled(),
             stats: FaultStats::default(),
             refetches: Vec::new(),
             free_refetches: Vec::new(),
@@ -118,7 +122,7 @@ impl FaultDomain {
     /// and no outage is armed.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.cfg.enabled()
+        self.enabled
     }
 
     /// The stateless coin flip: hash `(seed, domain, a, b)` into a
@@ -398,6 +402,22 @@ mod tests {
             }
         }
         (windows, verdicts)
+    }
+
+    #[test]
+    fn enabled_matches_the_config_for_every_knob() {
+        let d = FaultConfig::default();
+        for cfg in [
+            FaultConfig { task_fault_rate: 0.1, ..d.clone() },
+            FaultConfig { dma_fault_rate: 0.1, ..d.clone() },
+            FaultConfig { ecc_chunk_rate: 0.1, ..d.clone() },
+            FaultConfig { unit_mttf_ps: 1_000_000, ..d.clone() },
+            FaultConfig { dram_mttf_ps: 1_000_000, ..d.clone() },
+        ] {
+            assert!(cfg.enabled());
+            assert!(FaultDomain::new(&cfg, 2).enabled(), "{cfg:?}");
+        }
+        assert!(!FaultDomain::new(&d, 2).enabled());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Bus and crossbar interconnect models.
 
 use crate::config::InterconnectKind;
-use relief_sim::{Dur, Time, Timeline};
+use relief_sim::{Dur, Time};
 
 /// Endpoint index used by the interconnect: port 0 is the DRAM controller,
 /// ports `1 + i` are accelerator scratchpads.
@@ -14,24 +14,26 @@ fn port_of(spad: Option<usize>) -> usize {
 
 /// The system interconnect.
 ///
-/// * **Bus** (default): one timeline per direction of a full-duplex bus.
+/// * **Bus** (default): one lane per direction of a full-duplex bus.
 ///   Transfers *toward* memory use the write lane; reads from memory and
 ///   scratchpad-to-scratchpad forwards use the read lane.
-/// * **Crossbar**: a timeline per source port and per destination port;
-///   independent producer/consumer pairs proceed concurrently and only
-///   endpoint ports serialize.
+/// * **Crossbar**: a port per source and per destination; independent
+///   producer/consumer pairs proceed concurrently and only endpoint ports
+///   serialize.
 ///
-/// Occupancy (Fig. 13: "percentage of cycles for which the interconnect had
-/// at least one transaction going through") is tracked as the union of all
-/// lane/port busy intervals with a monotone watermark, which is exact for
-/// the engine's in-order chunk issue.
+/// Each lane or port is a plain free-at instant: nothing reads a single
+/// lane's busy time. Occupancy (Fig. 13: "percentage of cycles for which
+/// the interconnect had at least one transaction going through") is
+/// tracked as the union of all booked intervals with a monotone
+/// watermark, which is exact for the engine's in-order chunk issue.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct Interconnect {
     kind: InterconnectKind,
-    lane_read: Timeline,
-    lane_write: Timeline,
-    src_ports: Vec<Timeline>,
-    dst_ports: Vec<Timeline>,
+    lane_read: Time,
+    lane_write: Time,
+    src_ports: Vec<Time>,
+    dst_ports: Vec<Time>,
     covered_until: Time,
     union_busy: Dur,
 }
@@ -43,10 +45,10 @@ impl Interconnect {
         let ports = 1 + num_spads;
         Interconnect {
             kind,
-            lane_read: Timeline::new(),
-            lane_write: Timeline::new(),
-            src_ports: vec![Timeline::new(); ports],
-            dst_ports: vec![Timeline::new(); ports],
+            lane_read: Time::ZERO,
+            lane_write: Time::ZERO,
+            src_ports: vec![Time::ZERO; ports],
+            dst_ports: vec![Time::ZERO; ports],
             covered_until: Time::ZERO,
             union_busy: Dur::ZERO,
         }
@@ -57,76 +59,53 @@ impl Interconnect {
         self.kind
     }
 
-    /// Mutable timelines a transaction from `src` to `dst` must reserve.
-    /// Endpoints are `None` for DRAM and `Some(i)` for scratchpad `i`.
-    ///
-    /// Allocates the returned `Vec`; the simulation hot path uses
-    /// [`earliest_start`](Self::earliest_start) +
-    /// [`reserve_from`](Self::reserve_from) instead, which touch the same
-    /// lanes without boxing them. This accessor remains for the reference
-    /// cost path and for tests that drive lanes directly.
-    pub fn lanes_mut(
-        &mut self,
-        src: Option<usize>,
-        dst: Option<usize>,
-    ) -> Vec<&mut Timeline> {
-        match self.kind {
-            InterconnectKind::Bus => {
-                if dst.is_none() {
-                    vec![&mut self.lane_write]
-                } else {
-                    vec![&mut self.lane_read]
-                }
-            }
-            InterconnectKind::Crossbar => {
-                let s = port_of(src);
-                let d = port_of(dst);
-                vec![&mut self.src_ports[s], &mut self.dst_ports[d]]
-            }
-        }
-    }
-
     /// Earliest instant at or after `now` when every lane a `src -> dst`
-    /// transaction needs is free. Same lane selection as
-    /// [`lanes_mut`](Self::lanes_mut), no allocation.
+    /// transaction needs is free. Endpoints are `None` for DRAM and
+    /// `Some(i)` for scratchpad `i`.
     pub fn earliest_start(&self, src: Option<usize>, dst: Option<usize>, now: Time) -> Time {
         match self.kind {
             InterconnectKind::Bus => {
-                if dst.is_none() {
-                    self.lane_write.earliest_start(now)
-                } else {
-                    self.lane_read.earliest_start(now)
-                }
+                now.max(if dst.is_none() { self.lane_write } else { self.lane_read })
             }
-            InterconnectKind::Crossbar => self.src_ports[port_of(src)]
-                .earliest_start(now)
-                .max(self.dst_ports[port_of(dst)].earliest_start(now)),
+            InterconnectKind::Crossbar => {
+                now.max(self.src_ports[port_of(src)]).max(self.dst_ports[port_of(dst)])
+            }
         }
     }
 
-    /// Reserves every lane of a `src -> dst` transaction for `dur`
-    /// starting exactly at `start` (at or after
-    /// [`earliest_start`](Self::earliest_start)). Lane-for-lane identical
-    /// to reserving the [`lanes_mut`](Self::lanes_mut) set jointly.
-    pub fn reserve_from(
-        &mut self,
-        src: Option<usize>,
-        dst: Option<usize>,
-        now: Time,
-        start: Time,
-        dur: Dur,
-    ) {
+    /// Books every lane of a `src -> dst` transaction over
+    /// `[start, start + dur)` (`start` at or after
+    /// [`earliest_start`](Self::earliest_start)) and adds the interval to
+    /// the union occupancy.
+    pub fn book(&mut self, src: Option<usize>, dst: Option<usize>, start: Time, dur: Dur) {
+        let end = start + dur;
         match self.kind {
             InterconnectKind::Bus => {
                 if dst.is_none() {
-                    self.lane_write.reserve_from(now, start, dur);
+                    self.lane_write = end;
                 } else {
-                    self.lane_read.reserve_from(now, start, dur);
+                    self.lane_read = end;
                 }
             }
             InterconnectKind::Crossbar => {
-                self.src_ports[port_of(src)].reserve_from(now, start, dur);
-                self.dst_ports[port_of(dst)].reserve_from(now, start, dur);
+                self.src_ports[port_of(src)] = end;
+                self.dst_ports[port_of(dst)] = end;
+            }
+        }
+        self.note_busy(start, end);
+    }
+
+    /// The free-at instants of the lanes a `src -> dst` transaction holds,
+    /// boxed: the reference chunk path's lane selection, written apart
+    /// from [`earliest_start`](Self::earliest_start) and
+    /// [`book`](Self::book) so the two can be checked against each other.
+    #[cfg(test)]
+    pub(crate) fn lanes_mut(&mut self, src: Option<usize>, dst: Option<usize>) -> Vec<&mut Time> {
+        match self.kind {
+            InterconnectKind::Bus if dst.is_none() => vec![&mut self.lane_write],
+            InterconnectKind::Bus => vec![&mut self.lane_read],
+            InterconnectKind::Crossbar => {
+                vec![&mut self.src_ports[port_of(src)], &mut self.dst_ports[port_of(dst)]]
             }
         }
     }
@@ -145,80 +124,59 @@ impl Interconnect {
     pub fn busy(&self) -> Dur {
         self.union_busy
     }
-
-    /// Sum of queueing delay across all lanes/ports (diagnostic; the paper
-    /// notes the bus queuing delay averages under a cycle).
-    pub fn total_queued(&self) -> Dur {
-        let mut q = self.lane_read.stats().queued + self.lane_write.stats().queued;
-        for t in self.src_ports.iter().chain(&self.dst_ports) {
-            q += t.stats().queued;
-        }
-        q
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relief_sim::timeline::reserve_joint;
+
+    /// Books one `src -> dst` transaction of `dur` at its earliest start,
+    /// returning that start.
+    fn transact(icn: &mut Interconnect, src: Option<usize>, dst: Option<usize>, dur: Dur) -> Time {
+        let start = icn.earliest_start(src, dst, Time::ZERO);
+        icn.book(src, dst, start, dur);
+        start
+    }
 
     #[test]
     fn bus_directions_are_independent() {
         let mut icn = Interconnect::new(InterconnectKind::Bus, 2);
         let d = Dur::from_ns(100);
-        {
-            let mut lanes = icn.lanes_mut(Some(0), None); // SPAD0 -> DRAM (write lane)
-            reserve_joint(&mut lanes, &[d], Time::ZERO);
-        }
-        {
-            // A simultaneous read-direction transfer does not queue.
-            let mut lanes = icn.lanes_mut(None, Some(1));
-            let (s, _) = reserve_joint(&mut lanes, &[d], Time::ZERO);
-            assert_eq!(s, Time::ZERO);
-        }
-        {
-            // But a second write-direction transfer does.
-            let mut lanes = icn.lanes_mut(Some(1), None);
-            let (s, _) = reserve_joint(&mut lanes, &[d], Time::ZERO);
-            assert_eq!(s, Time::from_ns(100));
-        }
+        transact(&mut icn, Some(0), None, d); // SPAD0 -> DRAM (write lane)
+        // A simultaneous read-direction transfer does not queue.
+        assert_eq!(transact(&mut icn, None, Some(1), d), Time::ZERO);
+        // But a second write-direction transfer does.
+        assert_eq!(transact(&mut icn, Some(1), None, d), Time::from_ns(100));
     }
 
     #[test]
     fn bus_serializes_spad_to_spad_with_reads() {
         let mut icn = Interconnect::new(InterconnectKind::Bus, 3);
         let d = Dur::from_ns(50);
-        {
-            let mut lanes = icn.lanes_mut(None, Some(0));
-            reserve_joint(&mut lanes, &[d], Time::ZERO);
-        }
+        transact(&mut icn, None, Some(0), d);
         // SPAD1 -> SPAD2 shares the read lane.
-        let mut lanes = icn.lanes_mut(Some(1), Some(2));
-        let (s, _) = reserve_joint(&mut lanes, &[d], Time::ZERO);
-        assert_eq!(s, Time::from_ns(50));
+        assert_eq!(transact(&mut icn, Some(1), Some(2), d), Time::from_ns(50));
     }
 
     #[test]
     fn crossbar_allows_disjoint_pairs_concurrently() {
         let mut icn = Interconnect::new(InterconnectKind::Crossbar, 4);
         let d = Dur::from_ns(50);
-        {
-            let mut lanes = icn.lanes_mut(Some(0), Some(1));
-            let (s, _) = reserve_joint(&mut lanes, &[d, d], Time::ZERO);
-            assert_eq!(s, Time::ZERO);
-        }
-        {
-            // Disjoint pair: no contention.
-            let mut lanes = icn.lanes_mut(Some(2), Some(3));
-            let (s, _) = reserve_joint(&mut lanes, &[d, d], Time::ZERO);
-            assert_eq!(s, Time::ZERO);
-        }
-        {
-            // Shared destination port: serializes.
-            let mut lanes = icn.lanes_mut(Some(2), Some(1));
-            let (s, _) = reserve_joint(&mut lanes, &[d, d], Time::ZERO);
-            assert_eq!(s, Time::from_ns(50));
-        }
+        assert_eq!(transact(&mut icn, Some(0), Some(1), d), Time::ZERO);
+        // Disjoint pair: no contention.
+        assert_eq!(transact(&mut icn, Some(2), Some(3), d), Time::ZERO);
+        // Shared destination port: serializes.
+        assert_eq!(transact(&mut icn, Some(2), Some(1), d), Time::from_ns(50));
+    }
+
+    #[test]
+    fn booking_notes_union_occupancy() {
+        let mut icn = Interconnect::new(InterconnectKind::Crossbar, 4);
+        let d = Dur::from_ns(50);
+        transact(&mut icn, Some(0), Some(1), d);
+        transact(&mut icn, Some(2), Some(3), d); // concurrent: no new cover
+        transact(&mut icn, Some(2), Some(1), d);
+        assert_eq!(icn.busy(), Dur::from_ns(100));
     }
 
     #[test]

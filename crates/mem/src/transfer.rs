@@ -1,9 +1,15 @@
 //! Chunked DMA transfers through the memory system.
+//!
+//! Every chunk books each resource on its route from one common start:
+//! the DRAM channel (for a DRAM route), the producer scratchpad's read
+//! port (for a forward), the interconnect lanes, and the driving DMA
+//! engine. Only the DRAM channel is a [`Timeline`]: its busy time feeds
+//! DRAM utilisation and its `ResourceBusy` trace records. Nothing reads
+//! the other resources' busy time, so they are plain free-at [`Time`]
+//! instants, and a chunk pays one statistics update instead of four.
 
 use crate::config::MemConfig;
 use crate::interconnect::Interconnect;
-#[cfg(test)]
-use relief_sim::timeline::reserve_joint;
 use relief_sim::{Dur, SlotAlloc, Time, Timeline};
 use relief_trace::{Endpoint, EventKind, ResourceId, Tracer};
 use std::fmt;
@@ -228,8 +234,8 @@ fn gate_dram_start(outages: &mut Option<DramOutages>, tracer: &Tracer, mut start
 /// once the arena reaches the concurrency high-water mark, and the
 /// per-chunk lookup is a bounds check instead of a hash probe.
 ///
-/// A clone copies every in-flight transfer, resource timeline, ledger and
-/// the blackout cursor, so the copy delivers the same chunks at the same
+/// A clone copies every in-flight transfer, resource, ledger and the
+/// blackout cursor, so the copy delivers the same chunks at the same
 /// times as the original; its tracer shares the original's sinks until
 /// [`set_tracer`](TransferEngine::set_tracer) replaces it.
 #[derive(Debug, Clone)]
@@ -237,10 +243,11 @@ pub struct TransferEngine {
     config: MemConfig,
     dram: Timeline,
     icn: Interconnect,
-    dmas: Vec<Timeline>,
-    /// Scratchpad read ports: concurrent forwards out of one producer's
-    /// scratchpad serialize here (one read port per SPAD).
-    spad_ports: Vec<Timeline>,
+    /// Free-at instant of each accelerator's DMA engine.
+    dmas: Vec<Time>,
+    /// Free-at instant of each scratchpad's read port: concurrent forwards
+    /// out of one producer's scratchpad serialize here.
+    spad_ports: Vec<Time>,
     /// Slot allocator for the transfer arena below.
     slots: SlotAlloc,
     /// Hot rows (read and written on every chunk event), slot-indexed.
@@ -289,8 +296,8 @@ impl TransferEngine {
         config.validate();
         TransferEngine {
             icn: Interconnect::new(config.interconnect, num_accs),
-            dmas: vec![Timeline::new(); num_accs],
-            spad_ports: vec![Timeline::new(); num_accs],
+            dmas: vec![Time::ZERO; num_accs],
+            spad_ports: vec![Time::ZERO; num_accs],
             dram: Timeline::new(),
             slots: SlotAlloc::new(),
             hot: Vec::new(),
@@ -482,13 +489,11 @@ impl TransferEngine {
     /// Issues the next chunk of the transfer in slot `s`; returns its
     /// completion time.
     ///
-    /// The correlated reservation mirrors
-    /// [`reserve_joint`](relief_sim::timeline::reserve_joint): every
-    /// involved resource starts at the latest availability across the set
-    /// and is held for its own duration — but the resources are reserved
-    /// through direct field borrows, so the per-chunk path allocates
-    /// nothing, and the transfer state is read straight out of the hot
-    /// arena columns.
+    /// Every involved resource starts at the latest availability across
+    /// the set and is held for its own duration. The resources are read
+    /// and booked through direct field borrows, so the per-chunk path
+    /// allocates nothing, and the transfer state is read straight out of
+    /// the hot arena row.
     fn issue_chunk(&mut self, s: usize, now: Time) -> Time {
         #[cfg(test)]
         if self.reference_alloc_path {
@@ -512,32 +517,27 @@ impl TransferEngine {
 
         let (icn_dur, dma_dur, dram_dur) = self.chunk_durs(chunk);
 
-        let mut start = now;
-        if uses_dram {
-            start = start.max(self.dram.earliest_start(now));
-        }
+        let mut start = self.icn.earliest_start(src, dst, now).max(self.dmas[dma]);
         if let Some(si) = src {
             // The producer scratchpad's read port.
-            start = start.max(self.spad_ports[si].earliest_start(now));
+            start = start.max(self.spad_ports[si]);
         }
-        start = start.max(self.icn.earliest_start(src, dst, now));
-        start = start.max(self.dmas[dma].earliest_start(now));
         if uses_dram {
+            start = start.max(self.dram.free_at());
             start = gate_dram_start(&mut self.dram_outages, &self.tracer, start);
         }
 
-        let mut end = start;
+        let icn_end = start + icn_dur;
+        let dma_end = start + dma_dur;
+        self.icn.book(src, dst, start, icn_dur);
+        if let Some(si) = src {
+            self.spad_ports[si] = icn_end;
+        }
+        self.dmas[dma] = dma_end;
+        let mut end = icn_end.max(dma_end);
         if uses_dram {
             end = end.max(self.dram.reserve_from(now, start, dram_dur).1);
         }
-        if let Some(si) = src {
-            end = end.max(self.spad_ports[si].reserve_from(now, start, icn_dur).1);
-        }
-        self.icn.reserve_from(src, dst, now, start, icn_dur);
-        end = end.max(start + icn_dur);
-        end = end.max(self.dmas[dma].reserve_from(now, start, dma_dur).1);
-
-        self.icn.note_busy(start, start + icn_dur);
 
         let h = &mut self.hot[s];
         if h.first_start == Time::MAX {
@@ -548,10 +548,10 @@ impl TransferEngine {
         end
     }
 
-    /// The pre-optimisation chunk path, kept in test builds as the
-    /// reference the chunk-path tests compare against: boxes the lane
-    /// set, recomputes bandwidth divisions per chunk, and reserves through
-    /// [`reserve_joint`]. Reservation-for-reservation identical to
+    /// The chunk path written the long way, kept in test builds as the
+    /// reference the chunk-path tests compare against: selects resources
+    /// from the [`Route`], boxes the held free-at instants, and recomputes
+    /// bandwidth divisions per chunk. Books the same instants as
     /// [`issue_chunk`](Self::issue_chunk).
     #[cfg(test)]
     fn issue_chunk_reference(&mut self, s: usize, now: Time) -> Time {
@@ -571,41 +571,32 @@ impl TransferEngine {
         let dma_dur = Dur::for_bytes(chunk, self.config.dma_bandwidth);
         let dram_dur = Dur::for_bytes(chunk, self.config.dram_bandwidth);
 
-        let mut resources: Vec<&mut Timeline> = Vec::with_capacity(5);
-        let mut durs: Vec<Dur> = Vec::with_capacity(5);
-        if route.uses_dram() {
-            resources.push(&mut self.dram);
-            durs.push(dram_dur);
-        }
+        // Every free-at instant the chunk holds, with its service time.
+        let mut held: Vec<(&mut Time, Dur)> = Vec::with_capacity(4);
         let src = route.src.spad_index();
         let dst = route.dst.spad_index();
         if let Some(si) = src {
-            resources.push(&mut self.spad_ports[si]);
-            durs.push(icn_dur);
+            held.push((&mut self.spad_ports[si], icn_dur));
         }
-        let lanes = self.icn.lanes_mut(src, dst);
-        for lane in lanes {
-            resources.push(lane);
-            durs.push(icn_dur);
+        for lane in self.icn.lanes_mut(src, dst) {
+            held.push((lane, icn_dur));
         }
-        resources.push(&mut self.dmas[self.hot[s].dma as usize]);
-        durs.push(dma_dur);
+        held.push((&mut self.dmas[self.hot[s].dma as usize], dma_dur));
 
-        let (start, end) = if self.dram_outages.is_some() && route.uses_dram() {
-            // The blackout gate sits between the joint earliest-start fold
-            // and the reservations, so `reserve_joint` is inlined here —
-            // identical except for the gate, which both paths apply after
-            // maxing over every involved resource.
-            let mut start = resources.iter().fold(now, |acc, r| acc.max(r.earliest_start(now)));
+        let mut start = held.iter().fold(now, |acc, (free_at, _)| acc.max(**free_at));
+        if route.uses_dram() {
+            // The blackout gate applies after maxing over every resource.
+            start = start.max(self.dram.earliest_start(now));
             start = gate_dram_start(&mut self.dram_outages, &self.tracer, start);
-            let mut end = start;
-            for (r, &d) in resources.iter_mut().zip(&durs) {
-                end = end.max(r.reserve_from(now, start, d).1);
-            }
-            (start, end)
-        } else {
-            reserve_joint(&mut resources, &durs, now)
-        };
+        }
+        let mut end = start;
+        for (free_at, d) in held {
+            *free_at = start + d;
+            end = end.max(*free_at);
+        }
+        if route.uses_dram() {
+            end = end.max(self.dram.reserve_from(now, start, dram_dur).1);
+        }
         self.icn.note_busy(start, start + icn_dur);
 
         let h = &mut self.hot[s];
@@ -671,6 +662,7 @@ impl TransferEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relief_sim::SplitMix64;
 
     fn drive(engine: &mut TransferEngine, id: TransferId, mut t: Time) -> (Time, Time, u64) {
         loop {
@@ -829,61 +821,126 @@ mod tests {
         }
     }
 
-    /// The allocation-free chunk path and the reference path must produce
-    /// identical reservations: same per-transfer outcomes, same resource
-    /// stats, same occupancy — on bus and crossbar, full and partial
-    /// chunks, contended and not.
+    /// One planned transfer: route, payload, driving DMA engine, begin time.
+    type Planned = (Route, u64, usize, Time);
+
+    /// Drives `plan` with a mini event loop in which each transfer begins
+    /// at its own time, returning each transfer's `(start, end)`.
+    fn drive_plan(engine: &mut TransferEngine, plan: &[Planned]) -> Vec<(Time, Time)> {
+        let mut queue = relief_sim::EventQueue::new();
+        for (i, &(.., at)) in plan.iter().enumerate() {
+            queue.push(at, (i, None));
+        }
+        let mut spans = vec![None; plan.len()];
+        while let Some((now, (i, id))) = queue.pop() {
+            let Some(id) = id else {
+                let (route, bytes, dma, _) = plan[i];
+                let (id, first) = engine.begin(route, bytes, dma, now);
+                queue.push(first, (i, Some(id)));
+                continue;
+            };
+            match engine.on_chunk_done(id, now) {
+                Progress::Chunk(next) => queue.push(next, (i, Some(id))),
+                Progress::Done { start, end, .. } => spans[i] = Some((start, end)),
+            }
+        }
+        spans.into_iter().map(|s| s.expect("every transfer completed")).collect()
+    }
+
+    /// A generated plan on `accs` accelerators: up to a dozen transfers on
+    /// mixed routes (never scratchpad to itself), with zero-byte, partial,
+    /// whole-chunk and whole-plus-partial payloads, begun within 20 us.
+    fn generated_plan(rng: &mut SplitMix64, accs: usize, chunk: u64) -> Vec<Planned> {
+        let n = 1 + rng.usize_below(12);
+        (0..n)
+            .map(|_| {
+                let a = rng.usize_below(accs);
+                let b = (a + 1 + rng.usize_below(accs - 1)) % accs;
+                let route = match rng.u64_below(3) {
+                    0 => Route { src: Port::Dram, dst: Port::Spad(a) },
+                    1 => Route { src: Port::Spad(a), dst: Port::Dram },
+                    _ => Route { src: Port::Spad(a), dst: Port::Spad(b) },
+                };
+                let bytes = match rng.u64_below(4) {
+                    0 => 0,
+                    1 => 1 + rng.u64_below(chunk),
+                    2 => chunk * rng.u64_inclusive(1, 8),
+                    _ => chunk * rng.u64_below(8) + 1 + rng.u64_below(chunk - 1),
+                };
+                let at = Time::from_ps(rng.u64_below(20_000_000));
+                (route, bytes, rng.usize_below(accs), at)
+            })
+            .collect()
+    }
+
+    /// Up to four sorted, disjoint DRAM blackout windows within ~28 us,
+    /// or none.
+    fn generated_outages(rng: &mut SplitMix64) -> Vec<(u64, u64)> {
+        let mut windows = Vec::new();
+        let mut t = 0;
+        for _ in 0..rng.u64_below(5) {
+            t += rng.u64_below(5_000_000);
+            let down = t;
+            t += rng.u64_inclusive(1, 2_000_000);
+            windows.push((down, t));
+        }
+        windows
+    }
+
+    /// The free-at fast path and the reference path must book the same
+    /// instants on generated plans: equal per-transfer `(start, end)`,
+    /// busy times, every resource's free-at instant and byte counts, on
+    /// bus and crossbar, with and without DRAM outages, at the default
+    /// bandwidths (DMA and interconnect equal) and at drawn ones.
     #[test]
     fn fast_and_reference_paths_are_equivalent() {
-        for crossbar in [false, true] {
-            let cfg = if crossbar {
-                MemConfig::default().with_crossbar()
-            } else {
-                MemConfig::default()
+        let mut rng = SplitMix64::new(0xC4_0B5E);
+        let (mut zero_bytes, mut partials, mut forwards, mut gated) = (0, 0, 0, 0);
+        for case in 0..400 {
+            let crossbar = case % 2 == 1;
+            let mut cfg = MemConfig::default();
+            if crossbar {
+                cfg = cfg.with_crossbar();
+            }
+            if case % 4 >= 2 {
+                let mut gbps = || rng.u64_inclusive(2_000_000_000, 20_000_000_000);
+                cfg.dram_bandwidth = gbps();
+                cfg.interconnect_bandwidth = gbps();
+                cfg.dma_bandwidth = gbps();
+            }
+            let accs = 2 + rng.usize_below(5);
+            let plan = generated_plan(&mut rng, accs, cfg.chunk_bytes);
+            let windows = generated_outages(&mut rng);
+            let run = |reference: bool| {
+                let mut e = TransferEngine::new(cfg, accs);
+                e.reference_alloc_path = reference;
+                if !windows.is_empty() {
+                    e.set_dram_outages(windows.clone().into_iter());
+                }
+                let spans = drive_plan(&mut e, &plan);
+                (e, spans)
             };
-            let mut fast = TransferEngine::new(cfg, 4);
-            let mut reference = TransferEngine::new(cfg, 4);
-            reference.reference_alloc_path = true;
-            // Mixed routes, sizes that exercise partial trailing chunks
-            // and zero-byte completion, staggered starts for contention.
-            let plan = [
-                (Route { src: Port::Dram, dst: Port::Spad(0) }, 65_536, 0, 0),
-                (Route { src: Port::Spad(0), dst: Port::Spad(1) }, 10_000, 1, 2),
-                (Route { src: Port::Spad(1), dst: Port::Dram }, 4_097, 1, 5),
-                (Route { src: Port::Spad(2), dst: Port::Spad(3) }, 0, 3, 5),
-                (Route { src: Port::Dram, dst: Port::Spad(2) }, 123, 2, 7),
-            ];
-            let mut outcomes = Vec::new();
-            for e in [&mut fast, &mut reference] {
-                let starts: Vec<(TransferId, Time)> = plan
-                    .iter()
-                    .map(|&(route, bytes, dma, at_us)| {
-                        e.begin(route, bytes, dma, Time::from_us(at_us))
-                    })
-                    .collect();
-                let ends = drive_concurrent(e, starts.clone());
-                outcomes.push((starts, ends));
-            }
-            assert_eq!(outcomes[0], outcomes[1], "crossbar={crossbar}");
-            assert_eq!(fast.dram_busy(), reference.dram_busy(), "crossbar={crossbar}");
-            assert_eq!(
-                fast.interconnect_busy(),
-                reference.interconnect_busy(),
-                "crossbar={crossbar}"
-            );
-            assert_eq!(fast.dram.stats(), reference.dram.stats());
-            for (a, b) in fast.dmas.iter().zip(&reference.dmas) {
-                assert_eq!(a.stats(), b.stats());
-                assert_eq!(a.free_at(), b.free_at());
-            }
-            for (a, b) in fast.spad_ports.iter().zip(&reference.spad_ports) {
-                assert_eq!(a.stats(), b.stats());
-            }
-            assert_eq!(fast.icn.total_queued(), reference.icn.total_queued());
-            assert_eq!(fast.dram_read_bytes(), reference.dram_read_bytes());
-            assert_eq!(fast.dram_write_bytes(), reference.dram_write_bytes());
-            assert_eq!(fast.spad_to_spad_bytes(), reference.spad_to_spad_bytes());
+            let (fast, fast_spans) = run(false);
+            let (reference, ref_spans) = run(true);
+            let at = format!("case {case}, {cfg:?}, plan {plan:?}, outages {windows:?}");
+            assert_eq!(fast_spans, ref_spans, "{at}");
+            assert_eq!(fast.dram_busy(), reference.dram_busy(), "{at}");
+            assert_eq!(fast.interconnect_busy(), reference.interconnect_busy(), "{at}");
+            assert_eq!(fast.dram.free_at(), reference.dram.free_at(), "{at}");
+            assert_eq!(fast.dmas, reference.dmas, "{at}");
+            assert_eq!(fast.spad_ports, reference.spad_ports, "{at}");
+            assert_eq!(fast.icn, reference.icn, "{at}");
+            assert_eq!(fast.channel_outages_applied(), reference.channel_outages_applied(), "{at}");
+            assert_eq!(fast.dram_read_bytes(), reference.dram_read_bytes(), "{at}");
+            assert_eq!(fast.dram_write_bytes(), reference.dram_write_bytes(), "{at}");
+            assert_eq!(fast.spad_to_spad_bytes(), reference.spad_to_spad_bytes(), "{at}");
+            zero_bytes += plan.iter().filter(|p| p.1 == 0).count();
+            partials += plan.iter().filter(|p| p.1 % cfg.chunk_bytes != 0).count();
+            forwards += plan.iter().filter(|p| p.0.is_forward()).count();
+            gated += u64::from(fast.channel_outages_applied() > 0);
         }
+        // The generator reaches every shape the test names.
+        assert!(zero_bytes > 0 && partials > 0 && forwards > 0 && gated > 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * [`EventQueue`] — a priority queue of timed events with deterministic
 //!   FIFO tie-breaking: one vector kept sorted on `(time, push order)`,
 //!   sized for the few dozen events the SoC model ever has pending.
-//! * [`Timeline`] — a single-server resource model used for DMA engines,
-//!   interconnect lanes, and the DRAM channel.
+//! * [`Timeline`] — a single-server resource model with busy-time
+//!   accounting, used for the DRAM channel and the hardware manager.
 //!
 //! The kernel is intentionally free of wall-clock access, threads, and global
 //! state: given the same inputs, a simulation always produces the same event

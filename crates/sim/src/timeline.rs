@@ -1,11 +1,13 @@
 //! Single-server resource timelines.
 //!
-//! A [`Timeline`] models a resource (a DMA engine, one direction of the
-//! system bus, the DRAM channel) that serves one request at a time. Requests
-//! reserve a contiguous service interval; a request arriving while the
-//! resource is busy starts when the resource frees. Busy time is accumulated
-//! so occupancy statistics (e.g. Fig. 13's interconnect occupancy) fall out
-//! directly.
+//! A [`Timeline`] models a resource whose busy time somebody reads: the
+//! DRAM channel (DRAM utilisation, its `ResourceBusy` trace records) and
+//! the hardware manager (scheduler time). It serves one request at a
+//! time; requests reserve a contiguous service interval, and a request
+//! arriving while the resource is busy starts when the resource frees.
+//! Resources whose occupancy nobody reads — DMA engines, scratchpad read
+//! ports, bus lanes and crossbar ports — are booked as plain free-at
+//! [`Time`] instants by the transfer engine instead.
 
 use crate::time::{Dur, Time};
 use relief_trace::{EventKind, ResourceId, Tracer};
@@ -15,10 +17,6 @@ use relief_trace::{EventKind, ResourceId, Tracer};
 pub struct BusyStats {
     /// Total time the resource spent serving requests.
     pub busy: Dur,
-    /// Number of reservations served.
-    pub requests: u64,
-    /// Total time requests waited before service began.
-    pub queued: Dur,
 }
 
 /// A single-server resource that serves reservations in arrival order.
@@ -27,12 +25,13 @@ pub struct BusyStats {
 ///
 /// ```
 /// use relief_sim::{Timeline, Time, Dur};
-/// let mut dma = Timeline::new();
-/// let (s1, e1) = dma.reserve(Time::ZERO, Dur::from_ns(100));
+/// let mut dram = Timeline::new();
+/// let (s1, e1) = dram.reserve(Time::ZERO, Dur::from_ns(100));
 /// assert_eq!((s1, e1), (Time::ZERO, Time::from_ns(100)));
 /// // A second request at t=40ns queues behind the first.
-/// let (s2, e2) = dma.reserve(Time::from_ns(40), Dur::from_ns(50));
+/// let (s2, e2) = dram.reserve(Time::from_ns(40), Dur::from_ns(50));
 /// assert_eq!((s2, e2), (Time::from_ns(100), Time::from_ns(150)));
+/// assert_eq!(dram.stats().busy, Dur::from_ns(150));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
@@ -49,7 +48,7 @@ impl Timeline {
     }
 
     /// Attaches a tracer and names this resource; every subsequent
-    /// reservation (direct or joint) emits a `ResourceBusy` record.
+    /// reservation emits a `ResourceBusy` record.
     pub fn set_tracer(&mut self, tracer: Tracer, id: ResourceId) {
         self.tracer = tracer;
         self.id = Some(id);
@@ -63,18 +62,16 @@ impl Timeline {
     }
 
     /// Books `dur` of service beginning exactly at `start` (which must be
-    /// at or after [`earliest_start`](Self::earliest_start)), charging
-    /// queued time relative to `now`. The single accounting path shared by
-    /// [`reserve`](Self::reserve), [`reserve_joint`], and callers that
-    /// compute a correlated start themselves (the transfer engine's
-    /// allocation-free chunk path) — so stats, tracer emission, and
-    /// `free_at` updates cannot drift between them.
+    /// at or after [`earliest_start`](Self::earliest_start)); the
+    /// `ResourceBusy` record is stamped at `now`. The single accounting
+    /// path shared by [`reserve`](Self::reserve) and callers that compute
+    /// a correlated start themselves (the transfer engine's chunk path) —
+    /// so busy time, tracer emission, and `free_at` updates cannot drift
+    /// between them.
     pub fn reserve_from(&mut self, now: Time, start: Time, dur: Dur) -> (Time, Time) {
         debug_assert!(start >= self.earliest_start(now), "start predates availability");
         let end = start + dur;
         self.stats.busy += dur;
-        self.stats.requests += 1;
-        self.stats.queued += start.saturating_since(now);
         self.free_at = end;
         if let Some(resource) = self.id {
             self.tracer.emit(now.as_ps(), || EventKind::ResourceBusy {
@@ -118,28 +115,6 @@ impl Timeline {
     }
 }
 
-/// Reserves a correlated interval across several timelines, as when one bus
-/// transaction simultaneously occupies the DRAM channel and a bus lane.
-///
-/// All resources begin service together at the latest `earliest_start`; each
-/// is held for its own duration from `durs`. Returns `(start, end)` where
-/// `end` is when the slowest resource finishes.
-///
-/// # Panics
-///
-/// Panics if `resources` and `durs` have different lengths or are empty.
-pub fn reserve_joint(resources: &mut [&mut Timeline], durs: &[Dur], now: Time) -> (Time, Time) {
-    assert_eq!(resources.len(), durs.len(), "one duration per resource");
-    assert!(!resources.is_empty(), "need at least one resource");
-    let start = resources.iter().fold(now, |acc, r| acc.max(r.earliest_start(now)));
-    let mut end = start;
-    for (r, &d) in resources.iter_mut().zip(durs) {
-        let (_, e) = r.reserve_from(now, start, d);
-        end = end.max(e);
-    }
-    (start, end)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,9 +136,8 @@ mod tests {
         let (s, e) = t.reserve(Time::from_ns(30), Dur::from_ns(10));
         assert_eq!(s, Time::from_ns(100));
         assert_eq!(e, Time::from_ns(110));
-        assert_eq!(t.stats().queued, Dur::from_ns(70));
-        assert_eq!(t.stats().requests, 2);
         assert_eq!(t.stats().busy, Dur::from_ns(110));
+        assert_eq!(t.free_at(), Time::from_ns(110));
     }
 
     #[test]
@@ -172,45 +146,5 @@ mod tests {
         t.reserve(Time::ZERO, Dur::from_ns(25));
         assert_eq!(t.occupancy(Dur::from_ns(100)), 0.25);
         assert_eq!(t.occupancy(Dur::ZERO), 0.0);
-    }
-
-    #[test]
-    fn joint_reservation_aligns_starts() {
-        let mut dram = Timeline::new();
-        let mut bus = Timeline::new();
-        dram.reserve(Time::ZERO, Dur::from_ns(50)); // DRAM busy until 50ns
-        let (s, e) = reserve_joint(
-            &mut [&mut dram, &mut bus],
-            &[Dur::from_ns(20), Dur::from_ns(10)],
-            Time::from_ns(5),
-        );
-        assert_eq!(s, Time::from_ns(50));
-        assert_eq!(e, Time::from_ns(70)); // slowest (DRAM) finishes last
-        assert_eq!(bus.free_at(), Time::from_ns(60));
-        assert_eq!(dram.free_at(), Time::from_ns(70));
-    }
-
-    #[test]
-    fn joint_over_single_timeline_matches_reserve() {
-        // The joint path over one resource must be indistinguishable from
-        // a plain reserve: same intervals, same stats, same free_at.
-        let mut plain = Timeline::new();
-        let mut joint = Timeline::new();
-        for &(now_ns, dur_ns) in &[(0u64, 100u64), (30, 10), (250, 40), (250, 5)] {
-            let now = Time::from_ns(now_ns);
-            let dur = Dur::from_ns(dur_ns);
-            let a = plain.reserve(now, dur);
-            let b = reserve_joint(&mut [&mut joint], &[dur], now);
-            assert_eq!(a, b);
-        }
-        assert_eq!(plain.stats(), joint.stats());
-        assert_eq!(plain.free_at(), joint.free_at());
-    }
-
-    #[test]
-    #[should_panic(expected = "one duration per resource")]
-    fn joint_reservation_validates_lengths() {
-        let mut a = Timeline::new();
-        reserve_joint(&mut [&mut a], &[], Time::ZERO);
     }
 }

@@ -32,9 +32,12 @@
 //!    on, and `invariants` proves the end-of-run conservation checks
 //!    also hold in a release build via the `invariants` feature, on the
 //!    chaos suite, the fault-injection suite, the oracle suite (whose
-//!    search resumes forked simulations, each checked at its end) and
+//!    search resumes forked simulations, each checked at its end),
 //!    every behaviour-corpus cell (whose release build must also
-//!    reproduce the committed digests).
+//!    reproduce the committed digests) and `relief-accel`'s
+//!    `sim_behavior` suite (whose forked-replay tests pin that pausing
+//!    with `run_until`, forking and resuming with `try_run` dispatch
+//!    exactly the events of an uninterrupted run).
 //! 5. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
 //!    incremental-campaign store: a cold run writes one pack, warm
@@ -304,6 +307,20 @@ fn check(args: &[String]) -> ExitCode {
                 "oracle_conformance",
                 "--test",
                 "behaviour_corpus",
+            ]),
+        );
+        ok &= run(
+            "release-mode forked-replay exactness (relief-accel sim_behavior, --features invariants)",
+            Command::new("cargo").args([
+                "test",
+                "--offline",
+                "--release",
+                "--features",
+                "invariants",
+                "-p",
+                "relief-accel",
+                "--test",
+                "sim_behavior",
             ]),
         );
     }

@@ -158,7 +158,7 @@ fn empty_replay_surfaces_as_drained_with_work_left() {
 fn same_timestamp_livelock_trips_the_no_progress_window() {
     // 64 independent zero-cost, zero-byte tasks all execute at t = 0 with
     // scheduler overhead unmodeled: legitimate work, but every event
-    // lands on the same timestamp. A window smaller than the cohort must
+    // lands on the same timestamp. A window smaller than that burst must
     // flag it as a livelock — this is exactly the signature of an event
     // loop that stopped advancing time.
     let mut b = DagBuilder::new("spin", Dur::from_us(100));
@@ -173,9 +173,14 @@ fn same_timestamp_livelock_trips_the_no_progress_window() {
         cfg.watchdog_window = window;
         SocSim::new(cfg, vec![AppSpec::once("S", dag.clone())])
     };
-    let err = mk(8).try_run().expect_err("64 same-ps events must overflow a window of 8");
-    assert_eq!(err.kind, StallKind::NoProgressWindow);
-    assert_eq!(err.at_ps, 0, "the livelock never left t=0");
+    for window in [8, 50] {
+        let err = mk(window).try_run().expect_err("64 same-ps events must overflow the window");
+        assert_eq!(err.kind, StallKind::NoProgressWindow);
+        assert_eq!(err.at_ps, 0, "the livelock never left t=0");
+        // The window is checked after every event: the stall is reported
+        // at the first event past it.
+        assert_eq!(err.events_dispatched, window + 1, "window {window}");
+    }
     // The same run under the default window completes untouched.
     let ok = mk(2_000_000).try_run().expect("default window must not trip");
     assert_eq!(ok.stats.apps["S"].nodes_completed, 64);

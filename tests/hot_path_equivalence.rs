@@ -51,7 +51,7 @@ fn twenty_more_seeds_rotate_all_eleven_policies_with_recycling_aborts() {
 
 /// Open-loop service mode: Poisson arrivals and admission control, whose
 /// mid-stream instantiation reuses arena slots and lands events at the
-/// head of the event queue while a cohort drains.
+/// head of the event queue while same-instant events dispatch.
 #[test]
 fn service_mode_agrees_across_seeds_and_policies() {
     corpus::assert_matches("service/", 3);
