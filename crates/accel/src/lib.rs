@@ -51,6 +51,7 @@
 
 pub mod config;
 pub mod kinds;
+mod ledger;
 pub mod result;
 pub mod sim;
 pub mod trace;

@@ -26,7 +26,8 @@
 // is a simulator bug that must stop the run, not a recoverable input.
 #![allow(clippy::expect_used)]
 use crate::config::SocConfig;
-use crate::result::{PredictionStats, SimResult};
+use crate::ledger::Ledger;
+use crate::result::SimResult;
 use crate::trace::{SpanCollector, Trace};
 use crate::workload::AppSpec;
 use relief_core::predict::{DataMovePredictor, DataMoveQuery};
@@ -36,15 +37,13 @@ use relief_core::{
 use relief_dag::{Dag, DagTiming, DeadlineAssignment, NodeId};
 use relief_fault::{FaultDomain, Refetch, TaskFault};
 use relief_mem::{Port, Progress, Route, TransferEngine, TransferId};
-use relief_metrics::{AppStats, RunStats, TrafficStats};
+use relief_metrics::{RunStats, TrafficStats};
 use relief_service::Frontend;
 use relief_sim::{
-    AppId, Dur, EventQueue, Intern, InternId, KindId, SlotAlloc, SplitMix64, StallError,
-    StallKind, Time, Timeline,
+    Dur, EventQueue, KindId, SlotAlloc, SplitMix64, StallError, StallKind, Time, Timeline,
 };
 use relief_trace::{EventKind, InputSource, ResourceId, TaskRef, Tracer};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -157,6 +156,12 @@ impl NodeRt {
     }
 }
 
+/// `(actual, predicted)` bytes moved by each completed node, in node
+/// order: what an instance reports to [`Ledger::data_moved`].
+fn moved_bytes(nodes: &[NodeRt]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    nodes.iter().filter(|rt| rt.phase == NodePhase::Done).map(|rt| (rt.actual_bytes, rt.pred_bytes))
+}
+
 /// One live DAG instance.
 #[derive(Debug, Clone)]
 struct DagInst {
@@ -259,7 +264,6 @@ struct AccInst {
     /// Previously executed node — the colocation tracker (§III-B).
     last_node: Option<TaskKey>,
     parts: Vec<Partition>,
-    compute_busy: Dur,
     /// Offline (fault-injected outage): removed from the dispatch
     /// candidate set and denied as a forwarding source until restored.
     /// Non-preemptive — a task already running here completes.
@@ -413,11 +417,6 @@ pub struct SocSim {
     /// the O(1) replacement for scanning `dags` when deciding whether the
     /// run still has live work.
     active_work: usize,
-    /// Data-movement prediction errors folded out of retired instances,
-    /// tagged with the admission serial so
-    /// [`finalize`](Self::finalize) can restore the pre-recycling
-    /// admission-order sample sequence exactly.
-    retired_dm: Vec<(u32, f64)>,
     events: EventQueue<Ev>,
     now: Time,
     seq: u64,
@@ -454,10 +453,6 @@ pub struct SocSim {
     app_deadlines: Vec<Option<Arc<DeadlineAssignment>>>,
     /// Whether the app's kernels are already in the compute profile.
     app_profiled: Vec<bool>,
-    /// App spec index → interned symbol id. The `per_app_*` accumulators
-    /// are dense vectors indexed by [`AppId`], converted to the public
-    /// string-keyed maps once in [`finalize`](Self::finalize).
-    app_ids: Vec<AppId>,
     /// App spec index → its symbol, shared by the app's `DagArrived` and
     /// `ComputeEnd` trace records.
     app_symbols: Vec<Arc<str>>,
@@ -475,21 +470,13 @@ pub struct SocSim {
     /// Per-accelerator-type child counter for the all-children-forward
     /// prediction; zeroed after every use.
     child_type_counts: Vec<usize>,
-    // --- statistics ---
-    app_stats: Vec<AppStats>,
-    per_app_mem_time: Vec<Dur>,
-    per_app_compute_time: Vec<Dur>,
-    colocated_bytes: u64,
-    spad_access_bytes: u64,
-    all_dram_baseline_bytes: u64,
-    sched_ops: u64,
-    prediction: PredictionStats,
+    /// Every statistic the run accumulates toward its [`RunStats`].
+    ledger: Ledger,
     /// Fan-out handle shared (as clones) by every instrumented component.
     tracer: Tracer,
     /// Internal sink distilling `ComputeEnd` events into the ASCII
     /// schedule trace; attached only when `cfg.record_trace` is set.
     span_sink: Option<Rc<RefCell<SpanCollector>>>,
-    last_completion: Time,
     truncated: bool,
 }
 
@@ -523,7 +510,6 @@ impl SocSim {
                     running: None,
                     last_node: None,
                     parts: vec![Partition::default(); cfg.output_partitions],
-                    compute_busy: Dur::ZERO,
                     quarantined: false,
                 });
             }
@@ -569,21 +555,6 @@ impl SocSim {
             data_movement: cfg.dm_predictor,
             icn_bandwidth: cfg.mem.interconnect_bandwidth,
         };
-        // One `AppStats` per symbol: the first app spec of a symbol names it
-        // and gives its deadline.
-        let mut app_syms: Intern<AppId> = Intern::new();
-        let mut app_stats = Vec::new();
-        let app_ids: Vec<AppId> = apps
-            .iter()
-            .map(|a| {
-                let id = app_syms.intern(&a.symbol);
-                if id.index() == app_stats.len() {
-                    let (name, deadline) = (a.symbol.clone(), a.dag.relative_deadline());
-                    app_stats.push(AppStats { name, deadline, ..AppStats::default() });
-                }
-                id
-            })
-            .collect();
         let n_apps = apps.len();
         let mut sim = SocSim {
             policy: cfg.policy.build(),
@@ -596,7 +567,6 @@ impl SocSim {
             next_dag_serial: 0,
             node_pools: vec![Vec::new(); n_apps],
             active_work: 0,
-            retired_dm: Vec::new(),
             events,
             now: Time::ZERO,
             seq: 0,
@@ -617,19 +587,10 @@ impl SocSim {
             idle_scratch: Vec::new(),
             dm_bytes_scratch: Vec::new(),
             child_type_counts: vec![0; num_types],
-            app_stats,
-            per_app_mem_time: vec![Dur::ZERO; app_syms.len()],
-            per_app_compute_time: vec![Dur::ZERO; app_syms.len()],
-            app_ids,
+            ledger: Ledger::new(&apps, cfg.bounded_memory),
             app_symbols: apps.iter().map(|a| Arc::from(a.symbol.as_str())).collect(),
-            colocated_bytes: 0,
-            spad_access_bytes: 0,
-            all_dram_baseline_bytes: 0,
-            sched_ops: 0,
-            prediction: PredictionStats::default(),
             tracer: Tracer::off(),
             span_sink: None,
-            last_completion: Time::ZERO,
             truncated: false,
             cfg,
             apps,
@@ -805,7 +766,6 @@ impl SocSim {
             next_dag_serial: self.next_dag_serial,
             node_pools: self.node_pools.clone(),
             active_work: self.active_work,
-            retired_dm: self.retired_dm.clone(),
             events: self.events.clone(),
             now: self.now,
             seq: self.seq,
@@ -820,7 +780,6 @@ impl SocSim {
             cancels_on: self.cancels_on,
             app_deadlines: self.app_deadlines.clone(),
             app_profiled: self.app_profiled.clone(),
-            app_ids: self.app_ids.clone(),
             app_symbols: self.app_symbols.clone(),
             app_kind_ids: self.app_kind_ids.clone(),
             // The scratch buffers are empty between events.
@@ -829,17 +788,9 @@ impl SocSim {
             idle_scratch: Vec::new(),
             dm_bytes_scratch: Vec::new(),
             child_type_counts: vec![0; self.child_type_counts.len()],
-            app_stats: self.app_stats.clone(),
-            per_app_mem_time: self.per_app_mem_time.clone(),
-            per_app_compute_time: self.per_app_compute_time.clone(),
-            colocated_bytes: self.colocated_bytes,
-            spad_access_bytes: self.spad_access_bytes,
-            all_dram_baseline_bytes: self.all_dram_baseline_bytes,
-            sched_ops: self.sched_ops,
-            prediction: self.prediction.clone(),
+            ledger: self.ledger.clone(),
             tracer: Tracer::off(),
             span_sink: None,
-            last_completion: self.last_completion,
             truncated: self.truncated,
         };
         if let Some(spans) = &self.span_sink {
@@ -1103,9 +1054,9 @@ impl SocSim {
         }
     }
 
-    /// Folds the instance's remaining per-node statistics into the
-    /// retired accumulators, returns its `NodeRt` storage to the app's
-    /// pool, and releases the slot for reuse.
+    /// Reports the instance's data movement to the ledger, returns its
+    /// `NodeRt` storage to the app's pool, and releases the slot for
+    /// reuse.
     fn retire(&mut self, slot: u32) {
         let s = slot as usize;
         debug_assert_eq!(
@@ -1114,19 +1065,8 @@ impl SocSim {
             "remaining counter disagrees with node phases at retirement"
         );
         let nodes = std::mem::take(&mut self.dags[s].nodes);
-        let serial = self.dags[s].serial;
-        // Data-movement prediction errors (Table VIII) fold out here so
-        // `finalize` stays O(live set); the serial tag restores admission
-        // order there. Bounded-memory mode drops the per-node samples entirely.
-        if !self.cfg.bounded_memory {
-            for rt in &nodes {
-                if rt.phase == NodePhase::Done && rt.actual_bytes > 0 && rt.pred_bytes > 0 {
-                    let err =
-                        (rt.actual_bytes as f64 - rt.pred_bytes as f64) / rt.pred_bytes as f64;
-                    self.retired_dm.push((serial, err));
-                }
-            }
-        }
+        // Reported here so `finalize` stays O(live set).
+        self.ledger.data_moved(self.dags[s].serial, moved_bytes(&nodes));
         let d = &mut self.dags[s];
         d.retired = true;
         let gen = d.gen;
@@ -1372,7 +1312,7 @@ impl SocSim {
         self.refresh_idle_counts();
         self.policy.enqueue_ready(&mut self.queues, &mut batch, self.now, &self.idle_scratch);
         self.batch_scratch = batch;
-        self.sched_ops += inserted;
+        self.ledger.scheduled(inserted);
         let launch_at = if self.cfg.model_sched_overhead {
             let cost = self.cfg.sched_base_cost + self.cfg.sched_insert_cost * inserted;
             let (_, end) = self.manager.reserve(self.now, cost);
@@ -1598,7 +1538,7 @@ impl SocSim {
             let r = self.insts[inst_idx].running.as_ref().expect("task assigned");
             (r.key, r.slot)
         };
-        let app = self.app_ids[self.dags[slot as usize].app_idx].index();
+        let app_idx = self.dags[slot as usize].app_idx;
         // The Arc clone detaches the parent/child slices from `self`'s
         // borrow, so the loop needs no owned copy of either.
         let dag = Arc::clone(&self.dags[slot as usize].dag);
@@ -1611,15 +1551,13 @@ impl SocSim {
             let pk = TaskKey::new(key.instance, p.0);
             let bytes = dag.node(p).output_bytes;
             input_bytes += bytes;
-            self.app_stats[app].edges_consumed += 1;
 
             // Colocation: data already in place on this accelerator.
             let is_coloc = coloc_part.is_some()
                 && self.node_rt(slot, pk.node).out.spad() == coloc_part.map(|c| (inst_idx, c))
                 && self.insts[inst_idx].last_node == Some(pk);
             if is_coloc {
-                self.app_stats[app].colocations += 1;
-                self.colocated_bytes += bytes;
+                self.ledger.edge(app_idx, InputSource::Colocated, bytes);
                 self.consume_reader(slot, pk.node);
                 self.insts[inst_idx].running.as_mut().expect("task assigned").coloc_inputs += 1;
                 self.tracer.emit(self.now.as_ps(), || EventKind::InputSourced {
@@ -1648,9 +1586,7 @@ impl SocSim {
             let (route, src_spad) = match fwd_src {
                 Some((si, sp)) => {
                     self.insts[si].parts[sp].ongoing_reads += 1;
-                    self.app_stats[app].forwards += 1;
                     self.insts[inst_idx].running.as_mut().expect("task assigned").fwd_inputs += 1;
-                    self.spad_access_bytes += 2 * bytes; // producer read + local write
                     (Route { src: Port::Spad(si), dst: Port::Spad(inst_idx) }, Some((si, sp)))
                 }
                 None => {
@@ -1664,18 +1600,19 @@ impl SocSim {
                                 .is_some_and(|(si, _)| self.insts[si].quarantined),
                         "parent output must be in DRAM when not forwardable"
                     );
-                    self.spad_access_bytes += bytes; // local write
                     (Route { src: Port::Dram, dst: Port::Spad(inst_idx) }, None)
                 }
             };
+            let source = match src_spad {
+                Some((si, _)) => InputSource::Forwarded { from_inst: si as u32 },
+                None => InputSource::Dram,
+            };
+            self.ledger.edge(app_idx, source, bytes);
             self.tracer.emit(self.now.as_ps(), || EventKind::InputSourced {
                 task: tref(key),
                 inst: inst_idx as u32,
                 parent: Some(tref(pk)),
-                source: match src_spad {
-                    Some((si, _)) => InputSource::Forwarded { from_inst: si as u32 },
-                    None => InputSource::Dram,
-                },
+                source,
                 bytes,
             });
             let (id, first) = self.engine.begin(route, bytes, inst_idx, self.now);
@@ -1699,7 +1636,7 @@ impl SocSim {
         if dram_input_bytes > 0 {
             let bytes = dram_input_bytes;
             input_bytes += bytes;
-            self.spad_access_bytes += bytes;
+            self.ledger.spad_port(bytes);
             self.tracer.emit(self.now.as_ps(), || EventKind::InputSourced {
                 task: tref(key),
                 inst: inst_idx as u32,
@@ -1750,12 +1687,8 @@ impl SocSim {
             1.0
         };
         let dur = spec.compute.scale(jitter);
-        let out_bytes = spec.output_bytes;
         // Functional unit touches its inputs and output in the scratchpad.
-        self.spad_access_bytes += input_bytes + out_bytes;
-        self.insts[inst_idx].compute_busy += dur;
-        let app_idx = self.dags[slot as usize].app_idx;
-        self.per_app_compute_time[self.app_ids[app_idx].index()] += dur;
+        self.ledger.compute(d.app_idx, dur, input_bytes + spec.output_bytes);
         self.node_rt_mut(slot, key.node).actual_compute = dur;
         self.events.push(self.now + dur, Ev::ComputeDone(inst_idx));
     }
@@ -1795,11 +1728,6 @@ impl SocSim {
             return;
         }
         self.insts[inst_idx].last_node = Some(key);
-        // All-loads-and-stores-to-DRAM baseline (Fig. 5 normalization).
-        {
-            let out = self.dags[slot as usize].dag.node(NodeId(key.node)).output_bytes;
-            self.all_dram_baseline_bytes += r.input_bytes + out;
-        }
         {
             let app_idx = self.dags[slot as usize].app_idx;
             self.tracer.emit(self.now.as_ps(), || EventKind::ComputeEnd {
@@ -1818,37 +1746,23 @@ impl SocSim {
             rt.phase = NodePhase::Done;
             rt.out = OutLoc::Spad { inst: inst_idx, part: r.out_part };
         }
-        self.last_completion = self.now;
 
         // Per-node statistics.
-        let (app_idx, node_deadline, dag_done, dag_runtime_met, dag_arrival) = {
+        let (app_idx, node_met, dag_done, dag_runtime_met, dag_arrival, touched) = {
             let d = &mut self.dags[slot as usize];
             d.remaining -= 1;
             let nd = d.arrival + d.deadlines.node_deadline(NodeId(key.node));
             let dag_done = d.remaining == 0 && !d.aborted;
             let met = self.now.saturating_since(d.arrival) <= d.dag.relative_deadline();
-            (d.app_idx, nd, dag_done, met, d.arrival)
+            // The all-DRAM baseline counts the node's inputs and output.
+            let touched = r.input_bytes + d.dag.node(NodeId(key.node)).output_bytes;
+            (d.app_idx, self.now <= nd, dag_done, met, d.arrival, touched)
         };
-        {
-            let stats = &mut self.app_stats[self.app_ids[app_idx].index()];
-            stats.nodes_completed += 1;
-            if self.now <= node_deadline {
-                stats.node_deadlines_met += 1;
-            }
-        }
+        let rt = self.node_rt(slot, key.node);
+        let (predicted, actual) = (rt.pred_compute, rt.actual_compute);
+        self.ledger.node_done(app_idx, self.now, node_met, touched, predicted, actual);
         if let Some(fe) = &mut self.frontend {
-            fe.on_node_done(self.now, app_idx, dag_arrival, self.now <= node_deadline);
-        }
-        {
-            // Table VIII sign convention: (actual − predicted) / predicted,
-            // so negative means the predictor overestimated. Bounded-memory mode
-            // drops the O(total-requests) sample to stay bounded.
-            let rt = self.node_rt(slot, key.node);
-            if rt.pred_compute.as_ps() > 0 && !self.cfg.bounded_memory {
-                let err = (rt.actual_compute.as_ps() as f64 - rt.pred_compute.as_ps() as f64)
-                    / rt.pred_compute.as_ps() as f64;
-                self.prediction.compute_rel_errors.push(err);
-            }
+            fe.on_node_done(self.now, app_idx, dag_arrival, node_met);
         }
 
         // Wake children whose dependencies are now satisfied. The Arc
@@ -1947,16 +1861,7 @@ impl SocSim {
         // attribution is what the resilience campaign sweeps).
         self.faults.dag_done(self.now, instance, met, self.dags[slot as usize].faults);
         let runtime = self.now.saturating_since(self.dags[slot as usize].arrival);
-        let stats = &mut self.app_stats[self.app_ids[app_idx].index()];
-        stats.dags_completed += 1;
-        if met {
-            stats.dag_deadlines_met += 1;
-        }
-        // Bounded-memory mode: the per-completion runtime sample is the one
-        // unbounded closed-loop accumulator; drop it there.
-        if !self.cfg.bounded_memory {
-            stats.dag_runtimes.push(runtime);
-        }
+        self.ledger.dag_done(app_idx, met, runtime);
         if let Some(fe) = &mut self.frontend {
             let d = &self.dags[slot as usize];
             fe.on_complete(self.now, app_idx, instance, d.first_arrival, d.attempt, met);
@@ -2098,7 +2003,7 @@ impl SocSim {
             let d = &self.dags[slot as usize];
             d.dag.node(NodeId(key.node)).output_bytes
         };
-        self.spad_access_bytes += bytes; // producer SPAD read
+        self.ledger.spad_port(bytes); // producer SPAD read
         self.node_rt_mut(slot, key.node).actual_bytes += bytes;
         self.tracer.emit(self.now.as_ps(), || EventKind::WritebackIssued {
             task: tref(key),
@@ -2250,7 +2155,7 @@ impl SocSim {
         dst: usize,
         slot: u32,
     ) {
-        self.spad_access_bytes += bytes;
+        self.ledger.spad_port(bytes);
         self.node_rt_mut(slot, child.node).actual_bytes += bytes;
         let route = Route { src: Port::Dram, dst: Port::Spad(dst) };
         let (id, first) = self.engine.begin(route, bytes, dst, self.now);
@@ -2322,8 +2227,7 @@ impl SocSim {
         } else {
             self.cfg.mem.dram_bandwidth
         };
-        let app_idx = self.dags[slot as usize].app_idx;
-        self.per_app_mem_time[self.app_ids[app_idx].index()] += Dur::for_bytes(bytes, rate);
+        self.ledger.mem_time(self.dags[slot as usize].app_idx, Dur::for_bytes(bytes, rate));
     }
 
     fn observe_bandwidth(&mut self, slot: u32, node: u32, bytes: u64, dur: Dur) {
@@ -2331,13 +2235,9 @@ impl SocSim {
             return;
         }
         let achieved = bytes as f64 / dur.as_secs_f64();
-        let pred = self.node_rt(slot, node).pred_bw;
-        if pred > 0.0 && !self.cfg.bounded_memory {
-            // (actual − predicted) / predicted: Max always overestimates
-            // under contention, yielding Table VIII's negative errors.
-            // Bounded-memory mode drops the sample but keeps feeding the predictor.
-            self.prediction.bw_rel_errors.push((achieved - pred) / pred);
-        }
+        // Max always overestimates under contention, yielding Table VIII's
+        // negative errors. The predictor is fed in bounded-memory mode too.
+        self.ledger.bandwidth(achieved, self.node_rt(slot, node).pred_bw);
         self.mem_pred.observe_bandwidth(achieved);
     }
 
@@ -2424,88 +2324,36 @@ impl SocSim {
     fn finalize(mut self) -> SimResult {
         #[cfg(any(debug_assertions, feature = "invariants"))]
         self.check_invariants();
-        // Data-movement prediction errors (Table VIII): compare per
-        // completed node once all movement is settled. Retired instances
-        // folded their contributions at retirement; merging those with the
-        // still-live instances and sorting by admission serial reproduces
-        // the exact push order of a walk over never-recycled storage.
-        if !self.cfg.bounded_memory {
-            let mut dm = std::mem::take(&mut self.retired_dm);
-            for d in &self.dags {
-                if d.retired {
-                    continue;
-                }
-                for rt in &d.nodes {
-                    if rt.phase == NodePhase::Done && rt.actual_bytes > 0 && rt.pred_bytes > 0 {
-                        let err = (rt.actual_bytes as f64 - rt.pred_bytes as f64)
-                            / rt.pred_bytes as f64;
-                        dm.push((d.serial, err));
-                    }
-                }
-            }
-            dm.sort_by_key(|&(serial, _)| serial);
-            self.prediction.dm_rel_errors.extend(dm.into_iter().map(|(_, err)| err));
+        // Data-movement prediction errors (Table VIII) of the instances
+        // still live; retired ones reported theirs at retirement.
+        for d in self.dags.iter().filter(|d| !d.retired) {
+            self.ledger.data_moved(d.serial, moved_bytes(&d.nodes));
         }
-
-        let exec_time = match self.cfg.time_limit {
-            Some(limit) if self.truncated => limit.saturating_since(Time::ZERO),
-            _ => self.last_completion.saturating_since(Time::ZERO),
-        };
-
-        // Starvation, judged per symbol: a repeating app that never
-        // completed while others did.
-        let any_completed = self.app_stats.iter().any(|a| a.dags_completed > 0);
-        for (app, id) in self.apps.iter().zip(&self.app_ids) {
-            let stats = &mut self.app_stats[id.index()];
-            stats.starved |= app.repeat && any_completed && stats.dags_completed == 0;
-        }
-
-        let traffic = TrafficStats {
-            dram_read_bytes: self.engine.dram_read_bytes(),
-            dram_write_bytes: self.engine.dram_write_bytes(),
-            spad_to_spad_bytes: self.engine.spad_to_spad_bytes(),
-            colocated_bytes: self.colocated_bytes,
-            spad_access_bytes: self.spad_access_bytes,
-            all_dram_bytes: self.all_dram_baseline_bytes,
-        };
-        // The only point where the dense AppId-indexed accumulators take
-        // their public string-keyed form: one pass over the symbols builds
-        // all three maps.
-        let mut apps_map = BTreeMap::new();
-        let mut per_app_mem_time = BTreeMap::new();
-        let mut per_app_compute_time = BTreeMap::new();
-        for (id, a) in self.app_stats.iter().enumerate() {
-            per_app_mem_time.insert(a.name.clone(), self.per_app_mem_time[id]);
-            per_app_compute_time.insert(a.name.clone(), self.per_app_compute_time[id]);
-            apps_map.insert(a.name.clone(), a.clone());
-        }
-        let edges_total = self.app_stats.iter().map(|a| a.edges_consumed).sum();
-        let stats = RunStats {
+        let measured = RunStats {
             policy: self.cfg.policy.name().to_string(),
-            exec_time,
-            traffic,
-            apps: apps_map,
-            accel_busy: self.insts.iter().map(|i| i.compute_busy).sum(),
+            traffic: TrafficStats {
+                dram_read_bytes: self.engine.dram_read_bytes(),
+                dram_write_bytes: self.engine.dram_write_bytes(),
+                spad_to_spad_bytes: self.engine.spad_to_spad_bytes(),
+                ..TrafficStats::default()
+            },
             interconnect_busy: self.engine.interconnect_busy(),
             dram_busy: self.engine.dram_busy(),
-            scheduler_ops: self.sched_ops,
             scheduler_time: self.manager.stats().busy,
-            edges_total,
             faults: self.faults.into_stats(self.engine.channel_outages_applied()),
             service: self.frontend.take().map(Frontend::into_stats).unwrap_or_default(),
+            ..RunStats::default()
         };
         let trace = match &self.span_sink {
             Some(sink) => Trace { spans: sink.borrow_mut().take_spans() },
             None => Trace::default(),
         };
+        let cap = self.cfg.time_limit.filter(|_| self.truncated);
         SimResult {
-            stats,
-            per_app_mem_time,
-            per_app_compute_time,
-            prediction: self.prediction,
             trace,
             events_dispatched: self.events.dispatched(),
             live_high_water: self.dag_slots.slots() as u64,
+            ..self.ledger.finish(cap, measured)
         }
     }
 }
