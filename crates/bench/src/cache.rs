@@ -77,9 +77,11 @@ use std::path::{Path, PathBuf};
 /// changes shape — old files then parse as misses instead of garbage.
 pub const SCHEMA: &str = "relief-campaign-cache/v5";
 
-/// The hand-kept half of [`CODE_SALT`]. Bump it for a behaviour change
-/// the behaviour corpus cannot see.
-const SALT_TAG: &str = "relief-sim/2026-08-09.chaos-hardened-serving";
+/// The hand-kept half of [`CODE_SALT`]. Bump it for a change the
+/// behaviour corpus cannot see: a behaviour change, or relabelled cells
+/// whose entries under the old labels can never hit again (the bump
+/// makes them scan as stale).
+const SALT_TAG: &str = "relief-sim/2026-10-19.content-derived-sweep-labels";
 
 /// [`CODE_SALT`]'s bytes: [`SALT_TAG`], `+`, then the FNV-1a digest of
 /// the committed behaviour corpus in 16 lowercase hex digits.

@@ -32,8 +32,10 @@
 
 use relief_accel::{AppSpec, SimResult, SocConfig, SocSim};
 use relief_core::PolicyKind;
+use relief_fault::FaultConfig;
 use relief_metrics::summary::aggregate;
 use relief_metrics::{reconcile, Mismatch};
+use relief_service::StreamConfig;
 use relief_sim::{fnv1a, SplitMix64, Time};
 use relief_trace::{text, CountersSink, RingBufferSink, Tracer};
 use relief_trace::EventCounters;
@@ -118,6 +120,17 @@ impl PlatformSpec {
         build: impl Fn(PolicyKind) -> SocConfig + Send + Sync + 'static,
     ) -> Self {
         PlatformSpec { label: label.into(), build: Arc::new(build) }
+    }
+
+    /// One cell of a stream or fault sweep: the mobile platform with
+    /// `stream` and `fault` installed, labelled `mobile+<kind>-` and the
+    /// FNV-1a of both configurations' `Debug` text in 16 hex digits, so
+    /// every knob (rates unrounded) is part of the cell's identity.
+    pub(crate) fn sweep(kind: &str, stream: StreamConfig, fault: FaultConfig) -> Self {
+        let digest = fnv1a(format!("{stream:?}{fault:?}").as_bytes());
+        PlatformSpec::custom(format!("mobile+{kind}-{digest:016x}"), move |p| {
+            SocConfig::mobile(p).with_stream(stream.clone()).with_fault(fault.clone())
+        })
     }
 
     /// The platform's canonical label.
@@ -234,12 +247,16 @@ impl RunSpec {
 /// replicate combination, expanded in stable nested order.
 ///
 /// Axes beyond the policy/workload/platform trio are encoded *into* the
-/// platform axis by folding their knobs into the platform label: the
-/// fault-rate axis of `crate::resilience` and the arrival-rate axis of
-/// `crate::service` (open-loop streaming — arrival process, per-tenant
-/// rate, admission cap) are both one [`PlatformSpec::custom`] per axis
-/// value. The label is the cell's canonical identity, so distinct knob
-/// settings must never produce colliding labels.
+/// platform axis: the fault-rate axis of `crate::resilience`, the
+/// arrival-rate axis of `crate::service` and the arrival × fault grid of
+/// `crate::chaos` are one platform per axis value, each the mobile SoC
+/// with that cell's stream and fault configuration installed. The label
+/// is the cell's canonical identity (its cache key, and the key reports
+/// look its result up by), so a sweep labels each cell
+/// `mobile+<kind>-<hex>`, the hex an FNV-1a digest of both
+/// configurations' full `Debug` text: every knob, warm-up and unrounded
+/// rates included, and two cells collide only when they simulate the
+/// same configuration.
 #[derive(Debug, Clone)]
 pub struct CampaignSpec {
     /// Campaign name (reports, hashing).

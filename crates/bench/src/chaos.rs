@@ -10,22 +10,20 @@
 //! Fault rate 0 is the healthy baseline of the same overload point, so
 //! each row's degradation (Δ attainment) reads directly against it.
 //!
-//! All knobs are folded into the platform label — the label is each
-//! cell's canonical identity (and cache key), so the sweep inherits the
-//! engine's determinism contract and the rendered report is
+//! All knobs are part of the platform label (see [`CampaignSpec`]) — the
+//! label is each cell's canonical identity (and cache key), so the sweep
+//! inherits the engine's determinism contract and the rendered report is
 //! byte-identical at any `--jobs`.
 
 use crate::cache::CacheConfig;
 use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
 use crate::cli::Args;
 use crate::service::tenant_stream;
-use relief_accel::SocConfig;
 use relief_core::PolicyKind;
 use relief_fault::FaultConfig;
 use relief_metrics::report::Table;
 use relief_metrics::RunStats;
 use relief_service::{SelfHealConfig, StreamConfig};
-use std::fmt::Write as _;
 
 /// Knobs of one chaos sweep.
 #[derive(Debug, Clone)]
@@ -155,28 +153,9 @@ impl ChaosSpec {
         StreamConfig { self_heal: Self::self_heal(), ..stream }
     }
 
-    /// The platform label of one grid cell. Encodes every stream, fault,
-    /// and healing knob: the label is the run's canonical identity, and
-    /// two cells with different plans must never collide.
-    fn platform_label(&self, arrival: f64, fault: f64) -> String {
-        let h = Self::self_heal();
-        let mut label = format!(
-            "mobile+chaos-r{arrival:.0}s{:x}d{}us+adm{}+heal{}o{}us-t{:.0}-h{}{}{}+f{fault:.4}s{:x}",
-            self.stream_seed,
-            self.duration_ps / 1_000_000,
-            self.max_in_flight,
-            h.breaker_failures,
-            h.breaker_open_ps / 1_000_000,
-            h.timeout_factor,
-            h.hedge_budget[0],
-            h.hedge_budget[1],
-            h.hedge_budget[2],
-            self.fault_seed,
-        );
-        if fault > 0.0 && self.dram_mttf_ps > 0 {
-            let _ = write!(label, "+dmttf{}us", self.dram_mttf_ps / 1_000_000);
-        }
-        label
+    /// The platform of one grid cell.
+    fn platform(&self, arrival: f64, fault: f64) -> PlatformSpec {
+        PlatformSpec::sweep("chaos", self.stream_config(arrival), self.fault_config(fault))
     }
 
     /// Expands the sweep into a campaign: policy-major, then one platform
@@ -186,16 +165,7 @@ impl ChaosSpec {
         let mut platforms = Vec::new();
         for &arrival in &self.arrival_rates {
             for &fault in &self.fault_rates {
-                let stream = self.stream_config(arrival);
-                let plan = self.fault_config(fault);
-                platforms.push(PlatformSpec::custom(
-                    self.platform_label(arrival, fault),
-                    move |p| {
-                        SocConfig::mobile(p)
-                            .with_stream(stream.clone())
-                            .with_fault(plan.clone())
-                    },
-                ));
+                platforms.push(self.platform(arrival, fault));
             }
         }
         CampaignSpec {
@@ -275,10 +245,10 @@ impl ChaosSpec {
     ) -> Option<f64> {
         self.fault_rates.contains(&0.0).then_some(())?;
         let runs = self.campaign().expand();
-        let label = self.platform_label(arrival, 0.0);
+        let baseline = self.platform(arrival, 0.0);
         let spec = runs
             .iter()
-            .find(|r| r.policy == policy && r.platform.label() == label)?;
+            .find(|r| r.policy == policy && r.platform.label() == baseline.label())?;
         let rec = results.get(&spec.label())?;
         Some(rec.result.stats.service.classes[0].attainment())
     }
@@ -410,31 +380,30 @@ mod tests {
     }
 
     #[test]
-    fn labels_encode_every_knob_and_grid_covers_axes() {
-        let spec = ChaosSpec::default();
-        let campaign = spec.campaign();
-        assert_eq!(
-            campaign.platforms.len(),
-            spec.arrival_rates.len() * spec.fault_rates.len()
-        );
-        let labels: Vec<String> =
-            campaign.platforms.iter().map(|p| p.label().to_string()).collect();
-        // Fault-0 baselines drop the dram-mttf suffix; faulted cells keep it.
-        assert!(labels[0].contains("+f0.0000s"), "{}", labels[0]);
-        assert!(!labels[0].contains("dmttf"), "{}", labels[0]);
-        assert!(labels[1].contains("+dmttf10000us"), "{}", labels[1]);
-        // Every knob perturbation must change the identity.
-        let mut seen = labels.clone();
-        seen.dedup();
-        assert_eq!(seen.len(), labels.len(), "duplicate platform labels");
-        for perturbed in [
-            ChaosSpec { fault_seed: 1, ..spec.clone() },
-            ChaosSpec { stream_seed: 1, ..spec.clone() },
-            ChaosSpec { dram_mttf_ps: 1_000_000, ..spec.clone() },
-            ChaosSpec { max_in_flight: 3, ..spec.clone() },
+    fn labels_tell_every_knob_apart_and_grid_covers_axes() {
+        let labels = |spec: &ChaosSpec| -> Vec<String> {
+            spec.campaign().platforms.iter().map(|p| p.label().to_string()).collect()
+        };
+        let spec = ChaosSpec { fault_rates: vec![0.0, 0.01, 0.01004], ..ChaosSpec::default() };
+        let base = labels(&spec);
+        assert_eq!(base.len(), spec.arrival_rates.len() * spec.fault_rates.len());
+        assert!(base.iter().all(|l| l.starts_with("mobile+chaos-")), "{base:?}");
+        let distinct: std::collections::BTreeSet<_> = base.iter().collect();
+        assert_eq!(distinct.len(), base.len(), "fault rate 0.01 vs 0.01004: {base:?}");
+        // Every knob a faulted cell runs with changes its identity.
+        for (knob, other) in [
+            ("fault seed", ChaosSpec { fault_seed: 1, ..spec.clone() }),
+            ("stream seed", ChaosSpec { stream_seed: 1, ..spec.clone() }),
+            ("dram mttf", ChaosSpec { dram_mttf_ps: 1_000_000, ..spec.clone() }),
+            ("admission cap", ChaosSpec { max_in_flight: 3, ..spec.clone() }),
+            ("warm-up", ChaosSpec { warmup_ps: 0, ..spec.clone() }),
         ] {
-            assert_ne!(spec.campaign().hash(), perturbed.campaign().hash());
+            assert_ne!(labels(&other)[1], base[1], "{knob}");
         }
+        // The fault-0 baseline runs no fault plan, so the fault knobs
+        // leave its identity (and cache entry) alone.
+        let reseeded = ChaosSpec { fault_seed: 1, dram_mttf_ps: 1, ..spec.clone() };
+        assert_eq!(labels(&reseeded)[0], base[0]);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Sweeps the deterministic fault plan of `relief-fault` across the
 //! campaign engine: one platform axis value per fault rate, every
-//! requested policy, one shared workload. The fault knobs are folded
-//! into each platform's label, so every cell has its own canonical
-//! identity (and therefore its own replicate seeds and cache key), and
-//! the whole sweep inherits the engine's determinism contract — the
-//! rendered report is byte-identical at any `--jobs`.
+//! requested policy, one shared workload. The fault knobs are part of
+//! each platform's label (see [`CampaignSpec`]), so every cell has its
+//! own canonical identity (and therefore its own replicate seeds and
+//! cache key), and the whole sweep inherits the engine's determinism
+//! contract — the rendered report is byte-identical at any `--jobs`.
 //!
 //! Rate 0 is always a valid axis value: it is the fault-free baseline
 //! and produces exactly the numbers an unfaulted run would.
@@ -14,12 +14,11 @@
 use crate::cache::CacheConfig;
 use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
 use crate::cli::Args;
-use relief_accel::SocConfig;
 use relief_core::PolicyKind;
 use relief_fault::FaultConfig;
 use relief_metrics::report::Table;
+use relief_service::StreamConfig;
 use relief_workloads::Contention;
-use std::fmt::Write as _;
 
 /// Knobs of one resilience sweep.
 #[derive(Debug, Clone)]
@@ -92,17 +91,6 @@ impl ResilienceSpec {
         }
     }
 
-    /// The platform label of one swept cell. Encodes every fault knob:
-    /// the label is the run's canonical identity, and two cells with
-    /// different fault plans must never collide.
-    fn platform_label(&self, rate: f64) -> String {
-        let mut label = format!("mobile+f{rate:.4}s{:x}", self.seed);
-        if self.mttf_ps > 0 {
-            let _ = write!(label, "+mttf{}us", self.mttf_ps / 1_000_000);
-        }
-        label
-    }
-
     /// Expands the sweep into a campaign: policy-major, then one
     /// platform per fault rate in the order given.
     pub fn campaign(&self) -> CampaignSpec {
@@ -110,10 +98,7 @@ impl ResilienceSpec {
             .rates
             .iter()
             .map(|&rate| {
-                let fault = self.fault_config(rate);
-                PlatformSpec::custom(self.platform_label(rate), move |p| {
-                    SocConfig::mobile(p).with_fault(fault.clone())
-                })
+                PlatformSpec::sweep("resilience", StreamConfig::default(), self.fault_config(rate))
             })
             .collect();
         CampaignSpec {
@@ -246,15 +231,22 @@ mod tests {
     }
 
     #[test]
-    fn labels_encode_every_fault_knob() {
-        let spec = ResilienceSpec { mttf_ps: 2_000_000_000, ..Default::default() };
-        let labels: Vec<String> =
-            spec.campaign().platforms.iter().map(|p| p.label().to_string()).collect();
-        assert_eq!(labels[0], "mobile+f0.0000sfa57+mttf2000us");
-        assert_eq!(labels[2], "mobile+f0.0050sfa57+mttf2000us");
-        // Distinct knobs → distinct identities.
-        let reseeded = ResilienceSpec { seed: 1, ..spec.clone() };
-        assert_ne!(spec.campaign().hash(), reseeded.campaign().hash());
+    fn labels_tell_every_fault_knob_apart() {
+        let labels = |spec: &ResilienceSpec| -> Vec<String> {
+            spec.campaign().platforms.iter().map(|p| p.label().to_string()).collect()
+        };
+        let spec =
+            ResilienceSpec { rates: vec![0.01, 0.01004], mttf_ps: 400_000_000, ..Default::default() };
+        let base = labels(&spec);
+        assert!(base[0].starts_with("mobile+resilience-"), "{}", base[0]);
+        assert_ne!(base[0], base[1], "fault rate 0.01 vs 0.01004");
+        assert_eq!(labels(&spec.clone()), base, "equal knobs, equal labels");
+        for (knob, other) in [
+            ("mttf", ResilienceSpec { mttf_ps: 400_500_000, ..spec.clone() }),
+            ("seed", ResilienceSpec { seed: 1, ..spec.clone() }),
+        ] {
+            assert_ne!(labels(&other)[0], base[0], "{knob}");
+        }
     }
 
     #[test]

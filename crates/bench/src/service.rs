@@ -4,10 +4,10 @@
 //! Sweeps the per-tenant arrival rate across the campaign engine: one
 //! platform axis value per rate, every requested policy, one shared
 //! three-tenant workload (Canny = `Latency`, GRU = `Standard`, LSTM =
-//! `BestEffort`). Every stream knob is folded into the platform label,
-//! so each cell has its own canonical identity, and the sweep inherits
-//! the engine's determinism contract — the rendered report is
-//! byte-identical at any `--jobs`.
+//! `BestEffort`). Every stream knob is part of the platform label (see
+//! [`CampaignSpec`]), so each cell has its own canonical identity, and
+//! the sweep inherits the engine's determinism contract — the rendered
+//! report is byte-identical at any `--jobs`.
 //!
 //! Unlike closed-loop campaigns, service cells carry no simulated-time
 //! cap: arrivals stop at the configured stream duration and the run
@@ -17,13 +17,13 @@
 use crate::cache::CacheConfig;
 use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
 use crate::cli::Args;
-use relief_accel::{AppSpec, SocConfig};
+use relief_accel::AppSpec;
 use relief_core::PolicyKind;
+use relief_fault::FaultConfig;
 use relief_metrics::report::Table;
 use relief_metrics::{Histogram, RunStats};
 use relief_service::{AdmissionConfig, ArrivalProcess, QosClass, StreamConfig, TenantCfg};
 use relief_workloads::App;
-use std::fmt::Write as _;
 
 /// The fixed tenant trio every service cell streams: one app per QoS
 /// class, covering a vision pipeline, a small RNN, and a large RNN.
@@ -129,22 +129,6 @@ impl ServiceSpec {
         }
     }
 
-    /// The platform label of one swept cell. Encodes every stream knob:
-    /// the label is the run's canonical identity, and two cells with
-    /// different arrival plans must never collide.
-    fn platform_label(&self, rate: f64) -> String {
-        let mut label = format!(
-            "mobile+svc-{}r{rate:.0}s{:x}d{}us",
-            self.process.name(),
-            self.seed,
-            self.duration_ps / 1_000_000,
-        );
-        if self.max_in_flight > 0 {
-            let _ = write!(label, "+adm{}", self.max_in_flight);
-        }
-        label
-    }
-
     /// The shared three-tenant workload (one app spec per tenant, in
     /// tenant order; closed-loop releases are replaced by the stream).
     fn workload(&self) -> WorkloadSpec {
@@ -158,10 +142,7 @@ impl ServiceSpec {
             .rates
             .iter()
             .map(|&rate| {
-                let stream = self.stream_config(rate);
-                PlatformSpec::custom(self.platform_label(rate), move |p| {
-                    SocConfig::mobile(p).with_stream(stream.clone())
-                })
+                PlatformSpec::sweep("svc", self.stream_config(rate), FaultConfig::default())
             })
             .collect();
         CampaignSpec {
@@ -368,20 +349,26 @@ mod tests {
         assert!(parse_cli(args(&["--jobs", "0"])).is_err());
     }
 
+    fn labels(spec: &ServiceSpec) -> Vec<String> {
+        spec.campaign().platforms.iter().map(|p| p.label().to_string()).collect()
+    }
+
     #[test]
-    fn labels_encode_every_stream_knob() {
-        let spec = ServiceSpec::default();
-        let labels: Vec<String> =
-            spec.campaign().platforms.iter().map(|p| p.label().to_string()).collect();
-        assert_eq!(labels[0], "mobile+svc-poissonr50sfeedd50000us+adm12");
-        assert_eq!(labels[2], "mobile+svc-poissonr400sfeedd50000us+adm12");
-        // Admission off drops the suffix; distinct knobs → distinct ids.
-        let open = ServiceSpec { max_in_flight: 0, ..spec.clone() };
-        assert!(open.campaign().platforms[0].label().ends_with("us"));
-        let reseeded = ServiceSpec { seed: 1, ..spec.clone() };
-        assert_ne!(spec.campaign().hash(), reseeded.campaign().hash());
-        let det = ServiceSpec { process: ArrivalProcess::Deterministic, ..spec };
-        assert_ne!(det.campaign().platforms[0].label(), labels[0]);
+    fn labels_tell_every_stream_knob_apart() {
+        let spec = ServiceSpec { rates: vec![150.0, 150.4], ..ServiceSpec::default() };
+        let base = labels(&spec);
+        assert!(base[0].starts_with("mobile+svc-") && base[0].len() == 27, "{}", base[0]);
+        assert_ne!(base[0], base[1], "150 vs 150.4 req/s");
+        assert_eq!(labels(&spec.clone()), base, "equal knobs, equal labels");
+        for (knob, other) in [
+            ("warm-up", ServiceSpec { warmup_ps: 0, ..spec.clone() }),
+            ("seed", ServiceSpec { seed: 1, ..spec.clone() }),
+            ("duration", ServiceSpec { duration_ps: spec.duration_ps + 1, ..spec.clone() }),
+            ("admission cap", ServiceSpec { max_in_flight: 0, ..spec.clone() }),
+            ("process", ServiceSpec { process: ArrivalProcess::Deterministic, ..spec.clone() }),
+        ] {
+            assert_ne!(labels(&other)[0], base[0], "{knob}");
+        }
     }
 
     #[test]

@@ -603,3 +603,24 @@ fn pack_bytes_do_not_depend_on_jobs_or_spec_order() {
     assert_eq!(packs[0], packs[1], "--jobs 1 vs --jobs 4");
     assert_eq!(packs[0], packs[2], "spec order vs reversed");
 }
+
+#[test]
+fn service_sweeps_differing_only_in_warm_up_share_no_cell() {
+    let dir = temp_cache("warmup");
+    let sweep = |warmup_ps| ServiceSpec {
+        rates: vec![150.0],
+        duration_ps: 5_000_000_000, // 5 ms of arrivals
+        warmup_ps,
+        policies: vec![PolicyKind::Fcfs, PolicyKind::Relief],
+        ..Default::default()
+    };
+    let cold = execute(sweep(0).campaign().expand(), &opts(1, &dir));
+    assert_eq!((cold.cache_hits, cold.simulated), (0, 2));
+    let warm_up = execute(sweep(1_000_000_000).campaign().expand(), &opts(1, &dir));
+    assert_eq!(
+        (warm_up.cache_hits, warm_up.simulated),
+        (0, 2),
+        "a different warm-up must simulate every cell"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
