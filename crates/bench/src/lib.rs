@@ -37,11 +37,6 @@ pub fn config_for(policy: PolicyKind, contention: Contention) -> SocConfig {
     }
 }
 
-/// Runs one mix under one policy on the default platform.
-pub fn run_mix(policy: PolicyKind, contention: Contention, mix: &Mix) -> SimResult {
-    run_mix_with(config_for(policy, contention), mix)
-}
-
 /// Runs one mix with an explicit configuration.
 pub fn run_mix_with(cfg: SocConfig, mix: &Mix) -> SimResult {
     SocSim::new(cfg, mix.workload()).run()

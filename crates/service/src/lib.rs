@@ -565,7 +565,7 @@ impl StreamPlan {
     /// Absolute arrival time of instance `index` of `tenant` (the prefix
     /// sum of its gaps), ignoring the duration horizon. `None` when the
     /// tenant is silent. O(index) — the simulator tracks arrivals
-    /// incrementally; this form exists for tests and digests.
+    /// incrementally; this form exists for tests.
     #[must_use]
     pub fn arrival_ps(&self, tenant: u32, index: u64) -> Option<u64> {
         let mut at = 0u64;
@@ -575,28 +575,6 @@ impl StreamPlan {
         Some(at)
     }
 
-    /// A canonical, byte-comparable rendering of the first `n` arrivals
-    /// of each of `tenants` streams: the determinism tests compare two
-    /// plans' digests byte for byte.
-    #[must_use]
-    pub fn schedule_digest(&self, tenants: u32, n: u64) -> String {
-        let mut out = String::new();
-        for t in 0..tenants {
-            out.push_str(&format!("tenant{t}:"));
-            let mut at = 0u64;
-            for i in 0..n {
-                match self.gap_ps(t, i, at) {
-                    Some(gap) => {
-                        at = at.saturating_add(gap);
-                        out.push_str(&format!(" {at}"));
-                    }
-                    None => break,
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Inverse-CDF exponential draw: the gap to the next Poisson event at
@@ -854,22 +832,22 @@ mod tests {
     }
 
     #[test]
-    fn digest_is_seed_and_tenant_sensitive() {
-        let a = StreamPlan::new(streaming(ArrivalProcess::Poisson));
-        let b = StreamPlan::new(streaming(ArrivalProcess::Poisson));
-        assert_eq!(a.schedule_digest(2, 16), b.schedule_digest(2, 16));
+    fn arrival_schedule_is_seed_and_tenant_sensitive() {
+        // The first 16 arrivals of each of two tenants.
+        let schedule = |plan: &StreamPlan| -> Vec<Vec<Option<u64>>> {
+            (0..2).map(|t| (0..16).map(|i| plan.arrival_ps(t, i)).collect()).collect()
+        };
+        let a = schedule(&StreamPlan::new(streaming(ArrivalProcess::Poisson)));
+        let b = schedule(&StreamPlan::new(streaming(ArrivalProcess::Poisson)));
+        assert_eq!(a, b);
+        assert!(a.iter().flatten().all(Option::is_some));
         let other = StreamPlan::new(StreamConfig {
             seed: 0xDEAD,
             ..streaming(ArrivalProcess::Poisson)
         });
-        assert_ne!(a.schedule_digest(2, 16), other.schedule_digest(2, 16));
+        assert_ne!(a, schedule(&other));
         // The two tenants draw from independent streams.
-        let digest = a.schedule_digest(2, 16);
-        let lines: Vec<&str> = digest.lines().collect();
-        assert_ne!(
-            lines[0].trim_start_matches("tenant0:"),
-            lines[1].trim_start_matches("tenant1:")
-        );
+        assert_ne!(a[0], a[1]);
     }
 
     #[test]

@@ -93,25 +93,9 @@ impl Timeline {
         self.free_at
     }
 
-    /// True if the resource is idle at `now`.
-    pub fn is_idle(&self, now: Time) -> bool {
-        self.free_at <= now
-    }
-
     /// Utilization statistics accumulated so far.
     pub fn stats(&self) -> BusyStats {
         self.stats
-    }
-
-    /// Occupancy in `[0, 1]` over a horizon of `total` simulated time.
-    ///
-    /// Returns 0 when `total` is zero.
-    pub fn occupancy(&self, total: Dur) -> f64 {
-        if total.is_zero() {
-            0.0
-        } else {
-            (self.stats.busy.as_ps() as f64 / total.as_ps() as f64).min(1.0)
-        }
     }
 }
 
@@ -125,8 +109,7 @@ mod tests {
         let (s, e) = t.reserve(Time::from_ns(10), Dur::from_ns(5));
         assert_eq!(s, Time::from_ns(10));
         assert_eq!(e, Time::from_ns(15));
-        assert!(t.is_idle(Time::from_ns(15)));
-        assert!(!t.is_idle(Time::from_ns(14)));
+        assert_eq!(t.free_at(), Time::from_ns(15));
     }
 
     #[test]
@@ -138,13 +121,5 @@ mod tests {
         assert_eq!(e, Time::from_ns(110));
         assert_eq!(t.stats().busy, Dur::from_ns(110));
         assert_eq!(t.free_at(), Time::from_ns(110));
-    }
-
-    #[test]
-    fn occupancy_fraction() {
-        let mut t = Timeline::new();
-        t.reserve(Time::ZERO, Dur::from_ns(25));
-        assert_eq!(t.occupancy(Dur::from_ns(100)), 0.25);
-        assert_eq!(t.occupancy(Dur::ZERO), 0.0);
     }
 }
