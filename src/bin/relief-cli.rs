@@ -222,7 +222,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
             "--limit-ms" => args.limit_ms = Some(it.value(&flag)?),
             "--crossbar" => args.crossbar = true,
             "--no-forwarding" => args.no_forwarding = true,
-            "--partitions" => args.partitions = it.value(&flag)?,
+            "--partitions" => {
+                args.partitions = it.value(&flag)?;
+                if args.partitions == 0 {
+                    return Err("--partitions must be at least 1".into());
+                }
+            }
             "--trace-out" => args.trace_out = Some(it.raw(&flag)?.into()),
             "--fault-rate" => {
                 args.fault_rate = it.value(&flag)?;
@@ -564,5 +569,23 @@ fn compare_policies(args: &Args, mix_apps: &[App]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<(Args, Vec<App>), String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn partitions_must_be_positive() {
+        let err = parse(&["--partitions", "0"]).err();
+        assert_eq!(err.as_deref(), Some("--partitions must be at least 1"));
+        let (args, _) = parse(&["--partitions", "3"]).unwrap();
+        assert_eq!(args.partitions, 3);
+        assert!(parse(&["--partitions", "x"]).is_err());
     }
 }
