@@ -32,12 +32,14 @@
 //!    on, and `invariants` proves the end-of-run conservation checks
 //!    also hold in a release build via the `invariants` feature, on the
 //!    chaos suite, the fault-injection suite, the oracle suite (whose
-//!    search resumes forked simulations, each checked at its end),
-//!    every behaviour-corpus cell (whose release build must also
-//!    reproduce the committed digests) and `relief-accel`'s
-//!    `sim_behavior` suite (whose forked-replay tests pin that pausing
-//!    with `run_until`, forking and resuming with `try_run` dispatch
-//!    exactly the events of an uninterrupted run).
+//!    search resumes forked simulations, each checked at its end), the
+//!    service-mode suite (whose bounded-memory MMPP overload and
+//!    overload counter reconciliation exercise the run ledger's
+//!    bounded-memory rule), every behaviour-corpus cell (whose release
+//!    build must also reproduce the committed digests) and
+//!    `relief-accel`'s `sim_behavior` suite (whose forked-replay tests
+//!    pin that pausing with `run_until`, forking and resuming with
+//!    `try_run` dispatch exactly the events of an uninterrupted run).
 //! 5. The determinism, conformance, and property test suites:
 //!    `campaign_engine`, `campaign_cache` (the content-addressed
 //!    incremental-campaign store: a cold run writes one pack, warm
@@ -305,6 +307,8 @@ fn check(args: &[String]) -> ExitCode {
                 "fault_injection",
                 "--test",
                 "oracle_conformance",
+                "--test",
+                "service_mode",
                 "--test",
                 "behaviour_corpus",
             ]),
