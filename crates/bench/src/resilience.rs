@@ -235,8 +235,8 @@ mod tests {
         let labels = |spec: &ResilienceSpec| -> Vec<String> {
             spec.campaign().platforms.iter().map(|p| p.label().to_string()).collect()
         };
-        let spec =
-            ResilienceSpec { rates: vec![0.01, 0.01004], mttf_ps: 400_000_000, ..Default::default() };
+        let rates = vec![0.01, 0.01004];
+        let spec = ResilienceSpec { rates, mttf_ps: 400_000_000, ..Default::default() };
         let base = labels(&spec);
         assert!(base[0].starts_with("mobile+resilience-"), "{}", base[0]);
         assert_ne!(base[0], base[1], "fault rate 0.01 vs 0.01004");
