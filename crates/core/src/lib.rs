@@ -5,18 +5,33 @@
 //! managers, with **forwarding-aware priority escalation** (RELIEF,
 //! Algorithm 1) guarded by a laxity-driven **feasibility check**
 //! (Algorithm 2), plus the five state-of-the-art baselines it is evaluated
-//! against (§II-C):
+//! against (§II-C).
 //!
-//! | Policy | Order key | Deadline scheme |
-//! |---|---|---|
-//! | [`policy::Fcfs`] | arrival | — |
-//! | [`policy::GedfD`] | deadline | DAG deadline |
-//! | [`policy::GedfN`] | deadline | critical-path node deadline |
-//! | [`policy::Ll`] | laxity (Eq. 1) | critical-path node deadline |
-//! | [`policy::Lax`] | laxity, negative laxity de-prioritized | critical-path node deadline |
-//! | [`policy::HetSched`] | laxity | SDR × DAG deadline (Eq. 2) |
-//! | [`policy::Relief`] | laxity + forwarding escalation | critical-path node deadline |
-//! | RELIEF-LAX | RELIEF + LAX de-prioritization | critical-path node deadline |
+//! All of them share one non-preemptive ready-queue discipline, so each
+//! is a row of one table: the deadline scheme of its task entries, the
+//! order key of its queues (ties go to the earlier arrival), whether
+//! forwarding candidates escalate to the queue front, and which task an
+//! idle accelerator pops. One `Policy` impl runs any row, and
+//! [`PolicyKind::build`] builds it:
+//!
+//! | [`PolicyKind`] | Deadline scheme | Order key | Escalation | Pop |
+//! |---|---|---|---|---|
+//! | [`Fcfs`](PolicyKind::Fcfs) | DAG deadline | arrival | off | head |
+//! | [`GedfD`](PolicyKind::GedfD) | DAG deadline | deadline | off | head |
+//! | [`GedfN`](PolicyKind::GedfN) | critical-path node deadline | deadline | off | head |
+//! | [`Ll`](PolicyKind::Ll) | critical-path node deadline | laxity (Eq. 1) | off | head |
+//! | [`Lax`](PolicyKind::Lax) | critical-path node deadline | laxity | off | LAX bypass |
+//! | [`HetSched`](PolicyKind::HetSched) | SDR × DAG deadline (Eq. 2) | laxity | off | head |
+//! | [`Relief`](PolicyKind::Relief) | critical-path node deadline | laxity | throttled (Alg. 2) | head |
+//! | [`ReliefLax`](PolicyKind::ReliefLax) | critical-path node deadline | laxity | throttled | LAX bypass |
+//! | [`ReliefHet`](PolicyKind::ReliefHet) | SDR × DAG deadline | laxity | throttled | head |
+//! | [`ReliefUnthrottled`](PolicyKind::ReliefUnthrottled) | critical-path node deadline | laxity | unthrottled | head |
+//!
+//! FCFS never reads its deadlines. The LAX bypass lets the first task
+//! with non-negative current laxity overtake the negative-laxity tasks
+//! ahead of it, unless the head is an escalated forwarding node.
+//! [`Adaptive`] is no row: it switches between the FCFS and RELIEF rows
+//! per epoch, under critical-path node deadlines.
 //!
 //! The framework is deliberately mechanism-agnostic: it never touches
 //! scratchpads or DMA. It orders per-accelerator-type **ready queues**

@@ -23,11 +23,11 @@
 //! (depth ≤ `depth_lo` and slack ≥ `slack_hi`, or an empty queue) falls
 //! back to FCFS, and anything in between holds the current mode so a
 //! square-wave load cannot thrash the scheduler. On a switch the queues
-//! are re-keyed in place (FIFO order for FCFS, laxity order for RELIEF);
-//! escalated-prefix state is dropped, since escalation windows do not
-//! survive a policy change.
+//! are re-keyed in place under the target row's order key (arrival for
+//! FCFS, laxity for RELIEF); escalated-prefix state is dropped, since
+//! escalation windows do not survive a policy change.
 
-use crate::policy::{DeadlineScheme, Fcfs, Policy, PolicyKind, Relief};
+use crate::policy::{DeadlineScheme, Online, Policy, PolicyKind};
 use crate::queue::ReadyQueues;
 use crate::task::TaskEntry;
 use relief_dag::AccTypeId;
@@ -84,8 +84,9 @@ pub struct Adaptive {
     /// an epoch longer than the whole run never re-evaluates at all.
     epoch_idx: u64,
     switches: u64,
-    fcfs: Fcfs,
-    relief: Relief,
+    /// The policies of the two modes' rows.
+    fcfs: Online,
+    relief: Online,
 }
 
 impl Default for Adaptive {
@@ -109,8 +110,8 @@ impl Adaptive {
             mode: SchedMode::Fcfs,
             epoch_idx: 0,
             switches: 0,
-            fcfs: Fcfs::new(),
-            relief: Relief::new(),
+            fcfs: Online::new(PolicyKind::Fcfs),
+            relief: Online::new(PolicyKind::Relief),
         }
     }
 
@@ -134,6 +135,14 @@ impl Adaptive {
     /// The configured parameters.
     pub fn params(&self) -> AdaptiveParams {
         self.params
+    }
+
+    /// The policy of the current mode's row.
+    fn active(&mut self) -> &mut Online {
+        match self.mode {
+            SchedMode::Fcfs => &mut self.fcfs,
+            SchedMode::Relief => &mut self.relief,
+        }
     }
 
     /// Evaluates the switch if `now` has entered a new epoch.
@@ -169,7 +178,7 @@ impl Adaptive {
         if target != self.mode {
             self.mode = target;
             self.switches += 1;
-            resort(queues, target);
+            resort(queues, self.active());
         }
     }
 }
@@ -192,11 +201,10 @@ fn min_current_laxity(queues: &ReadyQueues, now: Time) -> Option<i128> {
 }
 
 /// Re-keys every queue for the new mode: drains each queue and reinserts
-/// its entries under the target policy's sort key (FIFO = constant key
-/// with the `seq` tiebreak, RELIEF = stored laxity). Escalated (`is_fwd`)
+/// its entries under the `target` row's order key. Escalated (`is_fwd`)
 /// markers are dropped — an escalation window granted under the old mode
 /// is not honored across a switch.
-fn resort(queues: &mut ReadyQueues, target: SchedMode) {
+fn resort(queues: &mut ReadyQueues, target: &Online) {
     let mut drained: Vec<TaskEntry> = Vec::with_capacity(queues.len());
     for t in 0..queues.num_types() {
         let acc = AccTypeId(t as u32);
@@ -205,10 +213,7 @@ fn resort(queues: &mut ReadyQueues, target: SchedMode) {
         }
     }
     for e in drained {
-        match target {
-            SchedMode::Fcfs => queues.insert_sorted(e, |_| 0),
-            SchedMode::Relief => queues.insert_sorted(e, |t| t.laxity),
-        }
+        target.insert(queues, e);
     }
 }
 
@@ -217,13 +222,8 @@ impl Policy for Adaptive {
         PolicyKind::Adaptive
     }
 
-    /// Both modes see critical-path node deadlines. RELIEF needs them for
-    /// its laxity math; FCFS ignores deadlines entirely (its order key is
-    /// the arrival sequence), so sharing the scheme changes nothing about
-    /// FCFS-mode ordering while keeping every queued entry's laxity
-    /// meaningful for the pressure signal.
     fn deadline_scheme(&self) -> DeadlineScheme {
-        DeadlineScheme::NodeCriticalPath
+        PolicyKind::Adaptive.deadline_scheme()
     }
 
     fn enqueue_ready(
@@ -234,21 +234,16 @@ impl Policy for Adaptive {
         idle: &[usize],
     ) {
         self.maybe_switch(queues, now);
-        match self.mode {
-            SchedMode::Fcfs => self.fcfs.enqueue_ready(queues, batch, now, idle),
-            SchedMode::Relief => self.relief.enqueue_ready(queues, batch, now, idle),
-        }
+        self.active().enqueue_ready(queues, batch, now, idle);
     }
 
     fn pop(&mut self, queues: &mut ReadyQueues, acc: AccTypeId, now: Time) -> Option<TaskEntry> {
         self.maybe_switch(queues, now);
-        match self.mode {
-            SchedMode::Fcfs => self.fcfs.pop(queues, acc, now),
-            SchedMode::Relief => self.relief.pop(queues, acc, now),
-        }
+        self.active().pop(queues, acc, now)
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
+        self.fcfs.set_tracer(tracer.clone());
         self.relief.set_tracer(tracer);
     }
 }

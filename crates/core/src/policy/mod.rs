@@ -1,49 +1,100 @@
 //! Scheduling policies.
 //!
 //! Every policy sorts per-accelerator-type ready queues (§II-B) and pops
-//! the head when an accelerator of that type idles. They differ in the
-//! order key, the deadline-assignment scheme, and — uniquely for RELIEF —
-//! in escalating newly ready *forwarding nodes* to the queue front.
+//! from them when an accelerator of that type idles. The online policies
+//! differ only in four things, a [`PolicyKind`]'s row of the policy
+//! table (see the crate docs): the deadline scheme, the order key,
+//! whether newly ready *forwarding nodes* escalate to the queue front
+//! (RELIEF), and the pop rule. One `Policy` impl runs any row;
+//! [`Adaptive`] switches between two.
 
 mod adaptive;
-mod fcfs;
-mod gedf;
-mod hetsched;
-mod ll;
-mod relief;
+mod online;
 mod replay;
 
 pub use adaptive::{Adaptive, AdaptiveParams, SchedMode};
-pub use fcfs::Fcfs;
-pub use gedf::{GedfD, GedfN};
-pub use hetsched::HetSched;
-pub use ll::{Lax, Ll};
-pub use relief::{is_feasible, Relief};
+pub use online::is_feasible;
+use online::Online;
 pub use replay::{Schedule, ScheduleRecorder, ScheduleReplay, ScheduledLaunch};
 
 use crate::queue::ReadyQueues;
 use crate::task::{TaskEntry, TaskKey};
 use relief_dag::AccTypeId;
 use relief_sim::Time;
-use relief_trace::{EventKind, TaskRef, Tracer};
+use relief_trace::Tracer;
 use std::fmt;
-
-/// Converts a scheduler task key into the trace layer's id type.
-pub(crate) fn task_ref(key: TaskKey) -> TaskRef {
-    TaskRef { instance: key.instance, node: key.node }
-}
 
 /// How per-node absolute deadlines are derived from the DAG deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeadlineScheme {
-    /// Every node inherits the DAG's deadline (GEDF-D; also LL/LAX/RELIEF's
-    /// *laxity pool* interpretation — see below).
+    /// Every node inherits the DAG's deadline (FCFS, which never reads
+    /// it, and GEDF-D).
     Dag,
     /// Critical-path method: a node's deadline leaves exactly enough time
-    /// for the longest downstream chain (GEDF-N, LL, LAX, RELIEF).
+    /// for the longest downstream chain (GEDF-N, LL, LAX, RELIEF,
+    /// RELIEF-LAX, RELIEF-NOTHROTTLE and ADAPTIVE).
     NodeCriticalPath,
-    /// HetSched's Eq. 2: `deadline = SDR × DAG deadline`.
+    /// HetSched's Eq. 2: `deadline = SDR × DAG deadline` (HetSched and
+    /// RELIEF-HET).
     HetSchedSdr,
+}
+
+/// What the sorted region of a ready queue is ordered by; equal keys
+/// fall back to arrival order (the queue's `seq` tiebreak).
+#[derive(Debug, Clone, Copy)]
+enum OrderKey {
+    /// Arrival order alone: a constant key keeps every entry in one tie
+    /// class.
+    Arrival,
+    /// Absolute deadline.
+    Deadline,
+    /// Stored laxity, `deadline − runtime`: Eq. 1 without the clock,
+    /// which every queued task shares.
+    Laxity,
+}
+
+impl OrderKey {
+    /// The sort key of `t`.
+    fn of(self, t: &TaskEntry) -> i128 {
+        match self {
+            OrderKey::Arrival => 0,
+            OrderKey::Deadline => t.deadline.as_ps() as i128,
+            OrderKey::Laxity => t.laxity,
+        }
+    }
+}
+
+/// Whether forwarding candidates may jump to the queue front
+/// (Algorithm 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Escalation {
+    /// Never: a candidate takes its key position like any task.
+    Off,
+    /// Within the idle-instance budget, when [`is_feasible`]
+    /// (Algorithm 2) accepts.
+    Throttled,
+    /// Within the idle-instance budget, without the feasibility check.
+    Unthrottled,
+}
+
+/// Which queued task an idle accelerator takes.
+#[derive(Debug, Clone, Copy)]
+enum PopRule {
+    /// The queue head.
+    Head,
+    /// LAX's de-prioritization: an escalated head still launches first,
+    /// but otherwise the first task with non-negative current laxity
+    /// bypasses the negative-laxity tasks ahead of it.
+    LaxBypass,
+}
+
+/// One row of the policy table.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    scheme: DeadlineScheme,
+    key: OrderKey,
+    escalation: Escalation,
+    pop: PopRule,
 }
 
 /// A non-preemptive accelerator scheduling policy.
@@ -197,20 +248,67 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiates the policy.
+    /// The kind's row of the policy table, or `None` for
+    /// [`Adaptive`](PolicyKind::Adaptive), which switches between the
+    /// FCFS and RELIEF rows.
+    const fn row(self) -> Option<Row> {
+        use DeadlineScheme::{Dag, HetSchedSdr, NodeCriticalPath};
+        use Escalation::{Off, Throttled, Unthrottled};
+        use OrderKey::{Arrival, Deadline, Laxity};
+        use PopRule::{Head, LaxBypass};
+        let (scheme, key, escalation, pop) = match self {
+            PolicyKind::Fcfs => (Dag, Arrival, Off, Head),
+            PolicyKind::GedfD => (Dag, Deadline, Off, Head),
+            PolicyKind::GedfN => (NodeCriticalPath, Deadline, Off, Head),
+            PolicyKind::Ll => (NodeCriticalPath, Laxity, Off, Head),
+            PolicyKind::Lax => (NodeCriticalPath, Laxity, Off, LaxBypass),
+            PolicyKind::HetSched => (HetSchedSdr, Laxity, Off, Head),
+            PolicyKind::Relief => (NodeCriticalPath, Laxity, Throttled, Head),
+            PolicyKind::ReliefLax => (NodeCriticalPath, Laxity, Throttled, LaxBypass),
+            PolicyKind::ReliefHet => (HetSchedSdr, Laxity, Throttled, Head),
+            PolicyKind::ReliefUnthrottled => (NodeCriticalPath, Laxity, Unthrottled, Head),
+            PolicyKind::Adaptive => return None,
+        };
+        Some(Row { scheme, key, escalation, pop })
+    }
+
+    /// The deadline scheme the kind's policy expects in
+    /// [`TaskEntry::deadline`].
+    pub const fn deadline_scheme(self) -> DeadlineScheme {
+        match self.row() {
+            Some(row) => row.scheme,
+            // Both of Adaptive's modes see critical-path node deadlines.
+            // RELIEF needs them for its laxity math; FCFS orders by
+            // arrival and never reads a deadline, while every queued
+            // entry's laxity stays meaningful for the pressure signal.
+            None => DeadlineScheme::NodeCriticalPath,
+        }
+    }
+
+    /// Instantiates the policy: [`Adaptive`] for
+    /// [`Adaptive`](PolicyKind::Adaptive), the policy of the kind's row
+    /// for every other kind.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use relief_core::{PolicyKind, ReadyQueues, TaskEntry, TaskKey};
+    /// use relief_dag::AccTypeId;
+    /// use relief_sim::{Dur, Time};
+    ///
+    /// let mut p = PolicyKind::Fcfs.build();
+    /// let mut q = ReadyQueues::new(1);
+    /// let mk = |n, seq| TaskEntry::new(TaskKey::new(0, n), AccTypeId(0), Dur::ZERO, Time::MAX)
+    ///     .with_seq(seq);
+    /// p.enqueue_ready(&mut q, &mut vec![mk(7, 0)], Time::ZERO, &[1]);
+    /// p.enqueue_ready(&mut q, &mut vec![mk(3, 1)], Time::ZERO, &[1]);
+    /// // Arrival order (seq) wins, not node id or deadline.
+    /// assert_eq!(p.pop(&mut q, AccTypeId(0), Time::ZERO).unwrap().key.node, 7);
+    /// ```
     pub fn build(self) -> Box<dyn Policy> {
         match self {
-            PolicyKind::Fcfs => Box::new(Fcfs::new()),
-            PolicyKind::GedfD => Box::new(GedfD::new()),
-            PolicyKind::GedfN => Box::new(GedfN::new()),
-            PolicyKind::Ll => Box::new(Ll::new()),
-            PolicyKind::Lax => Box::new(Lax::new()),
-            PolicyKind::HetSched => Box::new(HetSched::new()),
-            PolicyKind::Relief => Box::new(Relief::new()),
-            PolicyKind::ReliefLax => Box::new(Relief::with_lax_deprioritization()),
-            PolicyKind::ReliefHet => Box::new(Relief::over_hetsched()),
-            PolicyKind::ReliefUnthrottled => Box::new(Relief::without_feasibility()),
             PolicyKind::Adaptive => Box::new(Adaptive::new()),
+            kind => Box::new(Online::new(kind)),
         }
     }
 }
@@ -218,51 +316,6 @@ impl PolicyKind {
 impl fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Shared insertion helper: sorted insert of each batch entry under `key`,
-/// draining the caller's batch buffer.
-pub(crate) fn insert_batch(
-    queues: &mut ReadyQueues,
-    batch: &mut Vec<TaskEntry>,
-    key: impl Fn(&TaskEntry) -> i128 + Copy,
-) {
-    for entry in batch.drain(..) {
-        queues.insert_sorted(entry, key);
-    }
-}
-
-/// Pop with LAX's de-prioritization: an escalated forwarding head always
-/// launches; otherwise the first non-negative-laxity task bypasses any
-/// negative-laxity tasks ahead of it; if every task is negative, the head
-/// launches. An out-of-order pop emits a `QueueBypass` trace event.
-pub(crate) fn pop_lax(
-    queues: &mut ReadyQueues,
-    acc: AccTypeId,
-    now: Time,
-    tracer: &Tracer,
-) -> Option<TaskEntry> {
-    let q = queues.queue(acc);
-    if q.front()?.is_fwd {
-        return queues.pop_front(acc);
-    }
-    // No escalated front means no escalated prefix, so the whole queue is
-    // laxity-sorted and "first task with curr_laxity ≥ 0" — i.e. stored
-    // laxity ≥ now — is a binary search.
-    let i = queues.first_laxity_at_least(acc, now.as_ps() as i128);
-    if i < queues.queue(acc).len() {
-        let entry = queues.remove_at(acc, i);
-        if i > 0 {
-            tracer.emit(now.as_ps(), || EventKind::QueueBypass {
-                task: task_ref(entry.key),
-                acc: acc.0,
-                skipped: i as u64,
-            });
-        }
-        Some(entry)
-    } else {
-        queues.pop_front(acc)
     }
 }
 
@@ -280,20 +333,25 @@ mod tests {
     #[test]
     fn build_round_trips_kind() {
         for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::EXTENSIONS) {
-            assert_eq!(kind.build().kind(), kind);
+            let policy = kind.build();
+            assert_eq!(policy.kind(), kind);
+            assert_eq!(policy.deadline_scheme(), kind.deadline_scheme(), "{kind}");
         }
     }
 
     #[test]
     fn deadline_schemes() {
         use DeadlineScheme::*;
-        assert_eq!(PolicyKind::Fcfs.build().deadline_scheme(), Dag);
-        assert_eq!(PolicyKind::GedfD.build().deadline_scheme(), Dag);
-        assert_eq!(PolicyKind::GedfN.build().deadline_scheme(), NodeCriticalPath);
-        assert_eq!(PolicyKind::Ll.build().deadline_scheme(), NodeCriticalPath);
-        assert_eq!(PolicyKind::Lax.build().deadline_scheme(), NodeCriticalPath);
-        assert_eq!(PolicyKind::HetSched.build().deadline_scheme(), HetSchedSdr);
-        assert_eq!(PolicyKind::Relief.build().deadline_scheme(), NodeCriticalPath);
-        assert_eq!(PolicyKind::ReliefLax.build().deadline_scheme(), NodeCriticalPath);
+        assert_eq!(PolicyKind::Fcfs.deadline_scheme(), Dag);
+        assert_eq!(PolicyKind::GedfD.deadline_scheme(), Dag);
+        assert_eq!(PolicyKind::GedfN.deadline_scheme(), NodeCriticalPath);
+        assert_eq!(PolicyKind::Ll.deadline_scheme(), NodeCriticalPath);
+        assert_eq!(PolicyKind::Lax.deadline_scheme(), NodeCriticalPath);
+        assert_eq!(PolicyKind::HetSched.deadline_scheme(), HetSchedSdr);
+        assert_eq!(PolicyKind::Relief.deadline_scheme(), NodeCriticalPath);
+        assert_eq!(PolicyKind::ReliefLax.deadline_scheme(), NodeCriticalPath);
+        assert_eq!(PolicyKind::ReliefHet.deadline_scheme(), HetSchedSdr);
+        assert_eq!(PolicyKind::ReliefUnthrottled.deadline_scheme(), NodeCriticalPath);
+        assert_eq!(PolicyKind::Adaptive.deadline_scheme(), NodeCriticalPath);
     }
 }

@@ -190,10 +190,6 @@ pub struct ScheduleReplay {
     /// impersonated run) and the `kind()` label. Placement and ordering
     /// always come from the schedule, never from the impersonated policy.
     impersonates: PolicyKind,
-    /// The impersonated policy's deadline scheme, fixed when
-    /// `impersonates` is set: the simulator asks at every ready-queue
-    /// insert.
-    scheme: DeadlineScheme,
 }
 
 impl ScheduleReplay {
@@ -229,7 +225,6 @@ impl ScheduleReplay {
             prescribed,
             eager_writebacks: schedule.eager_writebacks.clone(),
             impersonates: PolicyKind::Fcfs,
-            scheme: PolicyKind::Fcfs.build().deadline_scheme(),
         }
     }
 
@@ -238,7 +233,6 @@ impl ScheduleReplay {
     #[must_use]
     pub fn impersonating(mut self, kind: PolicyKind) -> Self {
         self.impersonates = kind;
-        self.scheme = kind.build().deadline_scheme();
         self
     }
 
@@ -258,7 +252,7 @@ impl Policy for ScheduleReplay {
     fn deadline_scheme(&self) -> DeadlineScheme {
         // The impersonated policy's scheme, so replayed entries carry
         // identical deadlines (and thus identical deadline metrics).
-        self.scheme
+        self.impersonates.deadline_scheme()
     }
 
     fn enqueue_ready(

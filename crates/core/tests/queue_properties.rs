@@ -96,10 +96,20 @@ fn drive(policy_kind: PolicyKind, script: Vec<Op>, idle: usize, ctx: &str) {
             q.iter().skip(fwd_prefix).all(|t| !t.is_fwd),
             "{ctx}: is_fwd entries must be a queue prefix"
         );
-        // ...bounded by the idle budget.
+        // ...bounded by the idle budget, and absent under the six
+        // baselines, which never escalate.
+        let budget = match policy_kind {
+            PolicyKind::Fcfs
+            | PolicyKind::GedfD
+            | PolicyKind::GedfN
+            | PolicyKind::Ll
+            | PolicyKind::Lax
+            | PolicyKind::HetSched => 0,
+            _ => idle,
+        };
         assert!(
-            fwd_prefix <= idle,
-            "{ctx}: escalations ({fwd_prefix}) exceed idle budget ({idle})"
+            fwd_prefix <= budget,
+            "{ctx}: escalations ({fwd_prefix}) exceed the budget ({budget})"
         );
         // Invariant 3: the non-escalated suffix is sorted by the policy's
         // key (laxity/deadline/seq), allowing equal keys.
