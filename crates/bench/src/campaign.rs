@@ -139,6 +139,23 @@ impl PlatformSpec {
     }
 }
 
+/// The row keys of a swept axis: each value with the fewest decimals, at
+/// least `min_decimals`, that renders every two distinct values apart.
+pub(crate) fn axis_keys(values: &[f64], min_decimals: usize) -> Vec<String> {
+    let mut decimals = min_decimals;
+    loop {
+        let keys: Vec<String> = values.iter().map(|v| format!("{v:.decimals$}")).collect();
+        let clash = (0..keys.len())
+            .any(|i| (0..i).any(|j| keys[i] == keys[j] && values[i] != values[j]));
+        // Distinct finite values render apart within 1074 decimals, the
+        // exact expansion of the smallest subnormal.
+        if !clash || decimals >= 1074 {
+            return keys;
+        }
+        decimals += 1;
+    }
+}
+
 impl fmt::Debug for PlatformSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PlatformSpec").field("label", &self.label).finish_non_exhaustive()
@@ -661,6 +678,45 @@ mod tests {
                 "RELIEF|low/D|mobile|r0",
             ]
         );
+    }
+
+    #[test]
+    fn sweep_tables_key_close_axis_values_apart() {
+        use crate::{chaos::ChaosSpec, resilience::ResilienceSpec, service::ServiceSpec};
+        // No outcomes: every row renders FAILED and nothing is simulated.
+        let empty = CampaignResults { outcomes: Vec::new(), cache_hits: 0, simulated: 0 };
+        let keys = |report: String, columns: usize| -> Vec<String> {
+            let rows = report.lines().filter(|l| l.contains("FAILED"));
+            rows.map(|l| l.split_whitespace().take(columns).collect::<Vec<_>>().join(" "))
+                .collect()
+        };
+        let (rates, faults) = (vec![150.0, 150.4], vec![0.01, 0.01004]);
+        let policies = vec![PolicyKind::Fcfs];
+        let service =
+            ServiceSpec { rates: rates.clone(), policies: policies.clone(), ..Default::default() };
+        // Both of its tables, latency then goodput.
+        assert_eq!(
+            keys(service.render(&empty), 2),
+            ["FCFS 150.0", "FCFS 150.4", "FCFS 150.0", "FCFS 150.4"]
+        );
+        let resilience =
+            ResilienceSpec { rates: faults.clone(), policies: policies.clone(), ..Default::default() };
+        assert_eq!(keys(resilience.render(&empty), 2), ["FCFS 0.01000", "FCFS 0.01004"]);
+        let chaos = ChaosSpec {
+            arrival_rates: rates,
+            fault_rates: faults,
+            policies,
+            ..Default::default()
+        };
+        assert_eq!(
+            keys(chaos.render(&empty), 3),
+            ["FCFS 150.0 0.01000", "FCFS 150.0 0.01004", "FCFS 150.4 0.01000", "FCFS 150.4 0.01004"]
+        );
+        // Axes the base precision already tells apart keep it, and equal
+        // values share a key.
+        assert_eq!(axis_keys(&[50.0, 150.0, 400.0], 0), ["50", "150", "400"]);
+        assert_eq!(axis_keys(&[0.0, 0.005, 0.02], 4), ["0.0000", "0.0050", "0.0200"]);
+        assert_eq!(axis_keys(&[150.0, 150.0], 0), ["150", "150"]);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! byte-identical at any `--jobs`.
 
 use crate::cache::CacheConfig;
-use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
+use crate::campaign::{
+    axis_keys, CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec,
+};
 use crate::cli::Args;
 use crate::service::tenant_stream;
 use relief_core::PolicyKind;
@@ -204,23 +206,32 @@ impl ChaosSpec {
             "outage",
             "open ms",
         ]);
-        let cells = self.arrival_rates.len() * self.fault_rates.len();
-        for (i, spec) in self.campaign().expand().iter().enumerate() {
-            let cell = i % cells;
-            let arrival = self.arrival_rates[cell / self.fault_rates.len()];
-            let fault = self.fault_rates[cell % self.fault_rates.len()];
+        let rates = axis_keys(&self.arrival_rates, 0);
+        let frates = axis_keys(&self.fault_rates, 4);
+        let faults = self.fault_rates.len();
+        let zero = self.fault_rates.iter().position(|&f| f == 0.0);
+        let runs = self.campaign().expand();
+        let mut base = None;
+        for (i, spec) in runs.iter().enumerate() {
+            // Policy-major, then arrival rate, with the fault axis cycling
+            // fastest: each (policy, arrival rate) block of `faults` rows
+            // reads against its own fault-0 cell.
+            let fault = i % faults;
+            if fault == 0 {
+                base = zero
+                    .and_then(|z| results.get(&runs[i + z].label()))
+                    .map(|rec| rec.result.stats.service.classes[0].attainment());
+            }
             let policy = spec.policy.name().to_string();
-            let rate = format!("{arrival:.0}");
-            let frate = format!("{fault:.4}");
+            let rate = rates[i / faults % rates.len()].clone();
+            let frate = frates[fault].clone();
             let Some(rec) = results.get(&spec.label()) else {
                 let mut row = vec![policy, rate, frate];
                 row.extend((0..11).map(|_| "FAILED".to_string()));
                 t.row(row);
                 continue;
             };
-            let s = &rec.result.stats;
-            let base = self.baseline_attainment(results, spec.policy, arrival);
-            t.row(chaos_row(policy, rate, frate, s, base));
+            t.row(chaos_row(policy, rate, frate, &rec.result.stats, base));
         }
         format!(
             "[chaos: CGL | seeds {:#x}/{:#x} | {} us stream, {} us warm-up | \
@@ -233,24 +244,6 @@ impl ChaosSpec {
             self.dram_mttf_ps / 1_000_000,
             t.render()
         )
-    }
-
-    /// Latency-class attainment of the fault-0 cell at (`policy`,
-    /// `arrival`), when the sweep has one and it succeeded.
-    fn baseline_attainment(
-        &self,
-        results: &CampaignResults,
-        policy: PolicyKind,
-        arrival: f64,
-    ) -> Option<f64> {
-        self.fault_rates.contains(&0.0).then_some(())?;
-        let runs = self.campaign().expand();
-        let baseline = self.platform(arrival, 0.0);
-        let spec = runs
-            .iter()
-            .find(|r| r.policy == policy && r.platform.label() == baseline.label())?;
-        let rec = results.get(&spec.label())?;
-        Some(rec.result.stats.service.classes[0].attainment())
     }
 }
 

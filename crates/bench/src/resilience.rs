@@ -12,7 +12,9 @@
 //! and produces exactly the numbers an unfaulted run would.
 
 use crate::cache::CacheConfig;
-use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
+use crate::campaign::{
+    axis_keys, CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec,
+};
 use crate::cli::Args;
 use relief_core::PolicyKind;
 use relief_fault::FaultConfig;
@@ -129,8 +131,9 @@ impl ResilienceSpec {
         ]);
         // One workload and one replicate, so the expansion is policy-major
         // with the platform (= rate) axis cycling fastest.
+        let rates = axis_keys(&self.rates, 4);
         for (i, spec) in self.campaign().expand().iter().enumerate() {
-            let rate = format!("{:.4}", self.rates[i % self.rates.len()]);
+            let rate = rates[i % rates.len()].clone();
             match results.get(&spec.label()) {
                 Some(rec) => {
                     let s = &rec.result.stats;

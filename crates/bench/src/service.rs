@@ -15,7 +15,9 @@
 //! cell.
 
 use crate::cache::CacheConfig;
-use crate::campaign::{CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec};
+use crate::campaign::{
+    axis_keys, CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, WorkloadSpec,
+};
 use crate::cli::Args;
 use relief_accel::AppSpec;
 use relief_core::PolicyKind;
@@ -186,9 +188,10 @@ impl ServiceSpec {
         ]);
         // One workload and one replicate, so the expansion is policy-major
         // with the platform (= rate) axis cycling fastest.
+        let rates = axis_keys(&self.rates, 0);
         for (i, spec) in self.campaign().expand().iter().enumerate() {
             let policy = spec.policy.name().to_string();
-            let rate = format!("{:.0}", self.rates[i % self.rates.len()]);
+            let rate = rates[i % rates.len()].clone();
             match results.get(&spec.label()) {
                 Some(rec) => {
                     let s = &rec.result.stats;
