@@ -46,7 +46,11 @@
 //!    reruns simulate zero cells and touch no file with byte-identical
 //!    reports, corrupt records and packs fall back to simulation, salt
 //!    bumps invalidate), `golden_experiments`,
-//!    `scheduler_conformance`, `metamorphic_properties`,
+//!    `scheduler_conformance`, the policy suites `extensions`
+//!    (RELIEF-HET, the unthrottled ablation and the design sweeps),
+//!    `paper_reproduction` (the paper's per-policy observations) and
+//!    `properties` (simulator invariants over random DAGs and platforms
+//!    under the eight paper policies), `metamorphic_properties`,
 //!    `fault_injection`, `service_mode` (the open-loop streaming
 //!    frontend: byte-identical reports at any `--jobs`, bit-inert when
 //!    disabled, admission accounting, and a bounded-memory MMPP overload
@@ -81,7 +85,9 @@
 //!
 //! `check --suite <name>[,<name>...]` runs a subset of those steps by
 //! name (see `check --list-suites` for the names); everything else is
-//! skipped. Unknown names abort with the list of valid ones.
+//! skipped. Unknown names abort with the list of valid ones. The policy
+//! gate is `check --suite scheduler_conformance,extensions,
+//! paper_reproduction,properties,behaviour_corpus,oracle_conformance`.
 //!
 //! Exit code is nonzero if any executed step fails.
 
@@ -111,11 +117,14 @@ fn have_clippy() -> bool {
 }
 
 /// The integration-test suites step 5 runs, as `(package, test target)`.
-const TEST_SUITES: [(&str, &str); 11] = [
+const TEST_SUITES: [(&str, &str); 14] = [
     ("relief-bench", "campaign_engine"),
     ("relief-bench", "campaign_cache"),
     ("relief", "golden_experiments"),
     ("relief", "scheduler_conformance"),
+    ("relief", "extensions"),
+    ("relief", "paper_reproduction"),
+    ("relief", "properties"),
     ("relief", "metamorphic_properties"),
     ("relief", "fault_injection"),
     ("relief", "service_mode"),
