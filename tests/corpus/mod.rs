@@ -7,10 +7,11 @@
 //! ```
 //!
 //! The digest is FNV-1a over the `Debug` text of the full `RunStats`, the
-//! per-app memory and compute time, all three prediction-sample vectors,
-//! the executed-task trace and the dispatched-event count. Floats render
-//! in shortest round-trip form, so a one-ulp drift in any reported value
-//! changes the digest. `live_hw` (the peak count of live DAG-instance
+//! per-app memory and compute time, each of the three prediction series
+//! as its sample count and the bit pattern of its sum, the executed-task
+//! trace and the dispatched-event count. Floats render in shortest
+//! round-trip form, so a one-ulp drift in any reported value changes the
+//! digest. `live_hw` (the peak count of live DAG-instance
 //! slots) is host-side bookkeeping, not simulated outcome, so it stays out
 //! of the digest and is pinned on its own. Open-loop cells (an enabled
 //! stream) and fault cells (an enabled fault config) add `trace=`: FNV-1a
@@ -46,7 +47,7 @@ use relief::core::DataMovePredictor;
 use relief::prelude::*;
 use relief::sim::fnv1a;
 use relief::trace::{TraceEvent, TraceSink};
-use relief_accel::SimResult;
+use relief_accel::{PredictionStats, SimResult};
 use relief_service::{AdmissionConfig, SelfHealConfig, StreamConfig, TenantCfg};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -83,7 +84,7 @@ impl Cell {
             r.stats,
             r.per_app_mem_time,
             r.per_app_compute_time,
-            r.prediction,
+            prediction_sums(&r.prediction),
             r.trace,
             r.events_dispatched
         );
@@ -100,6 +101,14 @@ impl Cell {
         }
         line
     }
+}
+
+/// Each prediction series (compute, data movement, bandwidth) as its
+/// sample count and the bit pattern of its sum, the only two numbers
+/// Table VIII reads.
+fn prediction_sums(p: &PredictionStats) -> [(u64, u64); 3] {
+    [&p.compute_rel_errors, &p.dm_rel_errors, &p.bw_rel_errors]
+        .map(|v| (v.len() as u64, v.iter().sum::<f64>().to_bits()))
 }
 
 /// Folds FNV-1a over the text rendering of every event it receives, one
