@@ -99,14 +99,14 @@ pub struct SocConfig {
     /// watchdog. Detection only — a run that never trips it is
     /// byte-identical at any setting.
     pub watchdog_window: u64,
-    /// Bounded-memory mode: drop every O(total-requests) sample
-    /// collection (per-node prediction-error samples, per-instance DAG
-    /// runtimes) so an arbitrarily long run's memory stays bounded by the
-    /// in-flight set. This *changes the reported statistics* (the
-    /// affected vectors come back empty), so paper campaigns must leave it
-    /// off; long overloaded serving runs (the repository benchmark's
-    /// `serve-overload` workload) set it. Scheduling decisions, traces,
-    /// and event counts are unaffected.
+    /// Bounded-memory mode: drop the O(total-requests) per-instance DAG
+    /// runtimes so an arbitrarily long run's memory stays bounded by the
+    /// in-flight set, and record no prediction-error sample. This
+    /// *changes the reported statistics* (the runtimes come back empty,
+    /// and every [`PredictionStats`](crate::PredictionStats) sum empty),
+    /// so paper campaigns must leave it off; long overloaded serving runs
+    /// (the repository benchmark's `serve-overload` workload) set it.
+    /// Scheduling decisions, traces, and event counts are unaffected.
     pub bounded_memory: bool,
 }
 

@@ -37,8 +37,8 @@ struct Tally {
 /// it belongs to ([`SocSim::fork`](crate::SocSim::fork)).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Ledger {
-    /// `SocConfig::bounded_memory`: drop every per-sample vector (the
-    /// O(total-requests) accumulators) and keep every count.
+    /// `SocConfig::bounded_memory`: record no prediction sample and no
+    /// DAG runtime (the O(total-requests) vector) and keep every count.
     bounded: bool,
     /// App spec index → interned symbol, the index into `tallies`.
     app_ids: Vec<AppId>,
@@ -50,7 +50,8 @@ pub(crate) struct Ledger {
     traffic: TrafficStats,
     sched_ops: u64,
     last_completion: Time,
-    /// Compute and bandwidth error samples, in event order.
+    /// Compute and bandwidth error sums, added in event order; the
+    /// data-movement sum is added at [`finish`](Self::finish).
     prediction: PredictionStats,
     /// Data-movement errors tagged with their instance's admission
     /// serial: instances report at retirement or at the end of the run,
@@ -138,7 +139,7 @@ impl Ledger {
         stats.node_deadlines_met += u64::from(met);
         if predicted.as_ps() > 0 && !self.bounded {
             let (actual, predicted) = (actual.as_ps() as f64, predicted.as_ps() as f64);
-            self.prediction.compute_rel_errors.push(rel_error(actual, predicted));
+            self.prediction.compute_rel_errors.add(rel_error(actual, predicted));
         }
     }
 
@@ -161,7 +162,7 @@ impl Ledger {
     /// bandwidth captured at its task's ready-queue insertion (0: none).
     pub(crate) fn bandwidth(&mut self, achieved: f64, predicted: f64) {
         if predicted > 0.0 && !self.bounded {
-            self.prediction.bw_rel_errors.push(rel_error(achieved, predicted));
+            self.prediction.bw_rel_errors.add(rel_error(achieved, predicted));
         }
     }
 
@@ -188,9 +189,12 @@ impl Ledger {
     /// measurements. The result's executed-task trace and its two
     /// diagnostics are left empty: they are the simulator's.
     pub(crate) fn finish(mut self, cap: Option<Time>, mut stats: RunStats) -> SimResult {
-        // A stable sort: each serial reported once, in node order.
+        // A stable sort: each serial reported once, in node order. The
+        // sum then adds in admission order, whatever the report order.
         self.dm.sort_by_key(|&(serial, _)| serial);
-        self.prediction.dm_rel_errors.extend(self.dm.into_iter().map(|(_, err)| err));
+        for (_, err) in self.dm {
+            self.prediction.dm_rel_errors.add(err);
+        }
         stats.exec_time = cap.unwrap_or(self.last_completion).saturating_since(Time::ZERO);
         stats.traffic = TrafficStats {
             colocated_bytes: self.traffic.colocated_bytes,
@@ -226,6 +230,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::ErrorSum;
     use relief_dag::{AccTypeId, DagBuilder, NodeSpec};
     use std::sync::Arc;
 
@@ -310,8 +315,8 @@ mod tests {
 
         let mut full = eventful(false);
         let p = &full.prediction;
-        assert_eq!((p.compute_rel_errors.len(), p.bw_rel_errors.len()), (1, 1));
-        assert_eq!(p.dm_rel_errors, [0.5]);
+        assert_eq!((p.compute_rel_errors.count, p.bw_rel_errors.count), (1, 1));
+        assert_eq!(p.dm_rel_errors, ErrorSum { count: 1, sum: 0.5 });
         assert_eq!(full.stats.apps["A"].dag_runtimes, [Dur::from_us(4)]);
         full.stats.apps.get_mut("A").unwrap().dag_runtimes.clear();
         assert_eq!(format!("{:?}", full.stats), format!("{:?}", bounded.stats));
@@ -322,13 +327,21 @@ mod tests {
     #[test]
     fn data_movement_samples_come_out_in_admission_order() {
         let mut ledger = Ledger::new(&[spec("A", 10, false)], false);
-        // Error (actual − predicted) / predicted with predicted 10: the
-        // sample is a tenth of the excess. Zero-byte nodes give no sample.
-        ledger.data_moved(2, [(30, 10), (0, 10), (20, 10)]);
-        ledger.data_moved(0, [(40, 10), (50, 10), (10, 0)]);
-        ledger.data_moved(1, [(60, 10)]);
+        // Error (actual − predicted) / predicted. Serial 2's node rounds
+        // to 1e16, where one ulp is 2, so the sum depends on the order the
+        // samples add in. Zero-byte nodes give no sample.
+        ledger.data_moved(2, [(10_000_000_000_000_001, 1), (0, 10)]);
+        ledger.data_moved(0, [(20, 10), (20, 10), (10, 0)]);
+        ledger.data_moved(1, [(15, 10)]);
         let r = finish(ledger);
-        assert_eq!(r.prediction.dm_rel_errors, [3.0, 4.0, 5.0, 2.0, 1.0]);
+        let admission_order = [1.0, 1.0, 0.5, 1e16];
+        let sum = r.prediction.dm_rel_errors;
+        assert_eq!(sum.count, 4);
+        assert_eq!(sum.sum.to_bits(), admission_order.iter().sum::<f64>().to_bits());
+        // 1e16 + 2 in admission order; report order would round every
+        // small sample away and give 1e16.
+        assert_eq!(sum.sum, 1e16 + 2.0);
+        assert_eq!([1e16, 1.0, 1.0, 0.5].iter().sum::<f64>(), 1e16);
     }
 
     #[test]

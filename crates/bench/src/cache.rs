@@ -16,7 +16,7 @@
 //! therefore creates one file rather than one per cell (creating a file
 //! costs far more than writing a few kilobytes on some hosts), and a warm
 //! grid opens one. A pack named `<fnv1a(salt ⧺ 0x1f ⧺ labels sorted,
-//! 0x1f-separated):016x>.pack` (schema v5) holds:
+//! 0x1f-separated):016x>.pack` (schema v6) holds:
 //!
 //! 1. a header: [`SCHEMA`] and the salt;
 //! 2. the records, sorted by label, each a self-contained entry — its own
@@ -46,9 +46,9 @@
 //! * **No third-party formats.** The workspace is hermetic (no serde at
 //!   run time), so entries are fixed-width little-endian binary: `u64`,
 //!   `Time`, `Dur` and `f64` bit patterns in 8 bytes, `bool` in one byte
-//!   (0 or 1), strings and collections length-prefixed (every length
-//!   bounded by the bytes that can hold it before allocating), then an
-//!   end marker.
+//!   (0 or 1), each prediction series as its count and sum in 16 bytes,
+//!   strings and collections length-prefixed (every length bounded by
+//!   the bytes that can hold it before allocating), then an end marker.
 //! * **Trace captures bypass the cache.** Runs captured via
 //!   `ExecOptions::trace_labels` carry a full text trace that is not
 //!   persisted; they are neither served from nor stored to the cache.
@@ -58,7 +58,7 @@
 //! each, so a warm `all_experiments` rerun recomputes nothing at all.
 
 use crate::campaign::{RunRecord, RunSpec};
-use relief_accel::{PredictionStats, SimResult, Span, Trace};
+use relief_accel::{ErrorSum, PredictionStats, SimResult, Span, Trace};
 use relief_core::TaskKey;
 use relief_metrics::{
     reconcile, AppStats, ClassServiceStats, FaultStats, Histogram, RunStats, ServiceStats,
@@ -75,7 +75,7 @@ use std::path::{Path, PathBuf};
 /// On-disk schema identifier; the first string of every pack, record and
 /// artifact. Bump the version suffix whenever the serialized layout
 /// changes shape — old files then parse as misses instead of garbage.
-pub const SCHEMA: &str = "relief-campaign-cache/v5";
+pub const SCHEMA: &str = "relief-campaign-cache/v6";
 
 /// The hand-kept half of [`CODE_SALT`]. Bump it for a change the
 /// behaviour corpus cannot see: a behaviour change, or relabelled cells
@@ -267,7 +267,7 @@ impl CacheConfig {
     /// Scans the cache directory for files that can never hit, returning
     /// their names: packs whose header, footer or index does not validate
     /// under the current schema and salt, every `.run` file (the v2–v4
-    /// per-cell layout, which v5 never reads), artifacts with a wrong
+    /// per-cell layout, never read since v5), artifacts with a wrong
     /// header, and temp files orphaned by a writer that died before its
     /// rename. Only headers, footers and indexes are read; unreadable
     /// files count as stale. Used by the `xtask check` cache-hygiene
@@ -444,10 +444,6 @@ impl Writer {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
     fn boolean(&mut self, v: bool) {
         self.out.push(u8::from(v));
     }
@@ -465,11 +461,10 @@ impl Writer {
         self.out.extend_from_slice(s.as_bytes());
     }
 
-    fn vec_f64(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
-        }
+    /// A prediction series: its count, then its sum's bit pattern.
+    fn error_sum(&mut self, s: ErrorSum) {
+        self.u64(s.count);
+        self.u64(s.sum.to_bits());
     }
 
     fn hist(&mut self, h: &Histogram) {
@@ -557,10 +552,8 @@ impl<'a> Reader<'a> {
         self.str().map(str::to_owned)
     }
 
-    fn vec_f64(&mut self) -> Option<Vec<f64>> {
-        let n = self.count(8)?;
-        let (words, _) = self.take(8 * n)?.as_chunks();
-        Some(words.iter().map(|&w| f64::from_bits(u64::from_le_bytes(w))).collect())
+    fn error_sum(&mut self) -> Option<ErrorSum> {
+        Some(ErrorSum { count: self.u64()?, sum: f64::from_bits(self.u64()?) })
     }
 
     fn hist(&mut self) -> Option<Histogram> {
@@ -589,9 +582,9 @@ fn write_sim_result(w: &mut Writer, r: &SimResult) {
     write_run_stats(w, &r.stats);
     write_dur_map(w, &r.per_app_mem_time);
     write_dur_map(w, &r.per_app_compute_time);
-    w.vec_f64(&r.prediction.compute_rel_errors);
-    w.vec_f64(&r.prediction.dm_rel_errors);
-    w.vec_f64(&r.prediction.bw_rel_errors);
+    w.error_sum(r.prediction.compute_rel_errors);
+    w.error_sum(r.prediction.dm_rel_errors);
+    w.error_sum(r.prediction.bw_rel_errors);
     w.u64(r.trace.spans.len() as u64);
     for s in &r.trace.spans {
         w.u64(s.inst as u64);
@@ -621,9 +614,9 @@ fn read_sim_result(r: &mut Reader) -> Option<SimResult> {
     let per_app_mem_time = read_dur_map(r)?;
     let per_app_compute_time = read_dur_map(r)?;
     let prediction = PredictionStats {
-        compute_rel_errors: r.vec_f64()?,
-        dm_rel_errors: r.vec_f64()?,
-        bw_rel_errors: r.vec_f64()?,
+        compute_rel_errors: r.error_sum()?,
+        dm_rel_errors: r.error_sum()?,
+        bw_rel_errors: r.error_sum()?,
     };
     let n = r.count(8 * 8)?; // seven integers and a label length
     let mut spans = Vec::with_capacity(n);
@@ -958,16 +951,27 @@ mod tests {
     }
 
     #[test]
-    fn f64_round_trips_bit_exactly() {
-        let v = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, -3.7e-300];
+    fn error_sums_round_trip_bit_exactly() {
+        let sums = [
+            (0, -0.0),
+            (1, 0.0),
+            (2, f64::NAN),
+            (3, f64::from_bits(0xfff8_0000_0000_0001)), // a negative NaN with a payload
+            (4, f64::from_bits(1)),                     // the least subnormal
+            (5, -3.7e-320),                             // a negative subnormal
+            (u64::MAX, f64::INFINITY),
+        ];
         let mut w = Writer::new("x", "y");
-        w.vec_f64(&v);
+        for (count, sum) in sums {
+            w.error_sum(ErrorSum { count, sum });
+        }
         let out = w.finish();
         let mut r = Reader::new(&out);
         r.expect_header("x", "y").unwrap();
-        let back = r.vec_f64().unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back), bits(&v));
+        for (count, sum) in sums {
+            let back = r.error_sum().unwrap();
+            assert_eq!((back.count, back.sum.to_bits()), (count, sum.to_bits()));
+        }
         r.finish().unwrap();
     }
 
@@ -1009,8 +1013,9 @@ mod tests {
         assert!(Reader::new(v2).expect_header("salt", "label").is_none());
     }
 
-    /// A valid encoded record with no spans and no prediction samples,
-    /// plus the offsets of its span count and its last `vec_f64` length.
+    /// A valid encoded record with no spans, no apps and no prediction
+    /// samples, plus the offsets of its span count and of its per-app
+    /// compute-time map's count.
     fn empty_record() -> (Vec<u8>, usize, usize) {
         let result = SimResult {
             stats: RunStats::default(),
@@ -1025,16 +1030,21 @@ mod tests {
         write_sim_result(&mut w, &result);
         write_counters(&mut w, &EventCounters::default());
         let bytes = w.finish();
-        // Tail: span count, events_dispatched, 38 counters, end marker.
+        // Tail: the compute-time map's count, three prediction sums, span
+        // count, events_dispatched, 38 counters, end marker.
         let spans_at = bytes.len() - END.len() - 38 * 8 - 8 - 8;
-        (bytes, spans_at, spans_at - 8)
+        (bytes, spans_at, spans_at - 3 * 16 - 8)
     }
 
     #[test]
     fn huge_counts_read_as_none_without_allocating() {
-        let (good, spans_at, bw_at) = empty_record();
+        let (good, spans_at, map_at) = empty_record();
         assert!(decode_record(&good, "salt", "label").is_some());
-        let doctored = [(spans_at, 1u64 << 32), (spans_at, u64::MAX), (bw_at, 1 << 40), (bw_at, u64::MAX)];
+        // The empty map's count, then the first empty sum: count 0, `-0.0`.
+        let sum_bits = (-0.0f64).to_bits().to_le_bytes();
+        assert_eq!(good[map_at..map_at + 24], [[0; 8], [0; 8], sum_bits].concat());
+        let doctored =
+            [(spans_at, 1u64 << 32), (spans_at, u64::MAX), (map_at, 1 << 40), (map_at, u64::MAX)];
         for (at, n) in doctored {
             let mut bad = good.clone();
             bad[at..at + 8].copy_from_slice(&n.to_le_bytes());

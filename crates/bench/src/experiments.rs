@@ -454,7 +454,6 @@ fn relief_with_predictors<'a>(
 /// Table VIII: predictor accuracy, plus forwards / node deadlines met per
 /// bandwidth predictor, under high contention.
 pub fn table8_with(ctx: &Ctx) -> String {
-    use relief_accel::PredictionStats as P;
     let bw_kinds = [
         BwPredictorKind::Max,
         BwPredictorKind::Last,
@@ -484,8 +483,8 @@ pub fn table8_with(ctx: &Ctx) -> String {
         // Compute + DM errors measured with the Predicted DM scheme.
         let base =
             relief_with_predictors(ctx, &mix, BwPredictorKind::Max, DataMovePredictor::Predicted);
-        let comp = P::mean_signed_pct(&base.prediction.compute_rel_errors);
-        let dm = P::mean_signed_pct(&base.prediction.dm_rel_errors);
+        let comp = base.prediction.compute_rel_errors.mean_signed_pct();
+        let dm = base.prediction.dm_rel_errors.mean_signed_pct();
         row.push(format!("{comp:.2}"));
         row.push(format!("{dm:.2}"));
         // The paper's Gmean row uses the absolute values of the per-mix
@@ -496,7 +495,7 @@ pub fn table8_with(ctx: &Ctx) -> String {
         let mut ddl = Vec::new();
         for (i, bw) in bw_kinds.iter().enumerate() {
             let r = relief_with_predictors(ctx, &mix, *bw, DataMovePredictor::Max);
-            let signed = P::mean_signed_pct(&r.prediction.bw_rel_errors);
+            let signed = r.prediction.bw_rel_errors.mean_signed_pct();
             row.push(format!("{signed:.2}"));
             abs_gmeans[2 + i].push(signed.abs());
             fwd.push((r.stats.forwards() + r.stats.colocations()).to_string());

@@ -9,6 +9,7 @@
 //! once. Each test roots its cache in a fresh temp directory so runs
 //! never observe each other (or a developer's real cache).
 
+use relief_accel::PredictionStats;
 use relief_bench::cache::{CacheConfig, CODE_SALT, SCHEMA};
 use relief_bench::campaign::{
     execute, CampaignResults, CampaignSpec, ExecOptions, PlatformSpec, RunRecord, RunSpec,
@@ -76,7 +77,7 @@ fn opts(jobs: usize, dir: &std::path::Path) -> ExecOptions {
 
 /// Asserts two result sets are observationally identical, field by
 /// field and bit by bit (floats compared through their bit patterns via
-/// the Debug rendering plus the raw prediction vectors).
+/// the Debug rendering plus each prediction series' count and sum bits).
 fn assert_results_identical(a: &CampaignResults, b: &CampaignResults, what: &str) {
     assert_eq!(a.report(), b.report(), "{what}: report text diverged");
     assert_eq!(a.summary(), b.summary(), "{what}: summary diverged");
@@ -97,20 +98,15 @@ fn assert_results_identical(a: &CampaignResults, b: &CampaignResults, what: &str
         );
         assert_eq!(rx.result.per_app_mem_time, ry.result.per_app_mem_time);
         assert_eq!(rx.result.per_app_compute_time, ry.result.per_app_compute_time);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let sums = |p: &PredictionStats| {
+            [p.compute_rel_errors, p.dm_rel_errors, p.bw_rel_errors]
+                .map(|s| (s.count, s.sum.to_bits()))
+        };
         assert_eq!(
-            bits(&rx.result.prediction.compute_rel_errors),
-            bits(&ry.result.prediction.compute_rel_errors),
-            "{what}: {} compute predictions",
+            sums(&rx.result.prediction),
+            sums(&ry.result.prediction),
+            "{what}: {} prediction sums",
             x.label
-        );
-        assert_eq!(
-            bits(&rx.result.prediction.dm_rel_errors),
-            bits(&ry.result.prediction.dm_rel_errors)
-        );
-        assert_eq!(
-            bits(&rx.result.prediction.bw_rel_errors),
-            bits(&ry.result.prediction.bw_rel_errors)
         );
         assert_eq!(rx.result.trace, ry.result.trace, "{what}: {} trace", x.label);
         assert_eq!(rx.result.events_dispatched, ry.result.events_dispatched);
@@ -132,7 +128,7 @@ fn warm_rerun_simulates_zero_cells_and_is_byte_identical() {
     assert!(files[0].0.ends_with(".pack"), "the one file is a pack: {files:?}");
 
     // Warm rerun at a *different* jobs level: zero cells simulated, all
-    // output identical down to prediction-sample bit patterns, and no
+    // output identical down to prediction-sum bit patterns, and no
     // file created, modified or deleted.
     let warm = execute(specs.clone(), &opts(4, &dir));
     assert_eq!((warm.cache_hits, warm.simulated), (n, 0), "warm run must hit every cell");
@@ -526,14 +522,16 @@ fn hygiene(dir: &Path, args: &[&str]) -> std::process::Output {
 
 #[test]
 fn old_run_entries_miss_and_scan_stale_until_purged() {
-    assert!(SCHEMA.ends_with("/v5"));
+    assert!(SCHEMA.ends_with("/v6"));
     let (cache, spec, _, pack) = one_entry("old-layout");
     let current = std::fs::read(&pack).unwrap();
     let (_, slots) = pack_index(&current);
     let (_, record_at, record_len) = slots[0];
-    // A v5 record is byte-for-byte a v4 entry under the newer schema name.
+    // A v4 entry was a v5 record under the older schema name; v6 then
+    // replaced the prediction samples with sums. The current record under
+    // the v4 name stands in for one: its header already misses.
     let mut v4 = current[record_at..record_at + record_len].to_vec();
-    renamed(&mut v4, "/v5", "/v4");
+    renamed(&mut v4, "/v6", "/v4");
     let label = spec.label();
     let v2 = format!("relief-campaign-cache/v2 s{CODE_SALT} s{label}\n0 .\n").into_bytes();
     // The per-cell layout named each entry after the one-label key, as
@@ -561,6 +559,37 @@ fn old_run_entries_miss_and_scan_stale_until_purged() {
     assert!(!run.exists(), "purge removes the .run entry");
     assert!(cache.stale_entries().is_empty());
     assert!(cache.lookup(&spec).is_some(), "purge keeps the pack");
+    let _ = std::fs::remove_dir_all(&cache.dir);
+}
+
+/// A pack written before the prediction sums (schema v5) misses, fails
+/// the hygiene gate, and is deleted by one purge; the cell then
+/// re-simulates into a current pack.
+#[test]
+fn v5_packs_miss_scan_stale_and_are_purged() {
+    let (cache, spec, _, pack) = one_entry("v5-pack");
+    let current = std::fs::read(&pack).unwrap();
+    // The pack's header and every record's own header name the schema.
+    let mut v5 = current.clone();
+    renamed(&mut v5, "/v6", "/v5");
+    for (_, record_at, _) in pack_index(&current).1 {
+        renamed(&mut v5[record_at..], "/v6", "/v5");
+    }
+    std::fs::write(&pack, &v5).unwrap();
+    let name = pack.file_name().unwrap().to_string_lossy().into_owned();
+    assert!(cache.lookup(&spec).is_none(), "a v5 pack must miss");
+    assert_eq!(cache.stale_entries(), vec![name.clone()], "a v5 pack scans as stale");
+    let check = hygiene(&cache.dir, &[]);
+    assert_eq!(check.status.code(), Some(1), "a v5 pack fails the hygiene gate");
+    assert!(String::from_utf8_lossy(&check.stdout).contains(&name));
+
+    let purge = hygiene(&cache.dir, &["--purge"]);
+    assert!(purge.status.success(), "{}", String::from_utf8_lossy(&purge.stderr));
+    assert!(!pack.exists(), "purge deletes the v5 pack");
+    assert!(cache.stale_entries().is_empty());
+    let rerun = execute(vec![spec.clone()], &opts(1, &cache.dir));
+    assert_eq!((rerun.cache_hits, rerun.simulated), (0, 1), "the cell re-simulates");
+    assert_eq!(std::fs::read(&pack).unwrap(), current, "into the same current pack");
     let _ = std::fs::remove_dir_all(&cache.dir);
 }
 

@@ -113,8 +113,8 @@ fn service_mode_with_self_healing_recycles() {
     }
 }
 
-/// Bounded-memory mode drops the O(completed) prediction and runtime
-/// samples but must not move one simulated event: traffic, service
+/// Bounded-memory mode drops the O(completed) DAG runtimes and records no
+/// prediction sample, but must not move one simulated event: traffic, service
 /// accounting, execution time, and the event count all stay
 /// bit-identical.
 #[test]
@@ -136,9 +136,7 @@ fn bounded_memory_is_observation_only() {
     assert_eq!(full.per_app_mem_time, dieted.per_app_mem_time);
     assert_eq!(full.per_app_compute_time, dieted.per_app_compute_time);
 
-    assert!(!full.prediction.compute_rel_errors.is_empty());
-    assert!(dieted.prediction.compute_rel_errors.is_empty());
-    assert!(dieted.prediction.dm_rel_errors.is_empty());
-    assert!(dieted.prediction.bw_rel_errors.is_empty());
+    assert!(full.prediction.compute_rel_errors.count > 0);
+    assert_eq!(dieted.prediction, Default::default(), "bounded mode reports empty sums");
     assert!(dieted.stats.apps.values().all(|a| a.dag_runtimes.is_empty()));
 }

@@ -107,8 +107,7 @@ impl Cell {
 /// sample count and the bit pattern of its sum, the only two numbers
 /// Table VIII reads.
 fn prediction_sums(p: &PredictionStats) -> [(u64, u64); 3] {
-    [&p.compute_rel_errors, &p.dm_rel_errors, &p.bw_rel_errors]
-        .map(|v| (v.len() as u64, v.iter().sum::<f64>().to_bits()))
+    [p.compute_rel_errors, p.dm_rel_errors, p.bw_rel_errors].map(|s| (s.count, s.sum.to_bits()))
 }
 
 /// Folds FNV-1a over the text rendering of every event it receives, one
