@@ -28,7 +28,8 @@ OPTIONS:
                         D (deblur), G (gru), H (harris), L (lstm)
                         [default: CGL]
     --policy <NAMES>    fcfs | gedf-d | gedf-n | ll | lax | hetsched |
-                        relief | relief-lax | relief-het | adaptive
+                        relief | relief-lax | relief-het |
+                        relief-nothrottle | adaptive
                         [default: relief]
                         A comma-separated list compares the policies
                         side by side on the campaign engine. Adding
@@ -155,20 +156,18 @@ impl Args {
     }
 }
 
+/// The policy whose [`PolicyKind::name`] is `s`, ignoring case; `gedfd`
+/// and `gedfn` also name the two GEDF variants.
 fn parse_policy(s: &str) -> Option<PolicyKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "fcfs" => PolicyKind::Fcfs,
-        "gedf-d" | "gedfd" => PolicyKind::GedfD,
-        "gedf-n" | "gedfn" => PolicyKind::GedfN,
-        "ll" => PolicyKind::Ll,
-        "lax" => PolicyKind::Lax,
-        "hetsched" => PolicyKind::HetSched,
-        "relief" => PolicyKind::Relief,
-        "relief-lax" => PolicyKind::ReliefLax,
-        "relief-het" => PolicyKind::ReliefHet,
-        "adaptive" => PolicyKind::Adaptive,
-        _ => return None,
-    })
+    let name = match s.to_ascii_lowercase().as_str() {
+        "gedfd" => "gedf-d",
+        "gedfn" => "gedf-n",
+        _ => s,
+    };
+    PolicyKind::ALL
+        .into_iter()
+        .chain(PolicyKind::EXTENSIONS)
+        .find(|kind| kind.name().eq_ignore_ascii_case(name))
 }
 
 /// Parses and cross-checks the flags, returning them with the mix's
@@ -578,6 +577,20 @@ mod tests {
 
     fn parse(argv: &[&str]) -> Result<(Args, Vec<App>), String> {
         parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn every_policy_parses_from_its_name() {
+        for kind in PolicyKind::ALL.into_iter().chain(PolicyKind::EXTENSIONS) {
+            for name in [kind.name().to_owned(), kind.name().to_ascii_lowercase()] {
+                assert_eq!(parse_policy(&name), Some(kind), "{name}");
+            }
+        }
+        assert_eq!(parse_policy("gedfd"), Some(PolicyKind::GedfD));
+        assert_eq!(parse_policy("GEDFN"), Some(PolicyKind::GedfN));
+        assert_eq!(parse_policy("nothrottle"), None);
+        let (args, _) = parse(&["--policy", "relief, relief-nothrottle"]).unwrap();
+        assert_eq!(args.policies, [PolicyKind::Relief, PolicyKind::ReliefUnthrottled]);
     }
 
     #[test]

@@ -32,8 +32,11 @@ impl Cases {
         }
     }
 
+    /// Any of the eleven policies: the paper's eight and the extensions.
     fn policy(&mut self) -> PolicyKind {
-        PolicyKind::ALL[self.rng.usize_below(PolicyKind::ALL.len())]
+        let kinds: Vec<PolicyKind> =
+            PolicyKind::ALL.into_iter().chain(PolicyKind::EXTENSIONS).collect();
+        kinds[self.rng.usize_below(kinds.len())]
     }
 
     fn flag(&mut self) -> bool {
