@@ -342,6 +342,15 @@ mod tests {
         // small sample away and give 1e16.
         assert_eq!(sum.sum, 1e16 + 2.0);
         assert_eq!([1e16, 1.0, 1.0, 0.5].iter().sum::<f64>(), 1e16);
+
+        // Within a serial the samples keep node order: 1e16 first rounds
+        // each 1.0 away, where any sort by error would add 1.0 + 1.0
+        // first and give 1e16 + 2.
+        let mut ledger = Ledger::new(&[spec("A", 10, false)], false);
+        ledger.data_moved(0, [(10_000_000_000_000_001, 1), (20, 10), (20, 10)]);
+        let sum = finish(ledger).prediction.dm_rel_errors;
+        assert_eq!((sum.count, sum.sum.to_bits()), (3, 1e16f64.to_bits()));
+        assert_eq!([1.0, 1.0, 1e16].iter().sum::<f64>(), 1e16 + 2.0);
     }
 
     #[test]

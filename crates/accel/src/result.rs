@@ -27,7 +27,7 @@ impl Default for ErrorSum {
 
 impl ErrorSum {
     /// Adds one sample.
-    pub fn add(&mut self, error: f64) {
+    pub(crate) fn add(&mut self, error: f64) {
         self.count += 1;
         self.sum += error;
     }
