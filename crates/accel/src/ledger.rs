@@ -17,7 +17,7 @@ use crate::result::{PredictionStats, SimResult};
 use crate::trace::Trace;
 use crate::workload::AppSpec;
 use relief_metrics::{AppStats, RunStats, TrafficStats};
-use relief_sim::{AppId, Dur, Intern, InternId, Time};
+use relief_sim::{Dur, Time};
 use relief_trace::InputSource;
 use std::collections::BTreeMap;
 
@@ -40,8 +40,8 @@ pub(crate) struct Ledger {
     /// `SocConfig::bounded_memory`: record no prediction sample and no
     /// DAG runtime (the O(total-requests) vector) and keep every count.
     bounded: bool,
-    /// App spec index → interned symbol, the index into `tallies`.
-    app_ids: Vec<AppId>,
+    /// App spec index → the index of its symbol's tally.
+    app_tally: Vec<usize>,
     /// One tally per symbol: the first spec of a symbol names it and
     /// gives its deadline.
     tallies: Vec<Tally>,
@@ -68,29 +68,29 @@ fn rel_error(actual: f64, predicted: f64) -> f64 {
 impl Ledger {
     /// An empty ledger for `apps`; `bounded` is `SocConfig::bounded_memory`.
     pub(crate) fn new(apps: &[AppSpec], bounded: bool) -> Ledger {
-        let mut syms: Intern<AppId> = Intern::new();
         let mut tallies: Vec<Tally> = Vec::new();
-        let app_ids = apps
+        let app_tally = apps
             .iter()
             .map(|a| {
-                let id = syms.intern(&a.symbol);
-                if id.index() == tallies.len() {
+                let known = tallies.iter().position(|t| t.stats.name == a.symbol);
+                let t = known.unwrap_or_else(|| {
                     let (name, deadline) = (a.symbol.clone(), a.dag.relative_deadline());
                     let stats = AppStats { name, deadline, ..AppStats::default() };
                     tallies.push(Tally { stats, ..Tally::default() });
-                }
-                tallies[id.index()].repeats |= a.repeat;
-                id
+                    tallies.len() - 1
+                });
+                tallies[t].repeats |= a.repeat;
+                t
             })
             .collect();
-        Ledger { bounded, app_ids, tallies, ..Ledger::default() }
+        Ledger { bounded, app_tally, tallies, ..Ledger::default() }
     }
 
     /// A task of app spec `app` consumed one input edge of `bytes` from
     /// `source`. A colocated edge moves nothing; a forward crosses two
     /// scratchpad ports (producer read, local write), a DRAM read one.
     pub(crate) fn edge(&mut self, app: usize, source: InputSource, bytes: u64) {
-        let stats = &mut self.tallies[self.app_ids[app].index()].stats;
+        let stats = &mut self.tallies[self.app_tally[app]].stats;
         stats.edges_consumed += 1;
         match source {
             InputSource::Colocated => {
@@ -116,7 +116,7 @@ impl Ledger {
     /// scratchpad.
     pub(crate) fn compute(&mut self, app: usize, dur: Dur, touched_bytes: u64) {
         self.traffic.spad_access_bytes += touched_bytes;
-        self.tallies[self.app_ids[app].index()].compute_time += dur;
+        self.tallies[self.app_tally[app]].compute_time += dur;
     }
 
     /// A node of app spec `app` completed at `now`, meeting its node
@@ -134,7 +134,7 @@ impl Ledger {
     ) {
         self.traffic.all_dram_bytes += touched_bytes;
         self.last_completion = now;
-        let stats = &mut self.tallies[self.app_ids[app].index()].stats;
+        let stats = &mut self.tallies[self.app_tally[app]].stats;
         stats.nodes_completed += 1;
         stats.node_deadlines_met += u64::from(met);
         if predicted.as_ps() > 0 && !self.bounded {
@@ -145,7 +145,7 @@ impl Ledger {
 
     /// A DAG instance of app spec `app` completed after `runtime`.
     pub(crate) fn dag_done(&mut self, app: usize, met: bool, runtime: Dur) {
-        let stats = &mut self.tallies[self.app_ids[app].index()].stats;
+        let stats = &mut self.tallies[self.app_tally[app]].stats;
         stats.dags_completed += 1;
         stats.dag_deadlines_met += u64::from(met);
         if !self.bounded {
@@ -155,7 +155,7 @@ impl Ledger {
 
     /// A transfer of app spec `app` took `dur` of service time.
     pub(crate) fn mem_time(&mut self, app: usize, dur: Dur) {
-        self.tallies[self.app_ids[app].index()].mem_time += dur;
+        self.tallies[self.app_tally[app]].mem_time += dur;
     }
 
     /// A DRAM transfer achieved `achieved` bytes/s against the `predicted`

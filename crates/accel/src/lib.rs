@@ -52,6 +52,7 @@
 pub mod config;
 pub mod kinds;
 mod ledger;
+mod model;
 pub mod result;
 pub mod sim;
 pub mod trace;

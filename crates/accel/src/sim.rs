@@ -27,21 +27,18 @@
 #![allow(clippy::expect_used)]
 use crate::config::SocConfig;
 use crate::ledger::Ledger;
+use crate::model::AppModel;
 use crate::result::SimResult;
 use crate::trace::{SpanCollector, Trace};
 use crate::workload::AppSpec;
-use relief_core::predict::{DataMovePredictor, DataMoveQuery};
-use relief_core::{
-    ComputeProfile, MemTimePredictor, Policy, ReadyQueues, TaskEntry, TaskKey,
-};
-use relief_dag::{Dag, DagTiming, DeadlineAssignment, NodeId};
+use relief_core::predict::DataMovePredictor;
+use relief_core::{MemTimePredictor, Policy, ReadyQueues, TaskEntry, TaskKey};
+use relief_dag::{Dag, NodeId};
 use relief_fault::{FaultDomain, Refetch, TaskFault};
 use relief_mem::{Port, Progress, Route, TransferEngine, TransferId};
 use relief_metrics::{RunStats, TrafficStats};
 use relief_service::Frontend;
-use relief_sim::{
-    Dur, EventQueue, KindId, SlotAlloc, SplitMix64, StallError, StallKind, Time, Timeline,
-};
+use relief_sim::{Dur, EventQueue, SlotAlloc, SplitMix64, StallError, StallKind, Time, Timeline};
 use relief_trace::{EventKind, InputSource, ResourceId, TaskRef, Tracer};
 use std::cell::RefCell;
 use std::fmt;
@@ -168,10 +165,6 @@ struct DagInst {
     app_idx: usize,
     dag: Arc<Dag>,
     arrival: Time,
-    /// Shared with the per-app cache in [`SocSim::app_deadlines`]:
-    /// deadlines are a pure function of the (immutable) DAG and the DRAM
-    /// bandwidth, so repeat arrivals reuse the first arrival's assignment.
-    deadlines: Arc<DeadlineAssignment>,
     nodes: Vec<NodeRt>,
     remaining: usize,
     /// Faults (task + DMA + ECC) this instance has absorbed; a deadline
@@ -427,9 +420,9 @@ pub struct SocSim {
     transfers: Vec<Option<Tracked>>,
     manager: Timeline,
     mem_pred: MemTimePredictor,
-    /// Boot-time compute profile. It changes only at an app's first
-    /// arrival, so forks share it and copy it on such a write.
-    profile: Rc<ComputeProfile>,
+    /// Per app spec, its constants (`model.rs`): symbol, deadlines,
+    /// compute predictions and data-movement queries. Forks share it.
+    models: Rc<[AppModel]>,
     rng: SplitMix64,
     /// The fault domain (`relief-fault`): verdicts, recovery rules, outage
     /// schedules, parked ECC re-fetches and fault statistics. Its verdicts
@@ -448,28 +441,11 @@ pub struct SocSim {
     /// (ECC invalidation or request timeouts); gates the per-chunk
     /// liveness check off the fault-free hot path.
     cancels_on: bool,
-    // --- per-app caches (pure functions of the immutable app specs) ---
-    /// Deadline assignment computed on each app's first arrival.
-    app_deadlines: Vec<Option<Arc<DeadlineAssignment>>>,
-    /// Whether the app's kernels are already in the compute profile.
-    app_profiled: Vec<bool>,
-    /// App spec index → its symbol, shared by the app's `DagArrived` and
-    /// `ComputeEnd` trace records.
-    app_symbols: Vec<Arc<str>>,
-    /// Per app spec, the node labels' interned [`KindId`]s in node-id
-    /// order (filled on the app's first arrival, alongside profiling), so
-    /// [`make_entry`](Self::make_entry) predicts compute time without
-    /// hashing the label string.
-    app_kind_ids: Vec<Vec<KindId>>,
     // --- hot-path scratch buffers (reused across events; emptied after
     // each use — see DESIGN.md "Hot-path architecture") ---
     batch_scratch: Vec<TaskEntry>,
     ready_scratch: Vec<NodeId>,
     idle_scratch: Vec<usize>,
-    dm_bytes_scratch: Vec<u64>,
-    /// Per-accelerator-type child counter for the all-children-forward
-    /// prediction; zeroed after every use.
-    child_type_counts: Vec<usize>,
     /// Every statistic the run accumulates toward its [`RunStats`].
     ledger: Ledger,
     /// Fan-out handle shared (as clones) by every instrumented component.
@@ -555,7 +531,6 @@ impl SocSim {
             data_movement: cfg.dm_predictor,
             icn_bandwidth: cfg.mem.interconnect_bandwidth,
         };
-        let n_apps = apps.len();
         let mut sim = SocSim {
             policy: cfg.policy.build(),
             queues: ReadyQueues::new(num_types),
@@ -565,7 +540,7 @@ impl SocSim {
             dags: Vec::new(),
             dag_slots: SlotAlloc::new(),
             next_dag_serial: 0,
-            node_pools: vec![Vec::new(); n_apps],
+            node_pools: vec![Vec::new(); apps.len()],
             active_work: 0,
             events,
             now: Time::ZERO,
@@ -573,22 +548,16 @@ impl SocSim {
             transfers: Vec::new(),
             manager: Timeline::new(),
             mem_pred,
-            profile: Rc::new(ComputeProfile::new()),
+            models: AppModel::table(&cfg, &apps).into(),
             rng: SplitMix64::new(cfg.seed),
             pending_arrivals,
             cancels_on: faults.enabled() || frontend.as_ref().is_some_and(Frontend::self_heal_on),
             faults,
             frontend,
-            app_deadlines: vec![None; n_apps],
-            app_profiled: vec![false; n_apps],
-            app_kind_ids: vec![Vec::new(); n_apps],
             batch_scratch: Vec::new(),
             ready_scratch: Vec::new(),
             idle_scratch: Vec::new(),
-            dm_bytes_scratch: Vec::new(),
-            child_type_counts: vec![0; num_types],
             ledger: Ledger::new(&apps, cfg.bounded_memory),
-            app_symbols: apps.iter().map(|a| Arc::from(a.symbol.as_str())).collect(),
             tracer: Tracer::off(),
             span_sink: None,
             truncated: false,
@@ -772,22 +741,16 @@ impl SocSim {
             transfers: self.transfers.clone(),
             manager: self.manager.clone(),
             mem_pred: self.mem_pred.clone(),
-            profile: self.profile.clone(),
+            models: Rc::clone(&self.models),
             rng: self.rng.clone(),
             faults: self.faults.clone(),
             pending_arrivals: self.pending_arrivals,
             frontend: None,
             cancels_on: self.cancels_on,
-            app_deadlines: self.app_deadlines.clone(),
-            app_profiled: self.app_profiled.clone(),
-            app_symbols: self.app_symbols.clone(),
-            app_kind_ids: self.app_kind_ids.clone(),
             // The scratch buffers are empty between events.
             batch_scratch: Vec::new(),
             ready_scratch: Vec::new(),
             idle_scratch: Vec::new(),
-            dm_bytes_scratch: Vec::new(),
-            child_type_counts: vec![0; self.child_type_counts.len()],
             ledger: self.ledger.clone(),
             tracer: Tracer::off(),
             span_sink: None,
@@ -936,38 +899,6 @@ impl SocSim {
     /// storage index.
     fn admit_dag(&mut self, app_idx: usize) -> (u32, u32) {
         let dag = Arc::clone(&self.apps[app_idx].dag);
-        // Static analysis at arrival: predicted runtimes under the Max
-        // predictors drive critical-path deadlines (§III-B). The assignment
-        // is a pure function of the immutable DAG and the DRAM bandwidth,
-        // so repeat arrivals of the same app reuse the cached result.
-        let deadlines = self.app_deadlines[app_idx].clone().unwrap_or_else(|| {
-            let dram_bw = self.cfg.mem.dram_bandwidth;
-            let timing = DagTiming::compute(&dag, |n| {
-                let spec = dag.node(n);
-                let bytes = dag.input_bytes(n) + spec.output_bytes;
-                spec.compute + Dur::for_bytes(bytes, dram_bw)
-            });
-            let d = Arc::new(DeadlineAssignment::from_timing(&dag, &timing));
-            self.app_deadlines[app_idx] = Some(Arc::clone(&d));
-            d
-        });
-        // Boot-time profiling of compute times (§III-B): one observation
-        // per (accelerator, operation) pair, so only an app's first arrival
-        // can add anything.
-        if !self.app_profiled[app_idx] {
-            let profile = Rc::make_mut(&mut self.profile);
-            for spec in dag.nodes() {
-                if profile.predict(spec.acc, &spec.label).is_none() {
-                    profile.observe(spec.acc, &spec.label, spec.compute);
-                }
-            }
-            // Intern each node's label once; `make_entry` predicts by
-            // these dense ids on every subsequent ready-queue insert.
-            let kinds =
-                dag.nodes().iter().map(|spec| profile.intern_kind(&spec.label)).collect::<Vec<_>>();
-            self.app_kind_ids[app_idx] = kinds;
-            self.app_profiled[app_idx] = true;
-        }
         // Steady-state zero-allocation path: a retired instance of the
         // same app donated its `NodeRt` vector (same shape — one slot per
         // node), so the reset happens in place.
@@ -989,7 +920,6 @@ impl SocSim {
             app_idx,
             dag,
             arrival: self.now,
-            deadlines,
             nodes,
             remaining,
             faults: 0,
@@ -1012,7 +942,7 @@ impl SocSim {
         self.active_work += 1;
         self.tracer.emit(self.now.as_ps(), || EventKind::DagArrived {
             instance,
-            app: Arc::clone(&self.app_symbols[app_idx]),
+            app: Arc::clone(&self.models[app_idx].symbol),
             nodes: remaining as u32,
         });
 
@@ -1194,33 +1124,26 @@ impl SocSim {
     ) -> TaskEntry {
         let nid = NodeId(key.node);
         let d = &self.dags[slot as usize];
-        let spec = d.dag.node(nid);
-        let acc = spec.acc;
-        let kind = self.app_kind_ids[d.app_idx][nid.index()];
-        let pred_compute = self.profile.predict_id(acc, kind).unwrap_or(spec.compute);
-        let query = self.dm_query(slot, key.node, coloc_edge);
-        let pred_mem = self.mem_pred.predict(&query);
-        let runtime = pred_compute + pred_mem;
-
-        let (rel, arrival) = {
-            let d = &self.dags[slot as usize];
-            let rel = match self.policy.deadline_scheme() {
-                relief_core::DeadlineScheme::Dag => d.deadlines.dag,
-                relief_core::DeadlineScheme::NodeCriticalPath => d.deadlines.node_deadline(nid),
-                relief_core::DeadlineScheme::HetSchedSdr => d.deadlines.hetsched_deadline(nid),
-            };
-            (rel, d.arrival)
+        let acc = d.dag.node(nid).acc;
+        let model = &self.models[d.app_idx];
+        let query = model.query(nid, coloc_edge);
+        let pred_compute = model.compute(nid);
+        let runtime = pred_compute + self.mem_pred.predict(&query);
+        let rel = match self.policy.deadline_scheme() {
+            relief_core::DeadlineScheme::Dag => model.deadlines.dag,
+            relief_core::DeadlineScheme::NodeCriticalPath => model.deadlines.node_deadline(nid),
+            relief_core::DeadlineScheme::HetSchedSdr => model.deadlines.hetsched_deadline(nid),
         };
-        let deadline = arrival + rel;
-
+        let deadline = d.arrival + rel;
         let pred_bytes = self.cfg.dm_predictor.estimate(&query).total();
         let pred_bw = self.mem_pred.bandwidth.predict();
-        self.restore_dm_bytes_buf(query);
-        let rt = &mut self.dags[slot as usize].nodes[nid.index()];
+
+        let d = &mut self.dags[slot as usize];
+        let rt = &mut d.nodes[nid.index()];
         rt.pred_compute = pred_compute;
         rt.pred_bytes = pred_bytes;
         rt.pred_bw = pred_bw;
-        self.dags[slot as usize].pins += 1;
+        d.pins += 1;
 
         let seq = self.seq;
         self.seq += 1;
@@ -1229,66 +1152,6 @@ impl SocSim {
             e = e.forwarding_candidate();
         }
         e
-    }
-
-    /// The data-movement query for node `node` of the instance in `slot`
-    /// (§III-B).
-    ///
-    /// The query's edge-byte list is the reused [`SocSim::dm_bytes_scratch`]
-    /// buffer; callers hand it back via
-    /// [`restore_dm_bytes_buf`](Self::restore_dm_bytes_buf) once done.
-    fn dm_query(&mut self, slot: u32, node: u32, coloc_edge: Option<usize>) -> DataMoveQuery {
-        let d = &self.dags[slot as usize];
-        let dag = Arc::clone(&d.dag);
-        let deadlines = Arc::clone(&d.deadlines);
-        let nid = NodeId(node);
-        let spec = dag.node(nid);
-        let mut parent_edge_bytes = std::mem::take(&mut self.dm_bytes_scratch);
-        parent_edge_bytes.clear();
-        parent_edge_bytes.extend(dag.parents(nid).iter().map(|&p| dag.node(p).output_bytes));
-
-        // Output prediction: all children forward iff (a) the children fit
-        // distinct accelerator instances per type and (b) this node is the
-        // latest-finishing parent (by deadline) of every child.
-        let all_children_forward = if self.cfg.dm_predictor == DataMovePredictor::Predicted {
-            let children = dag.children(nid);
-            !children.is_empty() && {
-                // Count children per accelerator type in the zeroed scratch
-                // counter (type ids are validated < num_types at build).
-                for &c in children {
-                    self.child_type_counts[dag.node(c).acc.0 as usize] += 1;
-                }
-                let fits = self
-                    .child_type_counts
-                    .iter()
-                    .zip(&self.cfg.acc_instances)
-                    .all(|(&have, &cap)| have <= cap);
-                for &c in children {
-                    self.child_type_counts[dag.node(c).acc.0 as usize] = 0;
-                }
-                let latest = children.iter().all(|&c| {
-                    dag.parents(c).iter().all(|&p| {
-                        deadlines.node_deadline(p) <= deadlines.node_deadline(nid)
-                    })
-                });
-                fits && latest
-            }
-        } else {
-            false
-        };
-
-        DataMoveQuery {
-            parent_edge_bytes,
-            dram_input_bytes: spec.dram_input_bytes,
-            output_bytes: spec.output_bytes,
-            colocated_parent_edge: coloc_edge,
-            all_children_forward,
-        }
-    }
-
-    /// Returns a finished query's edge-byte buffer to the scratch slot.
-    fn restore_dm_bytes_buf(&mut self, query: DataMoveQuery) {
-        self.dm_bytes_scratch = query.parent_edge_bytes;
     }
 
     /// Hands out the reusable ready-batch buffer, emptied.
@@ -1734,7 +1597,7 @@ impl SocSim {
                 task: tref(key),
                 inst: inst_idx as u32,
                 start_ps: r.compute_start.as_ps(),
-                app: Arc::clone(&self.app_symbols[app_idx]),
+                app: Arc::clone(&self.models[app_idx].symbol),
                 forwarded_inputs: r.fwd_inputs,
                 colocated_inputs: r.coloc_inputs,
             });
@@ -1751,7 +1614,7 @@ impl SocSim {
         let (app_idx, node_met, dag_done, dag_runtime_met, dag_arrival, touched) = {
             let d = &mut self.dags[slot as usize];
             d.remaining -= 1;
-            let nd = d.arrival + d.deadlines.node_deadline(NodeId(key.node));
+            let nd = d.arrival + self.models[d.app_idx].deadlines.node_deadline(NodeId(key.node));
             let dag_done = d.remaining == 0 && !d.aborted;
             let met = self.now.saturating_since(d.arrival) <= d.dag.relative_deadline();
             // The all-DRAM baseline counts the node's inputs and output.
@@ -1785,12 +1648,12 @@ impl SocSim {
         // the earliest-deadline newly ready child colocates with the
         // finisher if they share an accelerator type.
         let coloc_child = if self.cfg.dm_predictor == DataMovePredictor::Predicted {
-            let d = &self.dags[slot as usize];
+            let deadlines = &self.models[self.dags[slot as usize].app_idx].deadlines;
             let finisher_acc = dag.node(NodeId(key.node)).acc;
             newly_ready
                 .iter()
                 .copied()
-                .min_by_key(|&c| d.deadlines.node_deadline(c))
+                .min_by_key(|&c| deadlines.node_deadline(c))
                 .filter(|&c| dag.node(c).acc == finisher_acc)
         } else {
             None

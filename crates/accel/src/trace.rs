@@ -53,16 +53,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Builds a trace from a structured event stream, keeping one span per
-    /// `ComputeEnd` event (other event kinds are ignored).
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut collector = SpanCollector::default();
-        for ev in events {
-            collector.emit(ev.clone());
-        }
-        Trace { spans: collector.take_spans() }
-    }
-
     /// Spans that ran on `inst`, in start order.
     pub fn per_instance(&self, inst: usize) -> Vec<&Span> {
         let mut spans: Vec<&Span> = self.spans.iter().filter(|s| s.inst == inst).collect();

@@ -73,6 +73,6 @@ pub use policy::{
     Adaptive, AdaptiveParams, DeadlineScheme, Policy, PolicyKind, SchedMode, Schedule,
     ScheduleRecorder, ScheduleReplay, ScheduledLaunch,
 };
-pub use predict::{BandwidthPredictor, ComputeProfile, DataMovePredictor, MemTimePredictor};
+pub use predict::{BandwidthPredictor, DataMovePredictor, MemTimePredictor};
 pub use queue::ReadyQueues;
 pub use task::{TaskEntry, TaskKey};

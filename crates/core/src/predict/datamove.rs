@@ -2,10 +2,10 @@
 
 /// What one node is expected to move, as the manager can tell from graph
 /// shape and node states at ready-queue insertion time.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DataMoveQuery {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DataMoveQuery<'a> {
     /// Bytes carried by each in-edge (the producer's output size).
-    pub parent_edge_bytes: Vec<u64>,
+    pub parent_edge_bytes: &'a [u64],
     /// Bytes always read from main memory (root inputs, weights).
     pub dram_input_bytes: u64,
     /// Bytes this node writes to its output buffer.
@@ -60,7 +60,7 @@ impl DataMovePredictor {
     }
 
     /// Expected movement for `query` under this scheme.
-    pub fn estimate(&self, query: &DataMoveQuery) -> DataMoveEstimate {
+    pub fn estimate(&self, query: &DataMoveQuery<'_>) -> DataMoveEstimate {
         let all_edges: u64 = query.parent_edge_bytes.iter().sum();
         match self {
             DataMovePredictor::Max => DataMoveEstimate {
@@ -86,9 +86,9 @@ impl DataMovePredictor {
 mod tests {
     use super::*;
 
-    fn query() -> DataMoveQuery {
+    fn query() -> DataMoveQuery<'static> {
         DataMoveQuery {
-            parent_edge_bytes: vec![100, 200],
+            parent_edge_bytes: &[100, 200],
             dram_input_bytes: 50,
             output_bytes: 300,
             colocated_parent_edge: None,

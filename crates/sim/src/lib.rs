@@ -35,7 +35,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod intern;
 pub mod queue;
 pub mod rng;
 pub mod slab;
@@ -43,7 +42,6 @@ pub mod stall;
 pub mod time;
 pub mod timeline;
 
-pub use intern::{AppId, Intern, InternId, KindId};
 pub use queue::EventQueue;
 pub use rng::{fnv1a, SplitMix64};
 pub use slab::SlotAlloc;

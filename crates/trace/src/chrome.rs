@@ -362,169 +362,170 @@ pub fn to_chrome_json(events: &[TraceEvent], opts: &ChromeOptions) -> String {
     w.finish()
 }
 
-/// A minimal JSON well-formedness checker (objects, arrays, strings,
-/// numbers, booleans, null). Used by the exporter's tests and available to
-/// integration tests; not a full validator, but strict enough to catch
-/// unbalanced structure, bad escapes, and trailing garbage.
-#[must_use]
-pub fn is_well_formed_json(s: &str) -> bool {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    let ok = parse_value(bytes, &mut pos);
-    skip_ws(bytes, &mut pos);
-    ok && pos == bytes.len()
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> bool {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        _ => false,
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
-    if b.len() - *pos >= lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> bool {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return false;
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return false;
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return false;
-        }
-    }
-    *pos > start
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> bool {
-    debug_assert_eq!(b.get(*pos), Some(&b'"'));
-    *pos += 1;
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return true;
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() - *pos < 5 || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit) {
-                            return false;
-                        }
-                        *pos += 5;
-                    }
-                    _ => return false,
-                }
-            }
-            c if c < 0x20 => return false,
-            _ => *pos += 1,
-        }
-    }
-    false
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') || !parse_string(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return false;
-        }
-        *pos += 1;
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TaskRef;
+    use crate::event::{DenyReason, InputSource, QosClass, ShedCause, TaskRef};
+    use crate::kind::Kind;
+
+    /// A minimal JSON well-formedness checker (objects, arrays, strings,
+    /// numbers, booleans, null) for the exporter's tests: not a full
+    /// validator, but strict enough to catch unbalanced structure, bad
+    /// escapes, and trailing garbage.
+    fn is_well_formed_json(s: &str) -> bool {
+        let bytes = s.as_bytes();
+        let mut pos = 0usize;
+        let ok = parse_value(bytes, &mut pos);
+        skip_ws(bytes, &mut pos);
+        ok && pos == bytes.len()
+    }
+
+    fn skip_ws(b: &[u8], pos: &mut usize) {
+        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+            *pos += 1;
+        }
+    }
+
+    fn parse_value(b: &[u8], pos: &mut usize) -> bool {
+        skip_ws(b, pos);
+        match b.get(*pos) {
+            Some(b'{') => parse_object(b, pos),
+            Some(b'[') => parse_array(b, pos),
+            Some(b'"') => parse_string(b, pos),
+            Some(b't') => parse_lit(b, pos, b"true"),
+            Some(b'f') => parse_lit(b, pos, b"false"),
+            Some(b'n') => parse_lit(b, pos, b"null"),
+            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
+            _ => false,
+        }
+    }
+
+    fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
+        if b.len() - *pos >= lit.len() && &b[*pos..*pos + lit.len()] == lit {
+            *pos += lit.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    fn parse_number(b: &[u8], pos: &mut usize) -> bool {
+        let start = *pos;
+        if b.get(*pos) == Some(&b'-') {
+            *pos += 1;
+        }
+        let digits = |b: &[u8], pos: &mut usize| {
+            let s = *pos;
+            while *pos < b.len() && b[*pos].is_ascii_digit() {
+                *pos += 1;
+            }
+            *pos > s
+        };
+        if !digits(b, pos) {
+            return false;
+        }
+        if b.get(*pos) == Some(&b'.') {
+            *pos += 1;
+            if !digits(b, pos) {
+                return false;
+            }
+        }
+        if matches!(b.get(*pos), Some(b'e' | b'E')) {
+            *pos += 1;
+            if matches!(b.get(*pos), Some(b'+' | b'-')) {
+                *pos += 1;
+            }
+            if !digits(b, pos) {
+                return false;
+            }
+        }
+        *pos > start
+    }
+
+    fn parse_string(b: &[u8], pos: &mut usize) -> bool {
+        debug_assert_eq!(b.get(*pos), Some(&b'"'));
+        *pos += 1;
+        while *pos < b.len() {
+            match b[*pos] {
+                b'"' => {
+                    *pos += 1;
+                    return true;
+                }
+                b'\\' => {
+                    *pos += 1;
+                    match b.get(*pos) {
+                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
+                        Some(b'u') => {
+                            let short = b.len() - *pos < 5;
+                            if short || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit) {
+                                return false;
+                            }
+                            *pos += 5;
+                        }
+                        _ => return false,
+                    }
+                }
+                c if c < 0x20 => return false,
+                _ => *pos += 1,
+            }
+        }
+        false
+    }
+
+    fn parse_object(b: &[u8], pos: &mut usize) -> bool {
+        *pos += 1; // '{'
+        skip_ws(b, pos);
+        if b.get(*pos) == Some(&b'}') {
+            *pos += 1;
+            return true;
+        }
+        loop {
+            skip_ws(b, pos);
+            if b.get(*pos) != Some(&b'"') || !parse_string(b, pos) {
+                return false;
+            }
+            skip_ws(b, pos);
+            if b.get(*pos) != Some(&b':') {
+                return false;
+            }
+            *pos += 1;
+            if !parse_value(b, pos) {
+                return false;
+            }
+            skip_ws(b, pos);
+            match b.get(*pos) {
+                Some(b',') => *pos += 1,
+                Some(b'}') => {
+                    *pos += 1;
+                    return true;
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    fn parse_array(b: &[u8], pos: &mut usize) -> bool {
+        *pos += 1; // '['
+        skip_ws(b, pos);
+        if b.get(*pos) == Some(&b']') {
+            *pos += 1;
+            return true;
+        }
+        loop {
+            if !parse_value(b, pos) {
+                return false;
+            }
+            skip_ws(b, pos);
+            match b.get(*pos) {
+                Some(b',') => *pos += 1,
+                Some(b']') => {
+                    *pos += 1;
+                    return true;
+                }
+                _ => return false,
+            }
+        }
+    }
 
     #[test]
     fn json_checker_accepts_and_rejects() {
@@ -583,5 +584,76 @@ mod tests {
         let json = to_chrome_json(&events, &ChromeOptions::default());
         assert!(is_well_formed_json(&json), "{json}");
         assert!(json.contains("we\\\"ird\\\\app"));
+    }
+
+    /// One event of every kind, with non-zero payloads.
+    fn one_of_each_kind() -> Vec<EventKind> {
+        let task = TaskRef { instance: 1, node: 2 };
+        let parent = TaskRef { instance: 1, node: 0 };
+        let class = QosClass::Standard;
+        let (src, dst) = (Endpoint::Dram, Endpoint::Spad(1));
+        vec![
+            EventKind::EventDispatched { index: 1 },
+            EventKind::ResourceBusy { resource: ResourceId::Dram, start_ps: 1, end_ps: 2 },
+            EventKind::DmaStart { xfer: 1, dma: 0, src, dst, bytes: 8 },
+            EventKind::DmaEnd { xfer: 1, dma: 0, src, dst, bytes: 8, start_ps: 1, queued_ps: 1 },
+            EventKind::DmaCancelled { xfer: 1, dma: 0, src, dst, bytes: 8 },
+            EventKind::ChannelOutage { start_ps: 1, end_ps: 2 },
+            EventKind::EscalationGranted { task, acc: 0, index: 1 },
+            EventKind::EscalationDenied { task, acc: 0, reason: DenyReason::Infeasible },
+            EventKind::FeasibilityCheck { task, acc: 0, index: 1, feasible: true },
+            EventKind::QueueBypass { task, acc: 0, skipped: 1 },
+            EventKind::DagArrived { instance: 1, app: "C".into(), nodes: 3 },
+            EventKind::TaskReady { task, acc: 0 },
+            EventKind::TaskDispatched { task, inst: 1 },
+            EventKind::InputSourced {
+                task,
+                inst: 1,
+                parent: Some(parent),
+                source: InputSource::Colocated,
+                bytes: 8,
+            },
+            EventKind::ComputeStart { task, inst: 1 },
+            EventKind::ComputeEnd {
+                task,
+                inst: 1,
+                start_ps: 1,
+                app: "C".into(),
+                forwarded_inputs: 1,
+                colocated_inputs: 0,
+            },
+            EventKind::WritebackIssued { task, inst: 1, bytes: 8, lazy: true },
+            EventKind::DagDone { instance: 1, met: true },
+            EventKind::TaskFaulted { task, inst: 1, attempt: 0 },
+            EventKind::TaskRetried { task, acc: 0, attempt: 1 },
+            EventKind::TaskAborted { task, attempts: 2 },
+            EventKind::DmaFaulted { task, parent: Some(parent), bytes: 8, attempt: 0 },
+            EventKind::UnitQuarantined { inst: 1, until_ps: 2 },
+            EventKind::UnitRestored { inst: 1 },
+            EventKind::FaultAttributedMiss { instance: 1, faults: 1 },
+            EventKind::EccCorrupted { task, parent, attempt: 0 },
+            EventKind::StreamArrival { tenant: 0, index: 1, class },
+            EventKind::RequestAdmitted { tenant: 0, index: 1, instance: 1 },
+            EventKind::RequestShed { tenant: 0, index: 1, class, cause: ShedCause::Bucket },
+            EventKind::RequestCompleted { tenant: 0, instance: 1, class, sojourn_ps: 1, met: true },
+            EventKind::RequestTimedOut { tenant: 0, instance: 1, class, attempt: 0 },
+            EventKind::HedgeLaunched { tenant: 0, instance: 1, attempt: 1 },
+            EventKind::BreakerOpened { tenant: 0, failures: 3 },
+            EventKind::BreakerHalfOpen { tenant: 0 },
+            EventKind::BreakerClosed { tenant: 0, open_ps: 1 },
+        ]
+    }
+
+    #[test]
+    fn every_kind_exports_well_formed_json() {
+        let samples = one_of_each_kind();
+        assert_eq!(samples.len(), Kind::ALL.len());
+        let events: Vec<TraceEvent> = samples
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| TraceEvent { at_ps: 1_000 * i as u64, kind })
+            .collect();
+        let json = to_chrome_json(&events, &ChromeOptions::default());
+        assert!(is_well_formed_json(&json), "exporter must emit valid JSON:\n{json}");
     }
 }

@@ -7,7 +7,6 @@
 //! changed, which is far more actionable than a failing end-to-end
 //! assertion.
 
-use crate::event::TraceEvent;
 use std::fmt;
 
 /// Why two streams diverged at a given position.
@@ -68,48 +67,6 @@ fn classify(left: &str, right: &str) -> DivergenceCause {
     }
 }
 
-/// Finds the first index where two event slices differ. `None` means the
-/// streams are identical.
-#[must_use]
-pub fn first_divergence_events(left: &[TraceEvent], right: &[TraceEvent]) -> Option<Divergence> {
-    let n = left.len().max(right.len());
-    for i in 0..n {
-        match (left.get(i), right.get(i)) {
-            (Some(l), Some(r)) if l == r => continue,
-            (Some(l), Some(r)) => {
-                return Some(Divergence {
-                    index: i,
-                    cause: if l.at_ps != r.at_ps {
-                        DivergenceCause::TimeMismatch
-                    } else {
-                        DivergenceCause::ContentMismatch
-                    },
-                    left: Some(l.to_string()),
-                    right: Some(r.to_string()),
-                });
-            }
-            (None, Some(r)) => {
-                return Some(Divergence {
-                    index: i,
-                    cause: DivergenceCause::LeftEnded,
-                    left: None,
-                    right: Some(r.to_string()),
-                });
-            }
-            (Some(l), None) => {
-                return Some(Divergence {
-                    index: i,
-                    cause: DivergenceCause::RightEnded,
-                    left: Some(l.to_string()),
-                    right: None,
-                });
-            }
-            (None, None) => unreachable!("loop bounded by max length"),
-        }
-    }
-    None
-}
-
 /// Finds the first differing line between two text-format exports.
 /// `None` means the exports are byte-identical per line.
 #[must_use]
@@ -152,50 +109,34 @@ pub fn first_divergence_lines(left: &str, right: &str) -> Option<Divergence> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
 
-    fn ev(at: u64, index: u64) -> TraceEvent {
-        TraceEvent { at_ps: at, kind: EventKind::EventDispatched { index } }
-    }
+    const TWO: &str = "           100 dispatch #0\n           200 dispatch #1\n";
 
     #[test]
     fn identical_streams_have_no_divergence() {
-        let a = vec![ev(1, 0), ev(2, 1)];
-        assert_eq!(first_divergence_events(&a, &a.clone()), None);
-        assert_eq!(first_divergence_lines("x\ny\n", "x\ny\n"), None);
+        assert_eq!(first_divergence_lines(TWO, TWO), None);
     }
 
     #[test]
     fn time_vs_content_mismatch() {
-        let a = vec![ev(1, 0), ev(2, 1)];
-        let b = vec![ev(1, 0), ev(3, 1)];
-        let d = first_divergence_events(&a, &b).expect("diverges");
+        let later = "           100 dispatch #0\n           250 dispatch #1\n";
+        let d = first_divergence_lines(TWO, later).expect("diverges");
         assert_eq!(d.index, 1);
         assert_eq!(d.cause, DivergenceCause::TimeMismatch);
+        assert!(d.report().contains("different times"));
 
-        let c = vec![ev(1, 0), ev(2, 9)];
-        let d = first_divergence_events(&a, &c).expect("diverges");
+        let other = "           100 dispatch #0\n           200 dispatch #9\n";
+        let d = first_divergence_lines(TWO, other).expect("diverges");
         assert_eq!(d.cause, DivergenceCause::ContentMismatch);
     }
 
     #[test]
     fn length_mismatch_reports_ended_side() {
-        let a = vec![ev(1, 0)];
-        let b = vec![ev(1, 0), ev(2, 1)];
-        let d = first_divergence_events(&a, &b).expect("diverges");
+        let one = "           100 dispatch #0\n";
+        let d = first_divergence_lines(one, TWO).expect("diverges");
         assert_eq!(d.cause, DivergenceCause::LeftEnded);
         assert_eq!(d.index, 1);
-        let d = first_divergence_events(&b, &a).expect("diverges");
+        let d = first_divergence_lines(TWO, one).expect("diverges");
         assert_eq!(d.cause, DivergenceCause::RightEnded);
-    }
-
-    #[test]
-    fn line_diff_classifies_timestamps() {
-        let left = "           100 dispatch #0\n           200 dispatch #1\n";
-        let right = "           100 dispatch #0\n           250 dispatch #1\n";
-        let d = first_divergence_lines(left, right).expect("diverges");
-        assert_eq!(d.index, 1);
-        assert_eq!(d.cause, DivergenceCause::TimeMismatch);
-        assert!(d.report().contains("different times"));
     }
 }

@@ -63,7 +63,7 @@ pub mod sink;
 pub mod text;
 
 pub use counters::{CountersSink, EventCounters};
-pub use diff::{first_divergence_events, first_divergence_lines, Divergence, DivergenceCause};
+pub use diff::{first_divergence_lines, Divergence, DivergenceCause};
 pub use event::{
     DenyReason, Endpoint, EventKind, InputSource, QosClass, ResourceId, ShedCause, TaskRef,
     TraceEvent,

@@ -50,7 +50,7 @@
 //!    (RELIEF-HET, the unthrottled ablation and the design sweeps),
 //!    `paper_reproduction` (the paper's per-policy observations) and
 //!    `properties` (simulator invariants over random DAGs and platforms
-//!    under the eight paper policies), `metamorphic_properties`,
+//!    under all eleven policies), `metamorphic_properties`,
 //!    `fault_injection`, `service_mode` (the open-loop streaming
 //!    frontend: byte-identical reports at any `--jobs`, bit-inert when
 //!    disabled, admission accounting, and a bounded-memory MMPP overload

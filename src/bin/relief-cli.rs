@@ -55,9 +55,10 @@ OPTIONS:
                         seed reproduces the same fault schedule
     --arrival <PROC>    open-loop service mode: stream DAG instances
                         under det | poisson | mmpp | diurnal arrivals
-                        instead of releasing each app once
+                        instead of releasing each app once; the four
+                        flags below need it
     --rate <R>          arrival rate per tenant, requests/s
-                        [default: 100, needs --arrival]
+                        [default: 100]
     --duration-us <N>   arrival window, microseconds; the run drains
                         after the last arrival [default: 20000]
     --tenants <N>       number of streaming tenants; the mix symbols
@@ -82,10 +83,11 @@ struct Args {
     fault_rate: f64,
     fault_seed: Option<u64>,
     arrival: Option<ArrivalProcess>,
-    rate: f64,
-    duration_us: u64,
+    // The service flags, `None` unless given; each needs `--arrival`.
+    rate: Option<f64>,
+    duration_us: Option<u64>,
     tenants: Option<usize>,
-    qos: Vec<QosClass>,
+    qos: Option<Vec<QosClass>>,
 }
 
 impl Args {
@@ -109,8 +111,9 @@ impl Args {
     /// The streaming tenants the flags describe: `--tenants` entries (or
     /// one per mix symbol), cycling the `--qos` classes.
     fn tenant_list(&self, n_mix: usize) -> Vec<TenantCfg> {
+        let qos = self.qos.as_deref().unwrap_or(&QosClass::ALL);
         (0..self.tenants.unwrap_or(n_mix))
-            .map(|i| TenantCfg::new(self.qos[i % self.qos.len()], self.rate))
+            .map(|i| TenantCfg::new(qos[i % qos.len()], self.rate.unwrap_or(100.0)))
             .collect()
     }
 
@@ -119,7 +122,7 @@ impl Args {
     /// default and the run is the ordinary closed-loop one).
     fn stream_config(&self, n_mix: usize) -> Option<StreamConfig> {
         let process = self.arrival.clone()?;
-        let duration_ps = self.duration_us * 1_000_000;
+        let duration_ps = self.duration_us.unwrap_or(20_000) * 1_000_000;
         Some(StreamConfig {
             duration_ps,
             // Steady-state truncation: skip the first tenth of the window.
@@ -156,6 +159,9 @@ impl Args {
     }
 }
 
+const SERVICE_FLAGS_NEED_ARRIVAL: &str =
+    "--rate/--duration-us/--tenants/--qos need --arrival to enable service mode";
+
 /// The policy whose [`PolicyKind::name`] is `s`, ignoring case; `gedfd`
 /// and `gedfn` also name the two GEDF variants.
 fn parse_policy(s: &str) -> Option<PolicyKind> {
@@ -187,10 +193,10 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
         fault_rate: 0.0,
         fault_seed: None,
         arrival: None,
-        rate: 100.0,
-        duration_us: 20_000,
+        rate: None,
+        duration_us: None,
         tenants: None,
-        qos: vec![QosClass::Latency, QosClass::Standard, QosClass::BestEffort],
+        qos: None,
     };
     let mut it = cli::Args::new(argv);
     while let Some(flag) = it.next() {
@@ -237,16 +243,18 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
             "--fault-seed" => args.fault_seed = Some(it.seed(&flag)?),
             "--arrival" => args.arrival = Some(ArrivalProcess::parse(&it.raw(&flag)?)?),
             "--rate" => {
-                args.rate = it.value(&flag)?;
-                if !args.rate.is_finite() || args.rate <= 0.0 {
-                    return Err(format!("--rate {} must be positive", args.rate));
+                let rate: f64 = it.value(&flag)?;
+                if !rate.is_finite() || rate <= 0.0 {
+                    return Err(format!("--rate {rate} must be positive"));
                 }
+                args.rate = Some(rate);
             }
             "--duration-us" => {
-                args.duration_us = it.value(&flag)?;
-                if args.duration_us == 0 {
+                let us = it.value(&flag)?;
+                if us == 0 {
                     return Err("--duration-us must be positive".into());
                 }
+                args.duration_us = Some(us);
             }
             "--tenants" => {
                 let n = it.value(&flag)?;
@@ -256,11 +264,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
                 args.tenants = Some(n);
             }
             "--qos" => {
-                args.qos = it
-                    .raw(&flag)?
-                    .split(',')
-                    .map(|s| QosClass::parse(s.trim()))
-                    .collect::<Result<_, _>>()?;
+                args.qos = Some(
+                    it.raw(&flag)?
+                        .split(',')
+                        .map(|s| QosClass::parse(s.trim()))
+                        .collect::<Result<_, _>>()?,
+                );
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -279,8 +288,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
     if mix_apps.is_empty() {
         return Err("--mix must name at least one application".into());
     }
-    if args.arrival.is_none() && (args.tenants.is_some() || args.rate != 100.0) {
-        return Err("--tenants/--rate/--qos need --arrival to enable service mode".into());
+    let service_flag = args.rate.is_some()
+        || args.duration_us.is_some()
+        || args.tenants.is_some()
+        || args.qos.is_some();
+    if args.arrival.is_none() && service_flag {
+        return Err(SERVICE_FLAGS_NEED_ARRIVAL.into());
     }
     if args.arrival.is_some() && args.continuous {
         return Err("--arrival replaces closed-loop repetition; drop --continuous".into());
@@ -446,41 +459,13 @@ fn compare_policies(args: &Args, mix_apps: &[App]) -> ExitCode {
     use relief::bench::campaign::{ExecOptions, PlatformSpec, RunSpec, WorkloadSpec};
 
     let mix_label = args.mix.to_ascii_uppercase();
-    let limit = args.limit();
     let apps_spec = build_apps(args, mix_apps);
-    let mut workload_label =
-        format!("cli/{mix_label}{}", if args.continuous { "+cont" } else { "" });
-    if args.arrival.is_some() {
-        workload_label.push_str(&format!("+svc{}", apps_spec.len()));
-    }
-    let workload =
-        WorkloadSpec::custom(workload_label, limit, move || apps_spec.clone());
-    let mut platform_label = "mobile".to_string();
-    if args.no_forwarding {
-        platform_label.push_str("-nofwd");
-    }
-    if args.crossbar {
-        platform_label.push_str("-xbar");
-    }
-    if args.partitions != 2 {
-        platform_label.push_str(&format!("-p{}", args.partitions));
-    }
-    if let Some(f) = args.fault_config() {
-        // The label is the run's canonical identity: encode the fault
-        // knobs so faulted runs never collide with clean ones.
-        platform_label.push_str(&format!("-f{:.4}s{:x}", f.task_fault_rate, f.seed));
-    }
-    if let Some(st) = args.stream_config(mix_apps.len()) {
-        // Same identity rule for the stream knobs.
-        platform_label.push_str(&format!(
-            "-svc{}r{:.0}d{}us",
-            st.process.name(),
-            args.rate,
-            args.duration_us
-        ));
-    }
+    // The labels only key each policy's result: the cache is off,
+    // replicate 0 keeps the base seed, and one platform serves every
+    // policy.
+    let workload = WorkloadSpec::custom("cli", args.limit(), move || apps_spec.clone());
     let (flags, n_mix) = (args.clone(), mix_apps.len());
-    let platform = PlatformSpec::custom(platform_label, move |p| flags.config(p, n_mix));
+    let platform = PlatformSpec::custom("cli", move |p| flags.config(p, n_mix));
 
     let specs: Vec<RunSpec> = args
         .policies
@@ -591,6 +576,34 @@ mod tests {
         assert_eq!(parse_policy("nothrottle"), None);
         let (args, _) = parse(&["--policy", "relief, relief-nothrottle"]).unwrap();
         assert_eq!(args.policies, [PolicyKind::Relief, PolicyKind::ReliefUnthrottled]);
+    }
+
+    /// `flag value` is rejected without `--arrival` (even at its default)
+    /// and accepted with it.
+    fn needs_arrival(flag: &str, value: &str) {
+        let err = parse(&[flag, value]).err();
+        assert_eq!(err.as_deref(), Some(SERVICE_FLAGS_NEED_ARRIVAL), "{flag}");
+        assert!(parse(&["--arrival", "poisson", flag, value]).is_ok(), "{flag}");
+    }
+
+    #[test]
+    fn rate_needs_arrival() {
+        needs_arrival("--rate", "100");
+    }
+
+    #[test]
+    fn duration_needs_arrival() {
+        needs_arrival("--duration-us", "20000");
+    }
+
+    #[test]
+    fn tenants_need_arrival() {
+        needs_arrival("--tenants", "2");
+    }
+
+    #[test]
+    fn qos_needs_arrival() {
+        needs_arrival("--qos", "latency");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 #[test]
 fn corpus_matches_committed_file() {
-    corpus::assert_matches("", 94);
+    corpus::assert_matches(94);
 }
 
 /// Circuit-breaker transitions seen in one event stream.

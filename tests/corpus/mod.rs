@@ -33,9 +33,8 @@
 //! platform and predictor axes the default configuration never reaches,
 //! each under RELIEF, LAX and HetSched.
 //!
-//! `behaviour_corpus` checks the whole file; `hot_path_equivalence`
-//! checks the scenario groups one test each. A whole-file mismatch writes
-//! the rendered corpus to `$CARGO_TARGET_TMPDIR` and names the first
+//! `behaviour_corpus` checks the whole file. A mismatch writes the
+//! rendered corpus to `$CARGO_TARGET_TMPDIR` and names the first
 //! differing label. There is no bless switch: an intended behaviour
 //! change copies that file over `tests/corpus/behaviour.txt` and names
 //! the drift in CHANGES.md.
@@ -133,39 +132,27 @@ impl TraceSink for TextDigest {
     }
 }
 
-/// Renders the cells whose label starts with `prefix` (`""` is the whole
-/// corpus) and compares them, as text, with the committed lines that
-/// share the prefix, of which there must be `count`.
-pub fn assert_matches(prefix: &str, count: usize) {
-    let rendered: String =
-        cells().iter().filter(|c| c.label.starts_with(prefix)).map(|c| c.line() + "\n").collect();
-    let committed: String = include_str!("behaviour.txt")
-        .lines()
-        .filter(|l| l.starts_with(prefix))
-        .map(|l| l.to_owned() + "\n")
-        .collect();
-    assert_eq!(committed.lines().count(), count, "committed corpus lines under `{prefix}`");
+/// Renders every cell and compares the text with the committed corpus,
+/// which must hold `count` lines.
+pub fn assert_matches(count: usize) {
+    let rendered: String = cells().iter().map(|c| c.line() + "\n").collect();
+    let committed = include_str!("behaviour.txt");
+    assert_eq!(committed.lines().count(), count, "committed corpus lines");
     if rendered == committed {
         return;
     }
-    let rendering = if prefix.is_empty() {
-        let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("behaviour.txt");
-        std::fs::write(&out, &rendered).expect("write the rendered corpus");
-        format!(
-            "the rendered corpus is at {}; copy it over tests/corpus/behaviour.txt only for an \
-             intended behaviour change",
-            out.display()
-        )
-    } else {
-        "`cargo test --test behaviour_corpus` renders the whole corpus".to_owned()
-    };
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("behaviour.txt");
+    std::fs::write(&out, &rendered).expect("write the rendered corpus");
     let (r, c): (Vec<&str>, Vec<&str>) = (rendered.lines().collect(), committed.lines().collect());
     let i = (0..r.len().max(c.len())).find(|&i| r.get(i) != c.get(i)).unwrap_or(0);
     let label = r.get(i).or(c.get(i)).and_then(|l| l.split(' ').next()).unwrap_or("");
     panic!(
-        "behaviour corpus drifted first at `{label}`\n  committed: {}\n  rendered:  {}\n{rendering}",
+        "behaviour corpus drifted first at `{label}`\n  committed: {}\n  rendered:  {}\n\
+         the rendered corpus is at {}; copy it over tests/corpus/behaviour.txt only for an \
+         intended behaviour change",
         c.get(i).unwrap_or(&"<missing>"),
         r.get(i).unwrap_or(&"<missing>"),
+        out.display()
     );
 }
 

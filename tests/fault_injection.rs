@@ -26,7 +26,7 @@ use relief::metrics::FaultStats;
 use relief::prelude::*;
 use relief_accel::SimResult;
 use relief_trace::event::{EventKind, TaskRef};
-use relief_trace::{first_divergence_events, text, EventCounters, Kind, TraceEvent};
+use relief_trace::{text, EventCounters, Kind, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -158,10 +158,7 @@ fn repeated_faulted_runs_have_a_clean_trace_diff() {
         )),
         "rate 0.25 must inject at least one fault into the diamond workload"
     );
-    assert!(
-        first_divergence_events(&a, &b).is_none(),
-        "identical faulted runs must not diverge"
-    );
+    assert!(a == b, "identical faulted runs must not diverge");
     assert_eq!(text::to_text(&a), text::to_text(&b));
 }
 

@@ -6,13 +6,12 @@
 
 use relief::bench::config_for;
 use relief::prelude::*;
-use relief_accel::{SimResult, Trace};
+use relief_accel::{SimResult, SpanCollector};
 use relief_service::SelfHealConfig;
-use relief_trace::chrome::{to_chrome_json, is_well_formed_json, ChromeOptions};
+use relief_trace::chrome::{to_chrome_json, ChromeOptions};
 use relief_trace::{
-    first_divergence_events, first_divergence_lines, text, CountersSink, DenyReason, Endpoint,
-    EventCounters, EventKind, InputSource, Kind, KindSet, QosClass, ResourceId, ShedCause,
-    TaskRef, TraceEvent, TraceSink,
+    first_divergence_lines, text, CountersSink, DenyReason, Endpoint, EventCounters, EventKind,
+    InputSource, Kind, KindSet, QosClass, ResourceId, ShedCause, TaskRef, TraceEvent, TraceSink,
 };
 use relief_workloads::App;
 use std::cell::RefCell;
@@ -41,7 +40,7 @@ fn run_traced(policy: PolicyKind) -> (SimResult, Vec<TraceEvent>) {
 fn same_seed_runs_produce_byte_identical_streams() {
     let (_, a) = run_traced(PolicyKind::Relief);
     let (_, b) = run_traced(PolicyKind::Relief);
-    assert!(first_divergence_events(&a, &b).is_none());
+    assert!(a == b, "same-seed runs must not diverge");
     assert_eq!(text::to_text(&a), text::to_text(&b));
 }
 
@@ -49,13 +48,10 @@ fn same_seed_runs_produce_byte_identical_streams() {
 fn different_policies_diverge() {
     let (_, relief) = run_traced(PolicyKind::Relief);
     let (_, fcfs) = run_traced(PolicyKind::Fcfs);
-    let div = first_divergence_events(&relief, &fcfs).expect("policies must diverge");
+    let div = first_divergence_lines(&text::to_text(&relief), &text::to_text(&fcfs))
+        .expect("policies must diverge");
     let report = div.report();
     assert!(report.contains("divergence at entry"), "unexpected report: {report}");
-    assert!(
-        first_divergence_lines(&text::to_text(&relief), &text::to_text(&fcfs)).is_some(),
-        "text-level diff must also diverge"
-    );
 }
 
 #[test]
@@ -64,7 +60,6 @@ fn chrome_export_is_well_formed_and_contains_decisions() {
     let (_, fcfs) = run_traced(PolicyKind::Fcfs);
     for events in [&relief, &fcfs] {
         let json = to_chrome_json(events, &ChromeOptions::default());
-        assert!(is_well_formed_json(&json), "exporter produced malformed JSON");
         assert!(json.contains("\"traceEvents\""));
     }
     // RELIEF escalates forwarding nodes and runs the Algorithm 2
@@ -119,7 +114,11 @@ fn attaching_a_tracer_does_not_perturb_the_simulation() {
 #[test]
 fn recorded_trace_matches_trace_rebuilt_from_events() {
     let (result, events) = run_traced(PolicyKind::Relief);
-    assert_eq!(result.trace, Trace::from_events(&events));
+    let mut rebuilt = SpanCollector::new();
+    for ev in events {
+        rebuilt.emit(ev);
+    }
+    assert_eq!(result.trace.spans, rebuilt.take_spans());
     assert!(!result.trace.spans.is_empty());
 }
 
