@@ -22,16 +22,6 @@ pub enum BwPredictorKind {
 }
 
 impl BwPredictorKind {
-    /// Scheme name as used in Table VIII.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BwPredictorKind::Max => "Max",
-            BwPredictorKind::Last => "Last",
-            BwPredictorKind::Average(_) => "Average",
-            BwPredictorKind::Ewma(_) => "EWMA",
-        }
-    }
-
     /// Builds the predictor for a given peak bandwidth.
     pub fn build(&self, max_bw: u64) -> BandwidthPredictor {
         match *self {
@@ -60,8 +50,8 @@ pub struct SocConfig {
     /// and colocation (running a consumer on its producer's accelerator
     /// with zero data movement, which also needs `output_partitions >= 2`).
     pub forwarding: bool,
-    /// Output scratchpad partitions per accelerator (Table IV allows up to
-    /// 3; the evaluated platform double-buffers output).
+    /// Output scratchpad partitions per accelerator, 1 to 3 (Table IV;
+    /// the evaluated platform double-buffers output).
     pub output_partitions: usize,
     /// Hard simulation cap (the paper uses 50 ms for continuous
     /// contention). `None` runs until all work drains.
@@ -212,11 +202,15 @@ impl SocConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero accelerator types, zero output partitions, a
-    /// negative/NaN jitter, or an invalid fault configuration.
+    /// Panics on zero accelerator types, an output partition count
+    /// outside 1..=3, a negative/NaN jitter, or an invalid fault or
+    /// stream configuration.
     pub fn validate(&self) {
         assert!(!self.acc_instances.is_empty(), "need at least one accelerator type");
-        assert!(self.output_partitions >= 1, "need at least one output partition");
+        assert!(
+            (1..=3).contains(&self.output_partitions),
+            "need 1 to 3 output partitions (Table IV)"
+        );
         assert!(
             self.compute_jitter.is_finite() && (0.0..1.0).contains(&self.compute_jitter),
             "compute jitter must be in [0, 1)"
@@ -267,9 +261,15 @@ mod tests {
     #[test]
     fn bw_predictor_kinds_build() {
         assert_eq!(BwPredictorKind::Max.build(100).predict(), 100.0);
-        assert_eq!(BwPredictorKind::Average(15).name(), "Average");
-        assert_eq!(BwPredictorKind::Ewma(0.25).name(), "EWMA");
-        assert_eq!(BwPredictorKind::Last.build(7).name(), "Last");
+        assert!(matches!(BwPredictorKind::Last.build(7), BandwidthPredictor::Last { max: 7, .. }));
+        assert!(matches!(
+            BwPredictorKind::Average(15).build(7),
+            BandwidthPredictor::Average { max: 7, n: 15, .. }
+        ));
+        assert!(matches!(
+            BwPredictorKind::Ewma(0.25).build(7),
+            BandwidthPredictor::Ewma { max: 7, alpha, .. } if alpha == 0.25
+        ));
     }
 
     #[test]
@@ -317,10 +317,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "output partition")]
     fn zero_partitions_rejected() {
-        let mut c = SocConfig::mobile(PolicyKind::Fcfs);
-        c.output_partitions = 0;
-        c.validate();
+        let validate = |parts| {
+            let c = SocConfig { output_partitions: parts, ..SocConfig::mobile(PolicyKind::Fcfs) };
+            std::panic::catch_unwind(|| c.validate())
+                .map_err(|e| e.downcast_ref::<&str>().map(|s| s.to_string()))
+        };
+        for parts in [0, 4] {
+            let err = Some("need 1 to 3 output partitions (Table IV)".to_string());
+            assert_eq!(validate(parts), Err(err), "{parts}");
+        }
+        for parts in 1..=3 {
+            assert_eq!(validate(parts), Ok(()), "{parts}");
+        }
     }
 }

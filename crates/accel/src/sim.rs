@@ -32,7 +32,7 @@ use crate::result::SimResult;
 use crate::trace::{SpanCollector, Trace};
 use crate::workload::AppSpec;
 use relief_core::predict::DataMovePredictor;
-use relief_core::{MemTimePredictor, Policy, ReadyQueues, TaskEntry, TaskKey};
+use relief_core::{BandwidthPredictor, Policy, ReadyQueues, TaskEntry, TaskKey};
 use relief_dag::{Dag, NodeId};
 use relief_fault::{FaultDomain, Refetch, TaskFault};
 use relief_mem::{Port, Progress, Route, TransferEngine, TransferId};
@@ -127,10 +127,8 @@ struct NodeRt {
     pending_readers: usize,
     out: OutLoc,
     /// Predictions captured at ready-queue insertion (Table VIII).
-    pred_compute: Dur,
     pred_bytes: u64,
     pred_bw: f64,
-    actual_compute: Dur,
     actual_bytes: u64,
     /// 0-based compute attempt (only ever nonzero under fault injection).
     attempts: u32,
@@ -143,10 +141,8 @@ impl NodeRt {
             completed_parents: 0,
             pending_readers: children,
             out: OutLoc::NotProduced,
-            pred_compute: Dur::ZERO,
             pred_bytes: 0,
             pred_bw: 0.0,
-            actual_compute: Dur::ZERO,
             actual_bytes: 0,
             attempts: 0,
         }
@@ -246,7 +242,7 @@ struct Running {
     /// Input edges satisfied by forwarding / colocation (trace).
     fwd_inputs: u32,
     coloc_inputs: u32,
-    /// When compute began (trace).
+    /// When compute began (trace, and the measured compute time).
     compute_start: Time,
 }
 
@@ -419,9 +415,10 @@ pub struct SocSim {
     /// high-water mark of concurrent transfers.
     transfers: Vec<Option<Tracked>>,
     manager: Timeline,
-    mem_pred: MemTimePredictor,
+    /// The DRAM bandwidth predictor (§III-B), fed every achieved rate.
+    bw: BandwidthPredictor,
     /// Per app spec, its constants (`model.rs`): symbol, deadlines,
-    /// compute predictions and data-movement queries. Forks share it.
+    /// compute predictions and predicted DRAM bytes. Forks share it.
     models: Rc<[AppModel]>,
     rng: SplitMix64,
     /// The fault domain (`relief-fault`): verdicts, recovery rules, outage
@@ -526,11 +523,6 @@ impl SocSim {
                 events.push(at, Ev::UnitDown(i));
             }
         }
-        let mem_pred = MemTimePredictor {
-            bandwidth: cfg.bw_predictor.build(cfg.mem.dram_bandwidth),
-            data_movement: cfg.dm_predictor,
-            icn_bandwidth: cfg.mem.interconnect_bandwidth,
-        };
         let mut sim = SocSim {
             policy: cfg.policy.build(),
             queues: ReadyQueues::new(num_types),
@@ -547,7 +539,7 @@ impl SocSim {
             seq: 0,
             transfers: Vec::new(),
             manager: Timeline::new(),
-            mem_pred,
+            bw: cfg.bw_predictor.build(cfg.mem.dram_bandwidth),
             models: AppModel::table(&cfg, &apps).into(),
             rng: SplitMix64::new(cfg.seed),
             pending_arrivals,
@@ -740,7 +732,7 @@ impl SocSim {
             seq: self.seq,
             transfers: self.transfers.clone(),
             manager: self.manager.clone(),
-            mem_pred: self.mem_pred.clone(),
+            bw: self.bw.clone(),
             models: Rc::clone(&self.models),
             rng: self.rng.clone(),
             faults: self.faults.clone(),
@@ -950,7 +942,7 @@ impl SocSim {
         let mut batch = self.take_batch_buf();
         for n in dag.roots() {
             self.dags[slot as usize].nodes[n.index()].phase = NodePhase::Ready;
-            batch.push(self.make_entry(TaskKey::new(instance, n.0), slot, false, None));
+            batch.push(self.make_entry(TaskKey::new(instance, n.0), slot, false, 0));
         }
         self.enqueue_batch(batch);
         (instance, slot)
@@ -1112,35 +1104,35 @@ impl SocSim {
     // ------------------------------------------------------------------
 
     /// Builds a ready-queue entry: predicted runtime (profiled compute +
-    /// predicted memory time), deadline resolved for the active policy's
-    /// scheme, forwarding-candidate flag for RELIEF. The entry pins the
-    /// instance (carried in [`TaskEntry::slot`]) until it is popped.
+    /// predicted DRAM bytes, less the `coloc_bytes` of an in-edge
+    /// predicted to colocate, over predicted bandwidth), deadline
+    /// resolved for the active policy's scheme, forwarding-candidate flag
+    /// for RELIEF. The entry pins the instance (carried in
+    /// [`TaskEntry::slot`]) until it is popped.
     fn make_entry(
         &mut self,
         key: TaskKey,
         slot: u32,
         fwd_candidate: bool,
-        coloc_edge: Option<usize>,
+        coloc_bytes: u64,
     ) -> TaskEntry {
         let nid = NodeId(key.node);
         let d = &self.dags[slot as usize];
         let acc = d.dag.node(nid).acc;
         let model = &self.models[d.app_idx];
-        let query = model.query(nid, coloc_edge);
-        let pred_compute = model.compute(nid);
-        let runtime = pred_compute + self.mem_pred.predict(&query);
+        let pred_bytes = model.dram_bytes[nid.index()] - coloc_bytes;
+        let pred_bw = self.bw.predict();
+        let runtime =
+            model.compute[nid.index()] + Dur::for_bytes(pred_bytes, pred_bw.max(1.0) as u64);
         let rel = match self.policy.deadline_scheme() {
             relief_core::DeadlineScheme::Dag => model.deadlines.dag,
             relief_core::DeadlineScheme::NodeCriticalPath => model.deadlines.node_deadline(nid),
             relief_core::DeadlineScheme::HetSchedSdr => model.deadlines.hetsched_deadline(nid),
         };
         let deadline = d.arrival + rel;
-        let pred_bytes = self.cfg.dm_predictor.estimate(&query).total();
-        let pred_bw = self.mem_pred.bandwidth.predict();
 
         let d = &mut self.dags[slot as usize];
         let rt = &mut d.nodes[nid.index()];
-        rt.pred_compute = pred_compute;
         rt.pred_bytes = pred_bytes;
         rt.pred_bw = pred_bw;
         d.pins += 1;
@@ -1552,7 +1544,6 @@ impl SocSim {
         let dur = spec.compute.scale(jitter);
         // Functional unit touches its inputs and output in the scratchpad.
         self.ledger.compute(d.app_idx, dur, input_bytes + spec.output_bytes);
-        self.node_rt_mut(slot, key.node).actual_compute = dur;
         self.events.push(self.now + dur, Ev::ComputeDone(inst_idx));
     }
 
@@ -1621,8 +1612,10 @@ impl SocSim {
             let touched = r.input_bytes + d.dag.node(NodeId(key.node)).output_bytes;
             (d.app_idx, self.now <= nd, dag_done, met, d.arrival, touched)
         };
-        let rt = self.node_rt(slot, key.node);
-        let (predicted, actual) = (rt.pred_compute, rt.actual_compute);
+        // The measured compute time is the jittered duration
+        // `ComputeDone` was scheduled after.
+        let predicted = self.models[app_idx].compute[key.node as usize];
+        let actual = self.now - r.compute_start;
         self.ledger.node_done(app_idx, self.now, node_met, touched, predicted, actual);
         if let Some(fe) = &mut self.frontend {
             fe.on_node_done(self.now, app_idx, dag_arrival, node_met);
@@ -1660,14 +1653,10 @@ impl SocSim {
         };
 
         let mut batch = self.take_batch_buf();
+        let output_bytes = dag.node(NodeId(key.node)).output_bytes;
         for &c in &newly_ready {
-            let coloc_edge = (coloc_child == Some(c)).then(|| {
-                dag.parents(c)
-                    .iter()
-                    .position(|&p| p.0 == key.node)
-                    .expect("finisher is a parent")
-            });
-            batch.push(self.make_entry(TaskKey::new(key.instance, c.0), slot, true, coloc_edge));
+            let coloc_bytes = if coloc_child == Some(c) { output_bytes } else { 0 };
+            batch.push(self.make_entry(TaskKey::new(key.instance, c.0), slot, true, coloc_bytes));
         }
         self.ready_scratch = newly_ready;
         self.enqueue_batch(batch);
@@ -1816,7 +1805,7 @@ impl SocSim {
         self.faults.retried(self.now, tref(key), acc.0, attempt);
         self.node_rt_mut(slot, key.node).phase = NodePhase::Ready;
         let mut batch = self.take_batch_buf();
-        batch.push(self.make_entry(key, slot, false, None));
+        batch.push(self.make_entry(key, slot, false, 0));
         // The fresh queue entry re-pinned the instance; the requeue's own
         // pin hands off to it.
         self.dags[slot as usize].pins -= 1;
@@ -2101,7 +2090,7 @@ impl SocSim {
         // Max always overestimates under contention, yielding Table VIII's
         // negative errors. The predictor is fed in bounded-memory mode too.
         self.ledger.bandwidth(achieved, self.node_rt(slot, node).pred_bw);
-        self.mem_pred.observe_bandwidth(achieved);
+        self.bw.observe(achieved);
     }
 
     /// The accelerator instance running `child`: the index carried in the

@@ -463,7 +463,7 @@ fn dynamic_bandwidth_predictor_changes_nothing_material() {
         assert_eq!(r.apps["A"].nodes_completed, base.apps["A"].nodes_completed);
         let diff =
             (r.forwards() + r.colocations()).abs_diff(base.forwards() + base.colocations());
-        assert!(diff <= 2, "{}: forwards moved by {diff}", pred.name());
+        assert!(diff <= 2, "{pred:?}: forwards moved by {diff}");
     }
 }
 

@@ -86,14 +86,17 @@ impl Args {
             .collect()
     }
 
-    /// A microsecond count after `flag`, returned in picoseconds
-    /// (saturating).
+    /// A microsecond count after `flag`, returned in picoseconds.
     ///
     /// # Errors
     ///
-    /// As [`Args::value`].
+    /// As [`Args::value`], or `"<flag> <value> overflows ..."` when the
+    /// picoseconds do not fit a `u64`.
     pub fn us_as_ps(&mut self, flag: &str) -> Result<u64, String> {
-        Ok(self.value::<u64>(flag)?.saturating_mul(1_000_000))
+        let us: u64 = self.value(flag)?;
+        let max = u64::MAX / 1_000_000;
+        us.checked_mul(1_000_000)
+            .ok_or_else(|| format!("{flag} {us} overflows the picosecond clock (max {max} us)"))
     }
 
     /// The worker count after `--jobs`.
@@ -163,7 +166,12 @@ mod tests {
         assert_eq!(args(&["x"]).value::<u32>("--n"), Err("bad --n 'x'".to_string()));
         assert_eq!(args(&["0xZZ"]).seed("--s"), Err("bad --s '0xZZ'".to_string()));
         assert_eq!(args(&["1, x"]).list::<u8>("--l"), Err("bad --l 'x'".to_string()));
-        assert_eq!(args(&[&u64::MAX.to_string()]).us_as_ps("--us"), Ok(u64::MAX));
+        assert_eq!(args(&["18446744073709"]).us_as_ps("--us"), Ok(18_446_744_073_709_000_000));
+        assert_eq!(
+            args(&["18446744073710"]).us_as_ps("--us"),
+            Err("--us 18446744073710 overflows the picosecond clock (max 18446744073709 us)"
+                .to_string())
+        );
         assert_eq!(unknown("--frobnicate"), "unknown option '--frobnicate'");
     }
 

@@ -73,6 +73,6 @@ pub use policy::{
     Adaptive, AdaptiveParams, DeadlineScheme, Policy, PolicyKind, SchedMode, Schedule,
     ScheduleRecorder, ScheduleReplay, ScheduledLaunch,
 };
-pub use predict::{BandwidthPredictor, DataMovePredictor, MemTimePredictor};
+pub use predict::{BandwidthPredictor, DataMovePredictor};
 pub use queue::ReadyQueues;
 pub use task::{TaskEntry, TaskKey};

@@ -81,16 +81,6 @@ impl BandwidthPredictor {
         BandwidthPredictor::Ewma { max, alpha, pred: None }
     }
 
-    /// Scheme name as used in Table VIII.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BandwidthPredictor::Max { .. } => "Max",
-            BandwidthPredictor::Last { .. } => "Last",
-            BandwidthPredictor::Average { .. } => "Average",
-            BandwidthPredictor::Ewma { .. } => "EWMA",
-        }
-    }
-
     /// Records an achieved-bandwidth sample (bytes/second). Non-finite or
     /// non-positive samples are ignored.
     pub fn observe(&mut self, bytes_per_sec: f64) {
@@ -143,7 +133,6 @@ mod tests {
         let mut p = BandwidthPredictor::max(MAX);
         p.observe(1.0);
         assert_eq!(p.predict(), MAX as f64);
-        assert_eq!(p.name(), "Max");
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //!   be profiled once ([`profile_compute`]).
 //! * **Memory** = predicted data movement / predicted bandwidth.
 //!   [`BandwidthPredictor`] offers the paper's four schemes (Max, Last,
-//!   Average over n, EWMA); [`DataMovePredictor`] offers Max (everything
+//!   Average over n, EWMA). [`DataMovePredictor`] offers Max (everything
 //!   through DRAM) and the graph-analysis scheme that discounts predicted
-//!   colocations and all-children-forward write-backs.
+//!   colocations and all-children-forward write-backs. Both are fixed by
+//!   the graph and the platform but for the one in-edge predicted at run
+//!   time to colocate, so [`DataMovePredictor::dram_bytes`] resolves each
+//!   node's bytes once and the simulator subtracts that edge's bytes.
 //!
 //! Observation 8 of the paper: RELIEF's results are insensitive to the
 //! predictor choice, so the Max predictors are the default everywhere.
@@ -20,7 +23,7 @@ mod bandwidth;
 mod datamove;
 
 pub use bandwidth::BandwidthPredictor;
-pub use datamove::{DataMoveEstimate, DataMovePredictor, DataMoveQuery};
+pub use datamove::DataMovePredictor;
 
 use relief_dag::{AccTypeId, Dag};
 use relief_sim::Dur;
@@ -63,62 +66,6 @@ pub fn profile_compute<'a>(dags: impl IntoIterator<Item = &'a Dag>) -> Vec<Vec<D
                 .collect()
         })
         .collect()
-}
-
-/// Combined memory-time predictor: data-movement estimate divided by
-/// predicted bandwidth.
-///
-/// # Examples
-///
-/// ```
-/// use relief_core::predict::{BandwidthPredictor, DataMovePredictor, DataMoveQuery};
-/// use relief_core::MemTimePredictor;
-///
-/// let mut p = MemTimePredictor::max_defaults(6_458_000_000, 14_900_000_000);
-/// let q = DataMoveQuery {
-///     parent_edge_bytes: &[65_536, 65_536],
-///     dram_input_bytes: 0,
-///     output_bytes: 65_536,
-///     colocated_parent_edge: None,
-///     all_children_forward: false,
-/// };
-/// // Three planes through DRAM at 6.458 GB/s: ~30.45us (Table I).
-/// let t = p.predict(&q);
-/// assert!((t.as_us_f64() - 30.45).abs() < 0.05);
-/// ```
-#[derive(Debug, Clone)]
-pub struct MemTimePredictor {
-    /// Bandwidth prediction scheme.
-    pub bandwidth: BandwidthPredictor,
-    /// Data-movement prediction scheme.
-    pub data_movement: DataMovePredictor,
-    /// Interconnect bandwidth for forwarded bytes, bytes/second.
-    pub icn_bandwidth: u64,
-}
-
-impl MemTimePredictor {
-    /// The paper's default: Max bandwidth and Max data movement.
-    pub fn max_defaults(dram_bandwidth: u64, icn_bandwidth: u64) -> Self {
-        MemTimePredictor {
-            bandwidth: BandwidthPredictor::max(dram_bandwidth),
-            data_movement: DataMovePredictor::Max,
-            icn_bandwidth,
-        }
-    }
-
-    /// Predicted memory time for the node described by `query`.
-    pub fn predict(&self, query: &DataMoveQuery<'_>) -> Dur {
-        let est = self.data_movement.estimate(query);
-        let bw = self.bandwidth.predict().max(1.0);
-        let dram = Dur::for_bytes(est.dram_bytes, bw as u64);
-        let fwd = Dur::for_bytes(est.forwarded_bytes, self.icn_bandwidth);
-        dram + fwd
-    }
-
-    /// Records an achieved DRAM bandwidth sample (bytes/second).
-    pub fn observe_bandwidth(&mut self, bytes_per_sec: f64) {
-        self.bandwidth.observe(bytes_per_sec);
-    }
 }
 
 #[cfg(test)]

@@ -62,14 +62,16 @@
 //!    recycling, every circuit-breaker transition, and the platform and
 //!    predictor axes — against the committed digests in
 //!    `tests/corpus/behaviour.txt`, open-loop and fault cells with a
-//!    digest of their whole event stream too), and
+//!    digest of their whole event stream too),
 //!    `oracle_conformance` (the ahead-of-time scheduling bound: oracle ≤
 //!    every online policy, prediction = replay bit-exactly, beam-width
-//!    monotonicity, recorded-run replay differentials), and
+//!    monotonicity, recorded-run replay differentials),
 //!    `trace_subsystem` (the structured event stream: determinism,
 //!    exporters, trace↔stats reconciliation, and kind subscription — a
 //!    subscribed sink receives exactly its kinds of the full stream, and
-//!    attaching it moves no other sink's capture).
+//!    attaching it moves no other sink's capture), and `stress` (twenty
+//!    random apps on a narrow platform, burst arrivals, all five paper
+//!    apps together, and a long continuous run).
 //! 6. `crates` — `cargo test --offline --workspace --exclude relief`:
 //!    every member crate's own unit, integration and doc tests (the
 //!    root package's tests are tier 1's `cargo test`). This is where
@@ -117,7 +119,7 @@ fn have_clippy() -> bool {
 }
 
 /// The integration-test suites step 5 runs, as `(package, test target)`.
-const TEST_SUITES: [(&str, &str); 14] = [
+const TEST_SUITES: [(&str, &str); 15] = [
     ("relief-bench", "campaign_engine"),
     ("relief-bench", "campaign_cache"),
     ("relief", "golden_experiments"),
@@ -132,6 +134,7 @@ const TEST_SUITES: [(&str, &str); 14] = [
     ("relief", "behaviour_corpus"),
     ("relief", "oracle_conformance"),
     ("relief", "trace_subsystem"),
+    ("relief", "stress"),
 ];
 
 /// Names accepted by `check --suite` that are not test targets.

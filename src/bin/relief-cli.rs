@@ -45,7 +45,8 @@ OPTIONS:
     --limit-ms <MS>     simulated-time cap [default: 50 when --continuous]
     --crossbar          crossbar interconnect instead of the bus
     --no-forwarding     disable forwarding and colocation hardware
-    --partitions <N>    output scratchpad partitions per accelerator [2]
+    --partitions <N>    output scratchpad partitions per accelerator
+                        in [1-3] [default: 2]
     --trace-out <STEM>  capture a structured event trace and write
                         <STEM>.json (chrome://tracing / Perfetto) and
                         <STEM>.txt (canonical text, for trace-diff)
@@ -85,7 +86,7 @@ struct Args {
     arrival: Option<ArrivalProcess>,
     // The service flags, `None` unless given; each needs `--arrival`.
     rate: Option<f64>,
-    duration_us: Option<u64>,
+    duration_ps: Option<u64>,
     tenants: Option<usize>,
     qos: Option<Vec<QosClass>>,
 }
@@ -122,7 +123,7 @@ impl Args {
     /// default and the run is the ordinary closed-loop one).
     fn stream_config(&self, n_mix: usize) -> Option<StreamConfig> {
         let process = self.arrival.clone()?;
-        let duration_ps = self.duration_us.unwrap_or(20_000) * 1_000_000;
+        let duration_ps = self.duration_ps.unwrap_or(20_000 * 1_000_000);
         Some(StreamConfig {
             duration_ps,
             // Steady-state truncation: skip the first tenth of the window.
@@ -194,7 +195,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
         fault_seed: None,
         arrival: None,
         rate: None,
-        duration_us: None,
+        duration_ps: None,
         tenants: None,
         qos: None,
     };
@@ -229,8 +230,8 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
             "--no-forwarding" => args.no_forwarding = true,
             "--partitions" => {
                 args.partitions = it.value(&flag)?;
-                if args.partitions == 0 {
-                    return Err("--partitions must be at least 1".into());
+                if !(1..=3).contains(&args.partitions) {
+                    return Err("--partitions must be 1, 2 or 3".into());
                 }
             }
             "--trace-out" => args.trace_out = Some(it.raw(&flag)?.into()),
@@ -250,11 +251,11 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
                 args.rate = Some(rate);
             }
             "--duration-us" => {
-                let us = it.value(&flag)?;
-                if us == 0 {
+                let ps = it.us_as_ps(&flag)?;
+                if ps == 0 {
                     return Err("--duration-us must be positive".into());
                 }
-                args.duration_us = Some(us);
+                args.duration_ps = Some(ps);
             }
             "--tenants" => {
                 let n = it.value(&flag)?;
@@ -289,7 +290,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
         return Err("--mix must name at least one application".into());
     }
     let service_flag = args.rate.is_some()
-        || args.duration_us.is_some()
+        || args.duration_ps.is_some()
         || args.tenants.is_some()
         || args.qos.is_some();
     if args.arrival.is_none() && service_flag {
@@ -608,10 +609,22 @@ mod tests {
 
     #[test]
     fn partitions_must_be_positive() {
-        let err = parse(&["--partitions", "0"]).err();
-        assert_eq!(err.as_deref(), Some("--partitions must be at least 1"));
+        for bad in ["0", "4"] {
+            let err = parse(&["--partitions", bad]).err();
+            assert_eq!(err.as_deref(), Some("--partitions must be 1, 2 or 3"), "{bad}");
+        }
         let (args, _) = parse(&["--partitions", "3"]).unwrap();
         assert_eq!(args.partitions, 3);
         assert!(parse(&["--partitions", "x"]).is_err());
+    }
+
+    #[test]
+    fn duration_must_fit_the_picosecond_clock() {
+        let longest = (u64::MAX / 1_000_000).to_string();
+        let (args, _) = parse(&["--arrival", "det", "--duration-us", &longest]).unwrap();
+        assert_eq!(args.duration_ps, Some(u64::MAX / 1_000_000 * 1_000_000));
+        let err = parse(&["--arrival", "det", "--duration-us", "18446744073710"]).err();
+        assert!(err.is_some_and(|e| e.starts_with("--duration-us 18446744073710 ")));
+        assert!(parse(&["--arrival", "det", "--duration-us", "0"]).is_err());
     }
 }
