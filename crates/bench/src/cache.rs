@@ -1054,6 +1054,194 @@ mod tests {
         }
     }
 
+    /// A histogram of `bins` bins of `width` ps holding `samples`.
+    fn hist_of(width: u64, bins: usize, samples: &[u64]) -> Histogram {
+        let mut h = Histogram::new(width, bins);
+        for &s in samples {
+            h.record(s);
+        }
+        h
+    }
+
+    /// A record in which every cached field holds its own value, none of
+    /// them its type's default.
+    fn full_record() -> RunRecord {
+        let app = |base: u64, name: &str, runtimes: &[u64], starved| AppStats {
+            name: name.into(),
+            dags_completed: base + 1,
+            dag_deadlines_met: base + 2,
+            nodes_completed: base + 3,
+            node_deadlines_met: base + 4,
+            dag_runtimes: runtimes.iter().map(|&ps| Dur::from_ps(ps)).collect(),
+            deadline: Dur::from_ps(base + 5),
+            edges_consumed: base + 6,
+            forwards: base + 7,
+            colocations: base + 8,
+            starved,
+        };
+        let class = |k: u64| {
+            let base = 300 + 100 * k;
+            ClassServiceStats {
+                arrivals: base + 1,
+                admitted: base + 2,
+                shed_bucket: base + 3,
+                shed_capacity: base + 4,
+                shed_breaker: base + 5,
+                timed_out: base + 6,
+                hedged: base + 7,
+                completed: base + 8,
+                dag_deadlines_met: base + 9,
+                nodes_measured: base + 10,
+                node_deadlines_met: base + 11,
+                // In-range samples and one past the last bin each.
+                sojourn: hist_of(10 + k, 4, &[base + 12, 3, 2 * (10 + k), 9_000 + k]),
+                node_latency: hist_of(20 + k, 3, &[base + 13, 5, 7_000 + k]),
+            }
+        };
+        let stats = RunStats {
+            policy: "RELIEF".into(),
+            exec_time: Dur::from_ps(1),
+            traffic: TrafficStats {
+                dram_read_bytes: 2,
+                dram_write_bytes: 3,
+                spad_to_spad_bytes: 4,
+                colocated_bytes: 5,
+                spad_access_bytes: 6,
+                all_dram_bytes: 7,
+            },
+            apps: BTreeMap::from([
+                ("C".into(), app(10, "canny", &[17, 18], false)),
+                ("D".into(), app(20, "deblur", &[27], true)),
+            ]),
+            accel_busy: Dur::from_ps(31),
+            interconnect_busy: Dur::from_ps(32),
+            dram_busy: Dur::from_ps(33),
+            scheduler_ops: 34,
+            scheduler_time: Dur::from_ps(35),
+            edges_total: 36,
+            faults: FaultStats {
+                task_faults: 41,
+                dma_faults: 42,
+                task_retries: 43,
+                tasks_aborted: 44,
+                recovered: 45,
+                unit_quarantines: 46,
+                fault_attributed_misses: 47,
+                ecc_faults: 48,
+                forward_invalidations: 49,
+                channel_outages: 50,
+            },
+            service: ServiceStats {
+                warmup_ps: 51,
+                duration_ps: 52,
+                classes: [class(0), class(1), class(2)],
+                timeout_cancelled_xfers: 53,
+                retry_hist: hist_of(30, 2, &[54, 1_000]),
+                open_hist: hist_of(0, 0, &[55, 56]),
+            },
+        };
+        let span = |base: u64, label: &str| Span {
+            inst: base as usize + 1,
+            start: Time::from_ps(base + 2),
+            end: Time::from_ps(base + 3),
+            key: TaskKey::new(base as u32 + 4, base as u32 + 5),
+            label: label.into(),
+            forwarded_inputs: base as u32 + 6,
+            colocated_inputs: base as u32 + 7,
+        };
+        let times = |base: u64| {
+            BTreeMap::from([("C".into(), Dur::from_ps(base)), ("D".into(), Dur::from_ps(base + 1))])
+        };
+        let result = SimResult {
+            stats,
+            per_app_mem_time: times(61),
+            per_app_compute_time: times(63),
+            prediction: PredictionStats {
+                compute_rel_errors: ErrorSum { count: 65, sum: 0.25 },
+                dm_rel_errors: ErrorSum { count: 66, sum: -0.0 },
+                bw_rel_errors: ErrorSum { count: 67, sum: -1.5 },
+            },
+            trace: Trace { spans: vec![span(70, "C:n3"), span(80, "D:n0")] },
+            events_dispatched: 91,
+            // Host-side and not cached: a decoded record reads 0.
+            live_high_water: 92,
+        };
+        let counters = EventCounters {
+            tasks_completed: 101,
+            dags_arrived: 102,
+            dags_done: 103,
+            dags_met: 104,
+            dram_read_bytes: 105,
+            dram_write_bytes: 106,
+            spad_to_spad_bytes: 107,
+            forwards: 108,
+            colocations: 109,
+            dram_inputs: 110,
+            escalations_granted: 111,
+            escalations_denied: 112,
+            feasibility_pass: 113,
+            feasibility_fail: 114,
+            queue_bypasses: 115,
+            writebacks: 116,
+            writeback_bytes: 117,
+            task_faults: 118,
+            task_retries: 119,
+            tasks_aborted: 120,
+            dma_faults: 121,
+            unit_quarantines: 122,
+            unit_restores: 123,
+            fault_attributed_misses: 124,
+            stream_arrivals: 125,
+            requests_admitted: 126,
+            requests_shed_bucket: 127,
+            requests_shed_capacity: 128,
+            requests_completed: 129,
+            ecc_faults: 130,
+            dma_cancels: 131,
+            channel_outages: 132,
+            requests_shed_breaker: 133,
+            requests_timed_out: 134,
+            hedges_launched: 135,
+            breaker_opens: 136,
+            breaker_half_opens: 137,
+            breaker_closes: 138,
+        };
+        RunRecord { result, counters, mismatches: Vec::new(), trace_text: None }
+    }
+
+    /// Encodes `rec` as `write_pack` stores it, under a fixed salt and label.
+    fn encode(rec: &RunRecord) -> Vec<u8> {
+        let mut w = Writer::new("salt", "label");
+        write_sim_result(&mut w, &rec.result);
+        write_counters(&mut w, &rec.counters);
+        w.finish()
+    }
+
+    /// Pins the record layout: any reordered, added or dropped field moves
+    /// the digest (bump [`SCHEMA`] with it), and a decoder that lost a
+    /// field fails the round trip.
+    #[test]
+    fn record_layout_is_pinned_and_round_trips_every_field() {
+        let rec = full_record();
+        let bytes = encode(&rec);
+        assert_eq!(fnv1a(&bytes), 0xa261_73ba_e10d_eebc, "the record layout changed");
+        let (result, counters) = decode_record(&bytes, "salt", "label").expect("decodes");
+        assert_eq!(result.stats, rec.result.stats);
+        assert_eq!(result.per_app_mem_time, rec.result.per_app_mem_time);
+        assert_eq!(result.per_app_compute_time, rec.result.per_app_compute_time);
+        let sums = |p: &PredictionStats| {
+            [p.compute_rel_errors, p.dm_rel_errors, p.bw_rel_errors]
+                .map(|s| (s.count, s.sum.to_bits()))
+        };
+        assert_eq!(sums(&result.prediction), sums(&rec.result.prediction));
+        assert_eq!(result.trace, rec.result.trace);
+        assert_eq!(result.events_dispatched, rec.result.events_dispatched);
+        assert_eq!(result.live_high_water, 0);
+        assert_eq!(counters, rec.counters);
+        let back = RunRecord { result, counters, mismatches: Vec::new(), trace_text: None };
+        assert_eq!(encode(&back), bytes, "re-encoding the decoded record");
+    }
+
     #[test]
     fn disabled_cache_never_touches_disk() {
         let cache = CacheConfig::disabled();

@@ -76,8 +76,8 @@ fn opts(jobs: usize, dir: &std::path::Path) -> ExecOptions {
 }
 
 /// Asserts two result sets are observationally identical, field by
-/// field and bit by bit (floats compared through their bit patterns via
-/// the Debug rendering plus each prediction series' count and sum bits).
+/// field and bit by bit (each prediction series compared through its
+/// count and sum bits).
 fn assert_results_identical(a: &CampaignResults, b: &CampaignResults, what: &str) {
     assert_eq!(a.report(), b.report(), "{what}: report text diverged");
     assert_eq!(a.summary(), b.summary(), "{what}: summary diverged");
@@ -90,12 +90,7 @@ fn assert_results_identical(a: &CampaignResults, b: &CampaignResults, what: &str
         };
         assert_eq!(rx.counters, ry.counters, "{what}: {} counters", x.label);
         assert_eq!(rx.mismatches.len(), ry.mismatches.len());
-        assert_eq!(
-            format!("{:?}", rx.result.stats),
-            format!("{:?}", ry.result.stats),
-            "{what}: {} stats",
-            x.label
-        );
+        assert_eq!(rx.result.stats, ry.result.stats, "{what}: {} stats", x.label);
         assert_eq!(rx.result.per_app_mem_time, ry.result.per_app_mem_time);
         assert_eq!(rx.result.per_app_compute_time, ry.result.per_app_compute_time);
         let sums = |p: &PredictionStats| {
@@ -215,6 +210,31 @@ fn poisoned_records_fall_back_to_simulation_and_are_repaired() {
     assert_results_identical(&cold, &rerun, "after truncation");
     assert_eq!(std::fs::read(&pack).unwrap(), full, "the rerun rewrites the same pack");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Decoding a record and storing it again writes the bytes the cold run
+/// wrote, for every record of the pack.
+#[test]
+fn decoded_records_re_encode_to_their_stored_bytes() {
+    let dir = temp_cache("re-encode");
+    let specs = cache_campaign();
+    execute(specs.clone(), &opts(2, &dir));
+    let pack = std::fs::read(only_pack(&dir)).unwrap();
+    let (_, slots) = pack_index(&pack);
+    assert_eq!(slots.len(), specs.len());
+    let cache = CacheConfig::at(&dir);
+    for spec in &specs {
+        let label = spec.label();
+        let key = fnv1a(label.as_bytes());
+        let &(_, at, len) = slots.iter().find(|slot| slot.0 == key).expect("stored");
+        let again = CacheConfig::at(temp_cache("re-encode-one"));
+        again.store(spec, &cache.lookup(spec).expect("the cold pack hits"));
+        let one = std::fs::read(only_pack(&again.dir)).unwrap();
+        let (_, one_at, one_len) = pack_index(&one).1[0];
+        assert!(one[one_at..one_at + one_len] == pack[at..at + len], "{label} re-encoded");
+        let _ = std::fs::remove_dir_all(&again.dir);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -263,6 +263,13 @@ fn campaigns_round_trip_through_the_persistent_cache() {
         let warm = execute(runs(n), &opts);
         assert_eq!(warm.cache_hits, runs(n).len(), "campaign {n}: warm pass must hit");
         assert_eq!(cold.report(), warm.report(), "campaign {n}: warm report drifted");
+        // The report prints a histogram's count, quantiles and maximum but
+        // not its bins or sum: compare the decoded stats themselves.
+        for (x, y) in cold.outcomes.iter().zip(&warm.outcomes) {
+            let (rx, ry) = (x.outcome.as_ref().unwrap(), y.outcome.as_ref().unwrap());
+            assert_eq!(rx.result.stats, ry.result.stats, "campaign {n}: {} stats", x.label);
+            assert_eq!(rx.counters, ry.counters, "campaign {n}: {} counters", x.label);
+        }
     }
     assert_eq!(
         opts.cache.stale_entries(),
