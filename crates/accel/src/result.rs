@@ -59,7 +59,7 @@ pub struct PredictionStats {
 }
 
 /// Everything one SoC simulation reports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimResult {
     /// Figure-level statistics.
     pub stats: RunStats,

@@ -14,7 +14,7 @@ use relief_trace::{EventKind, Kind, KindSet, TraceEvent, TraceSink};
 use std::fmt::Write as _;
 
 /// One executed task's compute interval.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Span {
     /// Accelerator instance the task ran on.
     pub inst: usize,

@@ -49,6 +49,12 @@
 //!   (0 or 1), each prediction series as its count and sum in 16 bytes,
 //!   strings and collections length-prefixed (every length bounded by
 //!   the bytes that can hold it before allocating), then an end marker.
+//! * **One layout per type.** Each cached type has one layout function
+//!   (`sim_result`, `run_stats`, `event_counters`) that names its fields
+//!   once, in layout order, and is generic over a two-way codec: the
+//!   writer appends each field, the reader overwrites a blank value with
+//!   it. Encoding and decoding cannot drift apart, and a unit test pins
+//!   the bytes of a record whose every field is set.
 //! * **Trace captures bypass the cache.** Runs captured via
 //!   `ExecOptions::trace_labels` carry a full text trace that is not
 //!   persisted; they are neither served from nor stored to the cache.
@@ -58,12 +64,8 @@
 //! each, so a warm `all_experiments` rerun recomputes nothing at all.
 
 use crate::campaign::{RunRecord, RunSpec};
-use relief_accel::{ErrorSum, PredictionStats, SimResult, Span, Trace};
-use relief_core::TaskKey;
-use relief_metrics::{
-    reconcile, AppStats, ClassServiceStats, FaultStats, Histogram, RunStats, ServiceStats,
-    TrafficStats,
-};
+use relief_accel::{ErrorSum, SimResult};
+use relief_metrics::{Histogram, RunStats};
 use relief_sim::{fnv1a, Dur, Time};
 use relief_trace::EventCounters;
 use std::collections::BTreeMap;
@@ -194,25 +196,22 @@ impl CacheConfig {
         let path = self.entry_path(records.iter().map(|&(label, _)| label), "pack");
         let _ = self.install(&path, |file| {
             let mut header = Writer { out: Vec::with_capacity(header_len(&self.salt)) };
-            header.string(SCHEMA);
-            header.string(&self.salt);
+            header.str(SCHEMA);
+            header.str(&self.salt);
             file.write_all(&header.out)?;
             let mut at = header.out.len() as u64;
             let mut index = Writer { out: Vec::with_capacity(24 * records.len() + 32) };
-            index.u64(records.len() as u64);
+            index.word(records.len() as u64);
             for (label, rec) in records {
-                let mut w = Writer::new(&self.salt, label);
-                write_sim_result(&mut w, &rec.result);
-                write_counters(&mut w, &rec.counters);
-                let record = w.finish();
+                let record = encode_record(&self.salt, label, rec);
                 file.write_all(&record)?;
-                index.u64(fnv1a(label.as_bytes()));
-                index.u64(at);
-                index.u64(record.len() as u64);
+                index.word(fnv1a(label.as_bytes()));
+                index.word(at);
+                index.word(record.len() as u64);
                 at += record.len() as u64;
             }
             // The footer: the index's offset, then the end marker.
-            index.u64(at);
+            index.word(at);
             file.write_all(&index.finish())
         });
     }
@@ -226,7 +225,7 @@ impl CacheConfig {
         let bytes = fs::read(self.entry_path([name], "art")).ok()?;
         let mut r = Reader::new(&bytes);
         r.expect_header(&self.salt, name)?;
-        let body = r.string()?;
+        let body = r.str()?.to_owned();
         r.finish()?;
         Some(body)
     }
@@ -237,7 +236,7 @@ impl CacheConfig {
             return;
         }
         let mut w = Writer::new(&self.salt, name);
-        w.string(body);
+        w.str(body);
         let bytes = w.finish();
         let _ = self.install(&self.entry_path([name], "art"), |file| file.write_all(&bytes));
     }
@@ -356,12 +355,7 @@ impl<'a> Packs<'a> {
                 self.files[slot.file].read_exact_at(&mut bytes, slot.offset).ok()?;
                 decode_record(&bytes, self.salt, label)
             })?;
-        // Truncated runs legitimately disagree byte-wise (transfers in
-        // flight at the cap) — same rule as `execute_instrumented`.
-        let truncated = spec.config().time_limit.is_some();
-        let mismatches =
-            if truncated { Vec::new() } else { reconcile(&counters, &result.stats) };
-        Some(RunRecord { result, counters, mismatches, trace_text: None })
+        Some(RunRecord::new(result, counters, None, spec.config().time_limit.is_some()))
     }
 }
 
@@ -396,7 +390,7 @@ fn read_index(file: &File, salt: &str) -> Option<Vec<(u64, u64, usize)>> {
     let mut footer = [0; 16];
     file.read_exact_at(&mut footer, footer_at).ok()?;
     let mut r = Reader::new(&footer);
-    let index_at = r.u64()?;
+    let index_at = r.word()?;
     r.finish()?;
     if !(records_at..=footer_at).contains(&index_at) {
         return None;
@@ -407,7 +401,7 @@ fn read_index(file: &File, salt: &str) -> Option<Vec<(u64, u64, usize)>> {
     let n = r.count(24)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let (key, offset, len) = (r.u64()?, r.u64()?, r.u64()?);
+        let (key, offset, len) = (r.word()?, r.word()?, r.word()?);
         if offset < records_at || offset.checked_add(len)? > index_at {
             return None;
         }
@@ -425,6 +419,23 @@ fn read_index(file: &File, salt: &str) -> Option<Vec<(u64, u64, usize)>> {
 /// both miss.
 const END: [u8; 8] = *b"\0relief\n";
 
+/// One direction of the record layout. A layout function hands every
+/// field of its type to the codec in layout order: [`Writer`] appends
+/// the value, [`Reader`] overwrites it with the next decoded one. Each
+/// method returns `None` on short or malformed input (a writer never
+/// fails), so a corrupt record collapses to a miss.
+trait Codec {
+    fn u64(&mut self, v: &mut u64) -> Option<()>;
+    /// One byte, 0 or 1.
+    fn boolean(&mut self, v: &mut bool) -> Option<()>;
+    /// Length-prefixed UTF-8.
+    fn string(&mut self, v: &mut String) -> Option<()>;
+    /// A collection's length, each element encoding to at least
+    /// `min_bytes`; a reader rejects any count the unread bytes cannot
+    /// hold, so a corrupt count never reaches an allocation.
+    fn len(&mut self, n: &mut usize, min_bytes: usize) -> Option<()>;
+}
+
 /// Serializer for the fixed-width little-endian layout; `finish` appends
 /// the [`END`] marker.
 struct Writer {
@@ -435,54 +446,45 @@ impl Writer {
     fn new(salt: &str, label: &str) -> Self {
         let mut w = Writer { out: Vec::with_capacity(16 << 10) };
         for s in [SCHEMA, salt, label] {
-            w.string(s);
+            w.str(s);
         }
         w
     }
 
-    fn u64(&mut self, v: u64) {
+    fn word(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn boolean(&mut self, v: bool) {
-        self.out.push(u8::from(v));
-    }
-
-    fn time(&mut self, t: Time) {
-        self.u64(t.as_ps());
-    }
-
-    fn dur(&mut self, d: Dur) {
-        self.u64(d.as_ps());
-    }
-
-    fn string(&mut self, s: &str) {
-        self.u64(s.len() as u64);
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
         self.out.extend_from_slice(s.as_bytes());
-    }
-
-    /// A prediction series: its count, then its sum's bit pattern.
-    fn error_sum(&mut self, s: ErrorSum) {
-        self.u64(s.count);
-        self.u64(s.sum.to_bits());
-    }
-
-    fn hist(&mut self, h: &Histogram) {
-        let (width, counts, overflow, total, sum, max) = h.to_parts();
-        self.u64(width);
-        self.u64(counts.len() as u64);
-        for &c in counts {
-            self.u64(c);
-        }
-        self.u64(overflow);
-        self.u64(total);
-        self.u64(sum);
-        self.u64(max);
     }
 
     fn finish(mut self) -> Vec<u8> {
         self.out.extend_from_slice(&END);
         self.out
+    }
+}
+
+impl Codec for Writer {
+    fn u64(&mut self, v: &mut u64) -> Option<()> {
+        self.word(*v);
+        Some(())
+    }
+
+    fn boolean(&mut self, v: &mut bool) -> Option<()> {
+        self.out.push(u8::from(*v));
+        Some(())
+    }
+
+    fn string(&mut self, v: &mut String) -> Option<()> {
+        self.str(v);
+        Some(())
+    }
+
+    fn len(&mut self, n: &mut usize, _: usize) -> Option<()> {
+        self.word(*n as u64);
+        Some(())
     }
 }
 
@@ -509,62 +511,23 @@ impl<'a> Reader<'a> {
         (self.str()? == SCHEMA && self.str()? == salt && self.str()? == label).then_some(())
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    fn word(&mut self) -> Option<u64> {
         let (head, rest) = self.buf.split_first_chunk()?;
         self.buf = rest;
         Some(u64::from_le_bytes(*head))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        u32::try_from(self.u64()?).ok()
-    }
-
-    fn boolean(&mut self) -> Option<bool> {
-        match self.take(1)? {
-            [0] => Some(false),
-            [1] => Some(true),
-            _ => None,
-        }
-    }
-
-    fn time(&mut self) -> Option<Time> {
-        Some(Time::from_ps(self.u64()?))
-    }
-
-    fn dur(&mut self) -> Option<Dur> {
-        Some(Dur::from_ps(self.u64()?))
     }
 
     /// Reads the count of a collection whose elements each encode to at
     /// least `min` bytes, rejecting any count the unread bytes cannot
     /// hold — a corrupt count never reaches an allocation.
     fn count(&mut self, min: usize) -> Option<usize> {
-        let n = usize::try_from(self.u64()?).ok()?;
+        let n = usize::try_from(self.word()?).ok()?;
         (n <= self.buf.len() / min).then_some(n)
     }
 
     fn str(&mut self) -> Option<&'a str> {
         let n = self.count(1)?;
         std::str::from_utf8(self.take(n)?).ok()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.str().map(str::to_owned)
-    }
-
-    fn error_sum(&mut self) -> Option<ErrorSum> {
-        Some(ErrorSum { count: self.u64()?, sum: f64::from_bits(self.u64()?) })
-    }
-
-    fn hist(&mut self) -> Option<Histogram> {
-        let width = self.u64()?;
-        let n = self.count(8)?;
-        let counts = (0..n).map(|_| self.u64()).collect::<Option<Vec<_>>>()?;
-        let overflow = self.u64()?;
-        let total = self.u64()?;
-        let sum = self.u64()?;
-        let max = self.u64()?;
-        Some(Histogram::from_parts(width, counts, overflow, total, sum, max))
     }
 
     /// Requires the end marker to be exactly the unread rest — a valid
@@ -574,378 +537,305 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Structure layer: field-by-field, in declaration order
-// ---------------------------------------------------------------------
-
-fn write_sim_result(w: &mut Writer, r: &SimResult) {
-    write_run_stats(w, &r.stats);
-    write_dur_map(w, &r.per_app_mem_time);
-    write_dur_map(w, &r.per_app_compute_time);
-    w.error_sum(r.prediction.compute_rel_errors);
-    w.error_sum(r.prediction.dm_rel_errors);
-    w.error_sum(r.prediction.bw_rel_errors);
-    w.u64(r.trace.spans.len() as u64);
-    for s in &r.trace.spans {
-        w.u64(s.inst as u64);
-        w.time(s.start);
-        w.time(s.end);
-        w.u64(u64::from(s.key.instance));
-        w.u64(u64::from(s.key.node));
-        w.string(&s.label);
-        w.u64(u64::from(s.forwarded_inputs));
-        w.u64(u64::from(s.colocated_inputs));
+impl Codec for Reader<'_> {
+    fn u64(&mut self, v: &mut u64) -> Option<()> {
+        self.word().map(|w| *v = w)
     }
-    w.u64(r.events_dispatched);
+
+    fn boolean(&mut self, v: &mut bool) -> Option<()> {
+        *v = match self.take(1)? {
+            [0] => false,
+            [1] => true,
+            _ => return None,
+        };
+        Some(())
+    }
+
+    fn string(&mut self, v: &mut String) -> Option<()> {
+        self.str().map(|s| *v = s.to_owned())
+    }
+
+    fn len(&mut self, n: &mut usize, min_bytes: usize) -> Option<()> {
+        self.count(min_bytes).map(|count| *n = count)
+    }
 }
 
-/// Decodes one record: header, `SimResult`, counters, end marker.
+/// A value stored as one `u64`: `to` gives its word, and `from` takes a
+/// decoded word back (`None` when the word does not fit the type).
+fn via_u64<C: Codec, T>(
+    c: &mut C,
+    v: &mut T,
+    to: impl FnOnce(&T) -> u64,
+    from: impl FnOnce(u64) -> Option<T>,
+) -> Option<()> {
+    let mut word = to(v);
+    c.u64(&mut word)?;
+    *v = from(word)?;
+    Some(())
+}
+
+fn dur<C: Codec>(c: &mut C, d: &mut Dur) -> Option<()> {
+    via_u64(c, d, |d| d.as_ps(), |ps| Some(Dur::from_ps(ps)))
+}
+
+fn time<C: Codec>(c: &mut C, t: &mut Time) -> Option<()> {
+    via_u64(c, t, |t| t.as_ps(), |ps| Some(Time::from_ps(ps)))
+}
+
+fn u32<C: Codec>(c: &mut C, v: &mut u32) -> Option<()> {
+    via_u64(c, v, |&v| u64::from(v), |w| u32::try_from(w).ok())
+}
+
+/// A prediction series: its count, then its sum's bit pattern.
+fn error_sum<C: Codec>(c: &mut C, s: &mut ErrorSum) -> Option<()> {
+    c.u64(&mut s.count)?;
+    via_u64(c, &mut s.sum, |sum| sum.to_bits(), |bits| Some(f64::from_bits(bits)))
+}
+
+/// A histogram through its parts: bin width, bins, overflow, total, sum
+/// and maximum.
+fn hist<C: Codec>(c: &mut C, h: &mut Histogram) -> Option<()> {
+    let (mut width, counts, mut overflow, mut total, mut sum, mut max) = h.to_parts();
+    let mut counts = counts.to_vec();
+    c.u64(&mut width)?;
+    seq(c, &mut counts, 8, C::u64)?;
+    for v in [&mut overflow, &mut total, &mut sum, &mut max] {
+        c.u64(v)?;
+    }
+    *h = Histogram::from_parts(width, counts, overflow, total, sum, max);
+    Some(())
+}
+
+/// A length-prefixed sequence whose elements each encode to at least
+/// `min_bytes`; a reader fills it with blank elements, then decodes
+/// into each.
+fn seq<C: Codec, T: Default>(
+    c: &mut C,
+    v: &mut Vec<T>,
+    min_bytes: usize,
+    mut elem: impl FnMut(&mut C, &mut T) -> Option<()>,
+) -> Option<()> {
+    let mut n = v.len();
+    c.len(&mut n, min_bytes)?;
+    v.resize_with(n, T::default);
+    v.iter_mut().try_for_each(|x| elem(c, x))
+}
+
+/// A string-keyed map as a sequence of (key, value) entries in key order.
+fn map<C: Codec, V: Default>(
+    c: &mut C,
+    m: &mut BTreeMap<String, V>,
+    min_bytes: usize,
+    mut value: impl FnMut(&mut C, &mut V) -> Option<()>,
+) -> Option<()> {
+    let mut entries: Vec<(String, V)> = std::mem::take(m).into_iter().collect();
+    seq(c, &mut entries, min_bytes, |c, (k, v)| {
+        c.string(k)?;
+        value(c, v)
+    })?;
+    *m = entries.into_iter().collect();
+    Some(())
+}
+
+// ---------------------------------------------------------------------
+// Structure layer: one layout function per cached type, naming each
+// field once in layout order; it both encodes and decodes
+// ---------------------------------------------------------------------
+
+/// Encodes one record: header, `SimResult`, counters, end marker. The
+/// layout functions take `&mut` for the reader's sake, so the writer
+/// encodes a clone.
+fn encode_record(salt: &str, label: &str, rec: &RunRecord) -> Vec<u8> {
+    let mut w = Writer::new(salt, label);
+    // A writer never fails.
+    let _ = sim_result(&mut w, &mut rec.result.clone());
+    let _ = event_counters(&mut w, &mut rec.counters.clone());
+    w.finish()
+}
+
+/// Decodes one record into blank values: header, `SimResult`, counters,
+/// end marker.
 fn decode_record(bytes: &[u8], salt: &str, label: &str) -> Option<(SimResult, EventCounters)> {
     let mut r = Reader::new(bytes);
     r.expect_header(salt, label)?;
-    let result = read_sim_result(&mut r)?;
-    let counters = read_counters(&mut r)?;
+    let (mut result, mut counters) = (SimResult::default(), EventCounters::default());
+    sim_result(&mut r, &mut result)?;
+    event_counters(&mut r, &mut counters)?;
     r.finish()?;
     Some((result, counters))
 }
 
-fn read_sim_result(r: &mut Reader) -> Option<SimResult> {
-    let stats = read_run_stats(r)?;
-    let per_app_mem_time = read_dur_map(r)?;
-    let per_app_compute_time = read_dur_map(r)?;
-    let prediction = PredictionStats {
-        compute_rel_errors: r.error_sum()?,
-        dm_rel_errors: r.error_sum()?,
-        bw_rel_errors: r.error_sum()?,
-    };
-    let n = r.count(8 * 8)?; // seven integers and a label length
-    let mut spans = Vec::with_capacity(n);
-    for _ in 0..n {
-        spans.push(Span {
-            inst: r.u64()? as usize,
-            start: r.time()?,
-            end: r.time()?,
-            key: TaskKey::new(r.u32()?, r.u32()?),
-            label: r.string()?,
-            forwarded_inputs: r.u32()?,
-            colocated_inputs: r.u32()?,
-        });
+/// Every `SimResult` field but `live_high_water`, which is host-side and
+/// not cached (a decoded record reads 0).
+fn sim_result<C: Codec>(c: &mut C, r: &mut SimResult) -> Option<()> {
+    run_stats(c, &mut r.stats)?;
+    // Each entry: a key length and a value.
+    map(c, &mut r.per_app_mem_time, 16, dur)?;
+    map(c, &mut r.per_app_compute_time, 16, dur)?;
+    let p = &mut r.prediction;
+    for s in [&mut p.compute_rel_errors, &mut p.dm_rel_errors, &mut p.bw_rel_errors] {
+        error_sum(c, s)?;
     }
-    Some(SimResult {
-        stats,
-        per_app_mem_time,
-        per_app_compute_time,
-        prediction,
-        trace: Trace { spans },
-        events_dispatched: r.u64()?,
-        live_high_water: 0,
-    })
-}
-
-fn write_dur_map(w: &mut Writer, m: &BTreeMap<String, Dur>) {
-    w.u64(m.len() as u64);
-    for (k, &v) in m {
-        w.string(k);
-        w.dur(v);
-    }
-}
-
-fn read_dur_map(r: &mut Reader) -> Option<BTreeMap<String, Dur>> {
-    let n = r.count(16)?; // key length + value
-    let mut m = BTreeMap::new();
-    for _ in 0..n {
-        let k = r.string()?;
-        m.insert(k, r.dur()?);
-    }
-    Some(m)
-}
-
-fn write_run_stats(w: &mut Writer, s: &RunStats) {
-    w.string(&s.policy);
-    w.dur(s.exec_time);
-    for v in [
-        s.traffic.dram_read_bytes,
-        s.traffic.dram_write_bytes,
-        s.traffic.spad_to_spad_bytes,
-        s.traffic.colocated_bytes,
-        s.traffic.spad_access_bytes,
-        s.traffic.all_dram_bytes,
-    ] {
-        w.u64(v);
-    }
-    w.u64(s.apps.len() as u64);
-    for (k, a) in &s.apps {
-        w.string(k);
-        w.string(&a.name);
-        w.u64(a.dags_completed);
-        w.u64(a.dag_deadlines_met);
-        w.u64(a.nodes_completed);
-        w.u64(a.node_deadlines_met);
-        w.u64(a.dag_runtimes.len() as u64);
-        for &d in &a.dag_runtimes {
-            w.dur(d);
+    // Each span: seven integers and a label length.
+    seq(c, &mut r.trace.spans, 8 * 8, |c, s| {
+        via_u64(c, &mut s.inst, |&i| i as u64, |w| usize::try_from(w).ok())?;
+        time(c, &mut s.start)?;
+        time(c, &mut s.end)?;
+        for v in [&mut s.key.instance, &mut s.key.node] {
+            u32(c, v)?;
         }
-        w.dur(a.deadline);
-        w.u64(a.edges_consumed);
-        w.u64(a.forwards);
-        w.u64(a.colocations);
-        w.boolean(a.starved);
-    }
-    w.dur(s.accel_busy);
-    w.dur(s.interconnect_busy);
-    w.dur(s.dram_busy);
-    w.u64(s.scheduler_ops);
-    w.dur(s.scheduler_time);
-    w.u64(s.edges_total);
+        c.string(&mut s.label)?;
+        u32(c, &mut s.forwarded_inputs)?;
+        u32(c, &mut s.colocated_inputs)
+    })?;
+    c.u64(&mut r.events_dispatched)
+}
+
+fn run_stats<C: Codec>(c: &mut C, s: &mut RunStats) -> Option<()> {
+    c.string(&mut s.policy)?;
+    dur(c, &mut s.exec_time)?;
+    let t = &mut s.traffic;
     for v in [
-        s.faults.task_faults,
-        s.faults.dma_faults,
-        s.faults.task_retries,
-        s.faults.tasks_aborted,
-        s.faults.recovered,
-        s.faults.unit_quarantines,
-        s.faults.fault_attributed_misses,
-        s.faults.ecc_faults,
-        s.faults.forward_invalidations,
-        s.faults.channel_outages,
+        &mut t.dram_read_bytes,
+        &mut t.dram_write_bytes,
+        &mut t.spad_to_spad_bytes,
+        &mut t.colocated_bytes,
+        &mut t.spad_access_bytes,
+        &mut t.all_dram_bytes,
     ] {
-        w.u64(v);
+        c.u64(v)?;
     }
-    w.u64(s.service.warmup_ps);
-    w.u64(s.service.duration_ps);
-    for c in &s.service.classes {
+    // Each app: two name lengths, nine integers and `starved`.
+    map(c, &mut s.apps, 11 * 8 + 1, |c, a| {
+        c.string(&mut a.name)?;
         for v in [
-            c.arrivals,
-            c.admitted,
-            c.shed_bucket,
-            c.shed_capacity,
-            c.shed_breaker,
-            c.timed_out,
-            c.hedged,
-            c.completed,
-            c.dag_deadlines_met,
-            c.nodes_measured,
-            c.node_deadlines_met,
+            &mut a.dags_completed,
+            &mut a.dag_deadlines_met,
+            &mut a.nodes_completed,
+            &mut a.node_deadlines_met,
         ] {
-            w.u64(v);
+            c.u64(v)?;
         }
-        w.hist(&c.sojourn);
-        w.hist(&c.node_latency);
+        seq(c, &mut a.dag_runtimes, 8, dur)?;
+        dur(c, &mut a.deadline)?;
+        for v in [&mut a.edges_consumed, &mut a.forwards, &mut a.colocations] {
+            c.u64(v)?;
+        }
+        c.boolean(&mut a.starved)
+    })?;
+    for d in [&mut s.accel_busy, &mut s.interconnect_busy, &mut s.dram_busy] {
+        dur(c, d)?;
     }
-    w.u64(s.service.timeout_cancelled_xfers);
-    w.hist(&s.service.retry_hist);
-    w.hist(&s.service.open_hist);
+    c.u64(&mut s.scheduler_ops)?;
+    dur(c, &mut s.scheduler_time)?;
+    c.u64(&mut s.edges_total)?;
+    let f = &mut s.faults;
+    for v in [
+        &mut f.task_faults,
+        &mut f.dma_faults,
+        &mut f.task_retries,
+        &mut f.tasks_aborted,
+        &mut f.recovered,
+        &mut f.unit_quarantines,
+        &mut f.fault_attributed_misses,
+        &mut f.ecc_faults,
+        &mut f.forward_invalidations,
+        &mut f.channel_outages,
+    ] {
+        c.u64(v)?;
+    }
+    let svc = &mut s.service;
+    c.u64(&mut svc.warmup_ps)?;
+    c.u64(&mut svc.duration_ps)?;
+    for k in &mut svc.classes {
+        for v in [
+            &mut k.arrivals,
+            &mut k.admitted,
+            &mut k.shed_bucket,
+            &mut k.shed_capacity,
+            &mut k.shed_breaker,
+            &mut k.timed_out,
+            &mut k.hedged,
+            &mut k.completed,
+            &mut k.dag_deadlines_met,
+            &mut k.nodes_measured,
+            &mut k.node_deadlines_met,
+        ] {
+            c.u64(v)?;
+        }
+        hist(c, &mut k.sojourn)?;
+        hist(c, &mut k.node_latency)?;
+    }
+    c.u64(&mut svc.timeout_cancelled_xfers)?;
+    hist(c, &mut svc.retry_hist)?;
+    hist(c, &mut svc.open_hist)
 }
 
-fn read_run_stats(r: &mut Reader) -> Option<RunStats> {
-    let policy = r.string()?;
-    let exec_time = r.dur()?;
-    let traffic = TrafficStats {
-        dram_read_bytes: r.u64()?,
-        dram_write_bytes: r.u64()?,
-        spad_to_spad_bytes: r.u64()?,
-        colocated_bytes: r.u64()?,
-        spad_access_bytes: r.u64()?,
-        all_dram_bytes: r.u64()?,
-    };
-    let n = r.count(11 * 8 + 1)?; // two name lengths, nine integers, `starved`
-    let mut apps = BTreeMap::new();
-    for _ in 0..n {
-        let k = r.string()?;
-        let name = r.string()?;
-        let dags_completed = r.u64()?;
-        let dag_deadlines_met = r.u64()?;
-        let nodes_completed = r.u64()?;
-        let node_deadlines_met = r.u64()?;
-        let runtimes = r.count(8)?;
-        let dag_runtimes = (0..runtimes).map(|_| r.dur()).collect::<Option<Vec<_>>>()?;
-        apps.insert(
-            k,
-            AppStats {
-                name,
-                dags_completed,
-                dag_deadlines_met,
-                nodes_completed,
-                node_deadlines_met,
-                dag_runtimes,
-                deadline: r.dur()?,
-                edges_consumed: r.u64()?,
-                forwards: r.u64()?,
-                colocations: r.u64()?,
-                starved: r.boolean()?,
-            },
-        );
+/// `EventCounters`' 38 counters, in declaration order.
+fn event_counters<C: Codec>(c: &mut C, e: &mut EventCounters) -> Option<()> {
+    for v in [
+        &mut e.tasks_completed,
+        &mut e.dags_arrived,
+        &mut e.dags_done,
+        &mut e.dags_met,
+        &mut e.dram_read_bytes,
+        &mut e.dram_write_bytes,
+        &mut e.spad_to_spad_bytes,
+        &mut e.forwards,
+        &mut e.colocations,
+        &mut e.dram_inputs,
+        &mut e.escalations_granted,
+        &mut e.escalations_denied,
+        &mut e.feasibility_pass,
+        &mut e.feasibility_fail,
+        &mut e.queue_bypasses,
+        &mut e.writebacks,
+        &mut e.writeback_bytes,
+        &mut e.task_faults,
+        &mut e.task_retries,
+        &mut e.tasks_aborted,
+        &mut e.dma_faults,
+        &mut e.unit_quarantines,
+        &mut e.unit_restores,
+        &mut e.fault_attributed_misses,
+        &mut e.stream_arrivals,
+        &mut e.requests_admitted,
+        &mut e.requests_shed_bucket,
+        &mut e.requests_shed_capacity,
+        &mut e.requests_completed,
+        &mut e.ecc_faults,
+        &mut e.dma_cancels,
+        &mut e.channel_outages,
+        &mut e.requests_shed_breaker,
+        &mut e.requests_timed_out,
+        &mut e.hedges_launched,
+        &mut e.breaker_opens,
+        &mut e.breaker_half_opens,
+        &mut e.breaker_closes,
+    ] {
+        c.u64(v)?;
     }
-    let accel_busy = r.dur()?;
-    let interconnect_busy = r.dur()?;
-    let dram_busy = r.dur()?;
-    let scheduler_ops = r.u64()?;
-    let scheduler_time = r.dur()?;
-    let edges_total = r.u64()?;
-    let faults = FaultStats {
-        task_faults: r.u64()?,
-        dma_faults: r.u64()?,
-        task_retries: r.u64()?,
-        tasks_aborted: r.u64()?,
-        recovered: r.u64()?,
-        unit_quarantines: r.u64()?,
-        fault_attributed_misses: r.u64()?,
-        ecc_faults: r.u64()?,
-        forward_invalidations: r.u64()?,
-        channel_outages: r.u64()?,
-    };
-    let mut service = ServiceStats {
-        warmup_ps: r.u64()?,
-        duration_ps: r.u64()?,
-        ..ServiceStats::default()
-    };
-    for c in &mut service.classes {
-        *c = ClassServiceStats {
-            arrivals: r.u64()?,
-            admitted: r.u64()?,
-            shed_bucket: r.u64()?,
-            shed_capacity: r.u64()?,
-            shed_breaker: r.u64()?,
-            timed_out: r.u64()?,
-            hedged: r.u64()?,
-            completed: r.u64()?,
-            dag_deadlines_met: r.u64()?,
-            nodes_measured: r.u64()?,
-            node_deadlines_met: r.u64()?,
-            sojourn: r.hist()?,
-            node_latency: r.hist()?,
-        };
-    }
-    service.timeout_cancelled_xfers = r.u64()?;
-    service.retry_hist = r.hist()?;
-    service.open_hist = r.hist()?;
-    Some(RunStats {
-        policy,
-        exec_time,
-        traffic,
-        apps,
-        accel_busy,
-        interconnect_busy,
-        dram_busy,
-        scheduler_ops,
-        scheduler_time,
-        edges_total,
-        faults,
-        service,
-    })
-}
-
-/// `EventCounters` fields, in declaration order — the serialized layout.
-fn counter_fields(c: &EventCounters) -> [u64; 38] {
-    [
-        c.tasks_completed,
-        c.dags_arrived,
-        c.dags_done,
-        c.dags_met,
-        c.dram_read_bytes,
-        c.dram_write_bytes,
-        c.spad_to_spad_bytes,
-        c.forwards,
-        c.colocations,
-        c.dram_inputs,
-        c.escalations_granted,
-        c.escalations_denied,
-        c.feasibility_pass,
-        c.feasibility_fail,
-        c.queue_bypasses,
-        c.writebacks,
-        c.writeback_bytes,
-        c.task_faults,
-        c.task_retries,
-        c.tasks_aborted,
-        c.dma_faults,
-        c.unit_quarantines,
-        c.unit_restores,
-        c.fault_attributed_misses,
-        c.stream_arrivals,
-        c.requests_admitted,
-        c.requests_shed_bucket,
-        c.requests_shed_capacity,
-        c.requests_completed,
-        c.ecc_faults,
-        c.dma_cancels,
-        c.channel_outages,
-        c.requests_shed_breaker,
-        c.requests_timed_out,
-        c.hedges_launched,
-        c.breaker_opens,
-        c.breaker_half_opens,
-        c.breaker_closes,
-    ]
-}
-
-fn write_counters(w: &mut Writer, c: &EventCounters) {
-    for v in counter_fields(c) {
-        w.u64(v);
-    }
-}
-
-fn read_counters(r: &mut Reader) -> Option<EventCounters> {
-    let mut c = EventCounters::default();
-    let slots: [&mut u64; 38] = [
-        &mut c.tasks_completed,
-        &mut c.dags_arrived,
-        &mut c.dags_done,
-        &mut c.dags_met,
-        &mut c.dram_read_bytes,
-        &mut c.dram_write_bytes,
-        &mut c.spad_to_spad_bytes,
-        &mut c.forwards,
-        &mut c.colocations,
-        &mut c.dram_inputs,
-        &mut c.escalations_granted,
-        &mut c.escalations_denied,
-        &mut c.feasibility_pass,
-        &mut c.feasibility_fail,
-        &mut c.queue_bypasses,
-        &mut c.writebacks,
-        &mut c.writeback_bytes,
-        &mut c.task_faults,
-        &mut c.task_retries,
-        &mut c.tasks_aborted,
-        &mut c.dma_faults,
-        &mut c.unit_quarantines,
-        &mut c.unit_restores,
-        &mut c.fault_attributed_misses,
-        &mut c.stream_arrivals,
-        &mut c.requests_admitted,
-        &mut c.requests_shed_bucket,
-        &mut c.requests_shed_capacity,
-        &mut c.requests_completed,
-        &mut c.ecc_faults,
-        &mut c.dma_cancels,
-        &mut c.channel_outages,
-        &mut c.requests_shed_breaker,
-        &mut c.requests_timed_out,
-        &mut c.hedges_launched,
-        &mut c.breaker_opens,
-        &mut c.breaker_half_opens,
-        &mut c.breaker_closes,
-    ];
-    for slot in slots {
-        *slot = r.u64()?;
-    }
-    Some(c)
+    Some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relief_accel::{PredictionStats, Span, Trace};
+    use relief_core::TaskKey;
+    use relief_metrics::{AppStats, ClassServiceStats, FaultStats, ServiceStats, TrafficStats};
 
     #[test]
     fn strings_round_trip_byte_for_byte() {
         for s in ["", "plain", "with space", "100%|r0/low µs\n\ttab", "s%25"] {
             let mut w = Writer::new("salt", "label");
-            w.string(s);
+            w.string(&mut s.to_owned()).unwrap();
             let out = w.finish();
             let mut r = Reader::new(&out);
             r.expect_header("salt", "label").unwrap();
-            assert_eq!(r.string().as_deref(), Some(s), "round-trip of {s:?}");
+            let mut back = "stale".to_owned();
+            r.string(&mut back).unwrap();
+            assert_eq!(back, s, "round-trip of {s:?}");
             r.finish().unwrap();
         }
     }
@@ -963,50 +853,52 @@ mod tests {
         ];
         let mut w = Writer::new("x", "y");
         for (count, sum) in sums {
-            w.error_sum(ErrorSum { count, sum });
+            error_sum(&mut w, &mut ErrorSum { count, sum }).unwrap();
         }
         let out = w.finish();
         let mut r = Reader::new(&out);
         r.expect_header("x", "y").unwrap();
         for (count, sum) in sums {
-            let back = r.error_sum().unwrap();
+            let mut back = ErrorSum::default();
+            error_sum(&mut r, &mut back).unwrap();
             assert_eq!((back.count, back.sum.to_bits()), (count, sum.to_bits()));
         }
         r.finish().unwrap();
     }
 
+    /// The header, then a `u64` and a `bool`.
+    fn header_word_and_bool(r: &mut Reader) -> Option<(u64, bool)> {
+        r.expect_header("salt", "label")?;
+        let (mut word, mut flag) = (0, false);
+        r.u64(&mut word)?;
+        r.boolean(&mut flag)?;
+        Some((word, flag))
+    }
+
     #[test]
     fn truncated_or_doctored_streams_read_as_none() {
         let mut w = Writer::new("salt", "label");
-        w.u64(7);
-        w.boolean(true);
+        w.word(7);
+        w.boolean(&mut true).unwrap();
         let good = w.finish();
         // Whole-stream parse succeeds...
         let mut r = Reader::new(&good);
-        r.expect_header("salt", "label").unwrap();
-        assert_eq!(r.u64(), Some(7));
-        assert_eq!(r.boolean(), Some(true));
+        assert_eq!(header_word_and_bool(&mut r), Some((7, true)));
         r.finish().unwrap();
         // ...but truncation, trailing garbage, a bool byte other than 0
         // or 1, and a foreign header all fail.
         let mut r = Reader::new(&good[..good.len() - 2]);
-        r.expect_header("salt", "label").unwrap();
-        assert_eq!(r.u64(), Some(7));
-        r.boolean().unwrap();
+        assert_eq!(header_word_and_bool(&mut r), Some((7, true)));
         assert!(r.finish().is_none(), "missing end marker must fail");
         let trailing = [&good[..], b"junk"].concat();
         let mut r = Reader::new(&trailing);
-        r.expect_header("salt", "label").unwrap();
-        r.u64().unwrap();
-        r.boolean().unwrap();
+        assert_eq!(header_word_and_bool(&mut r), Some((7, true)));
         assert!(r.finish().is_none(), "trailing garbage must fail");
         let mut bad_bool = good.clone();
         let at = bad_bool.len() - END.len() - 1;
         bad_bool[at] = 2;
-        let mut r = Reader::new(&bad_bool);
-        r.expect_header("salt", "label").unwrap();
-        r.u64().unwrap();
-        assert_eq!(r.boolean(), None, "bool byte 2 must fail");
+        let read = header_word_and_bool(&mut Reader::new(&bad_bool));
+        assert_eq!(read, None, "bool byte 2 must fail");
         assert!(Reader::new(&good).expect_header("salt", "other").is_none());
         assert!(Reader::new(&good).expect_header("pepper", "label").is_none());
         let v2 = b"relief-campaign-cache/v2 ssalt slabel\n.\n";
@@ -1017,19 +909,12 @@ mod tests {
     /// samples, plus the offsets of its span count and of its per-app
     /// compute-time map's count.
     fn empty_record() -> (Vec<u8>, usize, usize) {
-        let result = SimResult {
-            stats: RunStats::default(),
-            per_app_mem_time: BTreeMap::new(),
-            per_app_compute_time: BTreeMap::new(),
-            prediction: PredictionStats::default(),
-            trace: Trace::default(),
-            events_dispatched: 3,
-            live_high_water: 0,
-        };
-        let mut w = Writer::new("salt", "label");
-        write_sim_result(&mut w, &result);
-        write_counters(&mut w, &EventCounters::default());
-        let bytes = w.finish();
+        let bytes = encode(&RunRecord {
+            result: SimResult { events_dispatched: 3, ..SimResult::default() },
+            counters: EventCounters::default(),
+            mismatches: Vec::new(),
+            trace_text: None,
+        });
         // Tail: the compute-time map's count, three prediction sums, span
         // count, events_dispatched, 38 counters, end marker.
         let spans_at = bytes.len() - END.len() - 38 * 8 - 8 - 8;
@@ -1049,7 +934,7 @@ mod tests {
             let mut bad = good.clone();
             bad[at..at + 8].copy_from_slice(&n.to_le_bytes());
             // Unbounded, a span count of 2^32 would abort the process
-            // inside `Vec::with_capacity` instead of missing.
+            // inside an allocation instead of missing.
             assert!(decode_record(&bad, "salt", "label").is_none(), "count {n} at {at}");
         }
     }
@@ -1211,10 +1096,7 @@ mod tests {
 
     /// Encodes `rec` as `write_pack` stores it, under a fixed salt and label.
     fn encode(rec: &RunRecord) -> Vec<u8> {
-        let mut w = Writer::new("salt", "label");
-        write_sim_result(&mut w, &rec.result);
-        write_counters(&mut w, &rec.counters);
-        w.finish()
+        encode_record("salt", "label", rec)
     }
 
     /// Pins the record layout: any reordered, added or dropped field moves

@@ -246,17 +246,12 @@ impl RunSpec {
         }
         let result = SocSim::new(cfg, self.apps()).with_tracer(&tracer).run();
         let counters = counters.borrow().counters().clone();
-        // Byte totals legitimately disagree on truncated runs (transfers
-        // in flight at the cap), so reconciliation is strict only for
-        // drained runs — see `relief_metrics::reconcile`.
-        let mismatches =
-            if truncated { Vec::new() } else { reconcile(&counters, &result.stats) };
         let trace_text = ring.map(|ring| {
             let ring = ring.borrow();
             assert_eq!(ring.dropped(), 0, "trace capture overflowed for {}", self.label());
             text::to_text(&ring.snapshot())
         });
-        RunRecord { result, counters, mismatches, trace_text }
+        RunRecord::new(result, counters, trace_text, truncated)
     }
 }
 
@@ -361,6 +356,23 @@ pub struct RunRecord {
     /// Canonical text trace, when requested via
     /// [`ExecOptions::trace_labels`].
     pub trace_text: Option<String>,
+}
+
+impl RunRecord {
+    /// A record with its counters reconciled against `result`'s stats.
+    /// Byte totals legitimately disagree on truncated runs (transfers in
+    /// flight at the cap), so reconciliation is strict only for drained
+    /// runs — see `relief_metrics::reconcile`.
+    pub(crate) fn new(
+        result: SimResult,
+        counters: EventCounters,
+        trace_text: Option<String>,
+        truncated: bool,
+    ) -> Self {
+        let mismatches =
+            if truncated { Vec::new() } else { reconcile(&counters, &result.stats) };
+        RunRecord { result, counters, mismatches, trace_text }
+    }
 }
 
 /// One run's outcome: a record, or the panic message that killed it.

@@ -6,7 +6,7 @@ use relief_sim::{Dur, Time};
 use std::fmt;
 
 /// Globally unique task identity: a DAG instance plus a node within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TaskKey {
     /// DAG-instance identifier assigned by the runtime.
     pub instance: u32,
