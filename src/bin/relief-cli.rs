@@ -76,7 +76,8 @@ struct Args {
     oracle: bool,
     jobs: usize,
     continuous: bool,
-    limit_ms: Option<u64>,
+    // `--limit-ms` in picoseconds, checked to fit when parsed.
+    limit_ps: Option<u64>,
     crossbar: bool,
     no_forwarding: bool,
     partitions: usize,
@@ -156,7 +157,7 @@ impl Args {
 
     /// The simulated-time cap: `--limit-ms`, or 50 ms under `--continuous`.
     fn limit(&self) -> Option<Time> {
-        self.limit_ms.or(self.continuous.then_some(50)).map(Time::from_ms)
+        self.limit_ps.map(Time::from_ps).or(self.continuous.then(|| Time::from_ms(50)))
     }
 }
 
@@ -186,7 +187,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
         oracle: false,
         jobs: relief::bench::campaign::default_jobs(),
         continuous: false,
-        limit_ms: None,
+        limit_ps: None,
         crossbar: false,
         no_forwarding: false,
         partitions: 2,
@@ -225,7 +226,13 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
             }
             "--jobs" => args.jobs = it.jobs()?,
             "--continuous" => args.continuous = true,
-            "--limit-ms" => args.limit_ms = Some(it.value(&flag)?),
+            "--limit-ms" => {
+                let ms: u64 = it.value(&flag)?;
+                let max = u64::MAX / 1_000_000_000;
+                args.limit_ps = Some(ms.checked_mul(1_000_000_000).ok_or_else(|| {
+                    format!("--limit-ms {ms} overflows the picosecond clock (max {max} ms)")
+                })?);
+            }
             "--crossbar" => args.crossbar = true,
             "--no-forwarding" => args.no_forwarding = true,
             "--partitions" => {
@@ -304,7 +311,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(Args, Vec<App>)
         // open-ended or randomized runs have no finite schedule to bound.
         let conflict = [
             (args.continuous, "--continuous"),
-            (args.limit_ms.is_some(), "--limit-ms"),
+            (args.limit_ps.is_some(), "--limit-ms"),
             (args.arrival.is_some(), "--arrival"),
             (args.fault_config().is_some(), "--fault-rate/--fault-seed"),
         ]
@@ -626,5 +633,18 @@ mod tests {
         let err = parse(&["--arrival", "det", "--duration-us", "18446744073710"]).err();
         assert!(err.is_some_and(|e| e.starts_with("--duration-us 18446744073710 ")));
         assert!(parse(&["--arrival", "det", "--duration-us", "0"]).is_err());
+    }
+
+    #[test]
+    fn time_limit_must_fit_the_picosecond_clock() {
+        let (args, _) = parse(&["--limit-ms", "18446744073"]).unwrap();
+        assert_eq!(args.limit(), Some(Time::from_ps(18_446_744_073_000_000_000)));
+        // Unchecked, 18446744073710 ms wrapped to a 0.448 ms cap.
+        for bad in ["18446744074", "18446744073710"] {
+            let err = parse(&["--limit-ms", bad]).err();
+            assert!(err.is_some_and(|e| e.starts_with(&format!("--limit-ms {bad} "))), "{bad}");
+        }
+        let (args, _) = parse(&["--continuous"]).unwrap();
+        assert_eq!(args.limit(), Some(Time::from_ms(50)));
     }
 }
