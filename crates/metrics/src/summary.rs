@@ -1,8 +1,8 @@
 //! Aggregation math for experiment summaries.
 //!
 //! The paper reports geometric means across application mixes and
-//! percentile/variance statistics for fairness; these helpers implement
-//! those reductions with explicit edge-case behavior.
+//! mean/variance statistics for fairness; these helpers implement those
+//! reductions with explicit edge-case behavior.
 
 use crate::stats::{RunStats, TrafficStats};
 
@@ -117,29 +117,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// `p`-th percentile (0–100) using nearest-rank on a sorted copy.
-///
-/// Returns 0.0 for an empty sequence.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 100]` or not finite.
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    assert!(p.is_finite() && (0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp); // total order: NaNs sort high instead of panicking
-    let rank = ((p / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Maximum of a sequence; 0.0 when empty. NaNs are ignored.
-pub fn max(values: &[f64]) -> f64 {
-    values.iter().copied().filter(|v| !v.is_nan()).fold(0.0f64, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,22 +136,6 @@ mod tests {
         assert_eq!(variance(&[5.0]), 0.0);
         assert!((variance(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
         assert!((variance(&[1.0, 2.0, 3.0, 4.0]) - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentiles() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&v, 50.0), 5.0);
-        assert_eq!(percentile(&v, 100.0), 10.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 95.0), 10.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile must be in [0, 100]")]
-    fn percentile_range_checked() {
-        percentile(&[1.0], 101.0);
     }
 
     #[test]
@@ -215,11 +176,5 @@ mod tests {
         assert_eq!(agg.forward_percent(), 20.0);
         assert!((agg.gmean_exec_us - 6.0).abs() < 1e-12);
         assert_eq!(aggregate([].into_iter()), Aggregate::default());
-    }
-
-    #[test]
-    fn max_ignores_nan() {
-        assert_eq!(max(&[1.0, f64::NAN, 3.0]), 3.0);
-        assert_eq!(max(&[]), 0.0);
     }
 }

@@ -104,13 +104,6 @@ impl Time {
         Dur(self.0.saturating_sub(earlier.0))
     }
 
-    /// Signed distance to a deadline, in picoseconds (`deadline − self`);
-    /// negative when the deadline has passed. This is the building block of
-    /// laxity (Eq. 1 in the paper).
-    pub fn signed_until(self, deadline: Time) -> i128 {
-        deadline.0 as i128 - self.0 as i128
-    }
-
     /// The later of two instants.
     pub fn max(self, other: Time) -> Time {
         if self.0 >= other.0 {
@@ -322,13 +315,6 @@ mod tests {
         let b = Time::from_us(9);
         assert_eq!(b.saturating_since(a), Dur::from_us(4));
         assert_eq!(a.saturating_since(b), Dur::ZERO);
-    }
-
-    #[test]
-    fn signed_until_is_signed() {
-        let now = Time::from_us(10);
-        assert_eq!(now.signed_until(Time::from_us(12)), 2_000_000);
-        assert_eq!(now.signed_until(Time::from_us(8)), -2_000_000);
     }
 
     #[test]
