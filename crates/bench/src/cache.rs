@@ -1,12 +1,13 @@
 //! Content-addressed persistent campaign cache.
 //!
 //! Every campaign cell is a pure function of its [`RunSpec`]: the policy,
-//! workload label, platform label, and replicate index determine the seed
-//! and therefore every output byte (see `crate::campaign`'s determinism
-//! contract). That makes results cacheable by *content address*: a cell's
-//! canonical label, salted with a code-version string, names its record,
-//! and re-running a campaign only simulates cells whose record is absent,
-//! stale, or unreadable.
+//! workload label and platform label determine the configuration, its
+//! seed and therefore every output byte (see `crate::campaign`'s
+//! determinism contract). That makes results cacheable by *content
+//! address*: a cell's canonical label, `policy|workload|platform`,
+//! salted with a code-version string, names its record, and re-running
+//! a campaign only simulates cells whose record is absent, stale, or
+//! unreadable.
 //!
 //! **Packs.** The records live in *pack* files, one per
 //! `campaign::execute` call that simulated anything. After its worker
@@ -55,9 +56,6 @@
 //!   writer appends each field, the reader overwrites a blank value with
 //!   it. Encoding and decoding cannot drift apart, and a unit test pins
 //!   the bytes of a record whose every field is set.
-//! * **Trace captures bypass the cache.** Runs captured via
-//!   `ExecOptions::trace_labels` carry a full text trace that is not
-//!   persisted; they are neither served from nor stored to the cache.
 //!
 //! Besides per-cell records the cache also stores *rendered artifacts*
 //! (the oracle table, the Fig. 12 host-latency table), one `.art` file
@@ -83,7 +81,7 @@ pub const SCHEMA: &str = "relief-campaign-cache/v6";
 /// behaviour corpus cannot see: a behaviour change, or relabelled cells
 /// whose entries under the old labels can never hit again (the bump
 /// makes them scan as stale).
-const SALT_TAG: &str = "relief-sim/2026-10-19.content-derived-sweep-labels";
+const SALT_TAG: &str = "relief-sim/2026-10-21.labels-without-replicate";
 
 /// [`CODE_SALT`]'s bytes: [`SALT_TAG`], `+`, then the FNV-1a digest of
 /// the committed behaviour corpus in 16 lowercase hex digits.
@@ -174,20 +172,18 @@ impl CacheConfig {
         Packs::open(self).lookup(spec, &spec.label())
     }
 
-    /// Persists one run's record as a one-record pack. Disabled caches,
-    /// trace-captured records (their text trace is not persisted), and
-    /// I/O failures all degrade to "not stored" — the cache is an
+    /// Persists one run's record as a one-record pack. Disabled caches
+    /// and I/O failures degrade to "not stored" — the cache is an
     /// accelerator, never a correctness dependency.
     pub fn store(&self, spec: &RunSpec, rec: &RunRecord) {
         self.write_pack(vec![(&spec.label(), rec)]);
     }
 
     /// Writes `records` (label, record) as one pack, encoding one record
-    /// at a time into its temp file. Trace-captured records are dropped,
-    /// and a label given twice is stored once. Nothing is written when no
-    /// record remains; I/O failures leave no file behind.
+    /// at a time into its temp file. A label given twice is stored once.
+    /// Nothing is written when there is no record; I/O failures leave no
+    /// file behind.
     pub(crate) fn write_pack(&self, mut records: Vec<(&str, &RunRecord)>) {
-        records.retain(|(_, rec)| rec.trace_text.is_none());
         if !self.enabled || records.is_empty() {
             return;
         }
@@ -355,7 +351,7 @@ impl<'a> Packs<'a> {
                 self.files[slot.file].read_exact_at(&mut bytes, slot.offset).ok()?;
                 decode_record(&bytes, self.salt, label)
             })?;
-        Some(RunRecord::new(result, counters, None, spec.config().time_limit.is_some()))
+        Some(RunRecord::new(result, counters, spec.config().time_limit.is_some()))
     }
 }
 
@@ -913,7 +909,6 @@ mod tests {
             result: SimResult { events_dispatched: 3, ..SimResult::default() },
             counters: EventCounters::default(),
             mismatches: Vec::new(),
-            trace_text: None,
         });
         // Tail: the compute-time map's count, three prediction sums, span
         // count, events_dispatched, 38 counters, end marker.
@@ -1091,7 +1086,7 @@ mod tests {
             breaker_half_opens: 137,
             breaker_closes: 138,
         };
-        RunRecord { result, counters, mismatches: Vec::new(), trace_text: None }
+        RunRecord { result, counters, mismatches: Vec::new() }
     }
 
     /// Encodes `rec` as `write_pack` stores it, under a fixed salt and label.
@@ -1120,7 +1115,7 @@ mod tests {
         assert_eq!(result.events_dispatched, rec.result.events_dispatched);
         assert_eq!(result.live_high_water, 0);
         assert_eq!(counters, rec.counters);
-        let back = RunRecord { result, counters, mismatches: Vec::new(), trace_text: None };
+        let back = RunRecord { result, counters, mismatches: Vec::new() };
         assert_eq!(encode(&back), bytes, "re-encoding the decoded record");
     }
 

@@ -1,19 +1,18 @@
 //! Deterministic parallel campaign engine.
 //!
 //! The paper's evaluation replays hundreds of independent
-//! (policy × workload × platform × seed) scenarios. Each scenario is a
-//! pure function of its inputs — `SocSim` is single-threaded and all its
-//! randomness comes from the seeded in-tree [`SplitMix64`] — so the
-//! scenarios can run on any number of worker threads in any completion
-//! order and still produce *bit-identical* campaign results.
+//! (policy × workload × platform) scenarios. Each scenario is a pure
+//! function of its inputs — `SocSim` is single-threaded and all its
+//! randomness comes from the seeded in-tree
+//! [`SplitMix64`](relief_sim::SplitMix64) — so the scenarios can run on
+//! any number of worker threads in any completion order and still
+//! produce *bit-identical* campaign results.
 //!
 //! The determinism contract has three legs:
 //!
-//! 1. **Spec-hash seeding.** A run's RNG seed depends only on its
-//!    [`RunSpec`]: replicate 0 keeps the platform's base seed (so the
-//!    calibrated single-run numbers in EXPERIMENTS.md stay valid), and
-//!    replicate *r* > 0 derives its seed by folding the run's canonical
-//!    label through FNV-1a into a [`SplitMix64`] stream. No run's seed
+//! 1. **Spec seeding.** A run's RNG seed depends only on its
+//!    [`RunSpec`]: it is the platform's base seed, so the calibrated
+//!    single-run numbers in EXPERIMENTS.md stay valid, and no run's seed
 //!    depends on which thread executes it or when.
 //! 2. **Construct-inside-worker execution.** `SocSim` is intentionally
 //!    `!Send` (it shares `Rc<RefCell<…>>` trace sinks with its policy), so
@@ -28,7 +27,8 @@
 //! runs (no time-limit truncation) the event-derived [`EventCounters`]
 //! are reconciled against the simulator's own `RunStats`, and a
 //! panicking or diverging run is attributed to its exact [`RunSpec`]
-//! label in [`CampaignResults`].
+//! label in [`CampaignResults`]. [`execute`] is the only way the harness
+//! simulates a cell: renderers read its results through a [`Ctx`].
 
 use relief_accel::{AppSpec, SimResult, SocConfig, SocSim};
 use relief_core::PolicyKind;
@@ -36,12 +36,10 @@ use relief_fault::FaultConfig;
 use relief_metrics::summary::aggregate;
 use relief_metrics::{reconcile, Mismatch};
 use relief_service::StreamConfig;
-use relief_sim::{fnv1a, SplitMix64, Time};
-use relief_trace::{text, CountersSink, RingBufferSink, Tracer};
-use relief_trace::EventCounters;
+use relief_sim::{fnv1a, Time};
+use relief_trace::{CountersSink, EventCounters, Tracer};
 use relief_workloads::{Contention, Mix, CONTINUOUS_TIME_LIMIT};
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -171,52 +169,29 @@ pub struct RunSpec {
     pub workload: WorkloadSpec,
     /// SoC configuration template.
     pub platform: PlatformSpec,
-    /// Replicate index; 0 keeps the platform's base seed, higher
-    /// replicates get spec-hash-derived seeds.
-    pub replicate: u32,
 }
 
 impl RunSpec {
-    /// A replicate-0 run of `policy` on `workload` over `platform`.
+    /// A run of `policy` on `workload` over `platform`.
     pub fn new(policy: PolicyKind, workload: WorkloadSpec, platform: PlatformSpec) -> Self {
-        RunSpec { policy, workload, platform, replicate: 0 }
+        RunSpec { policy, workload, platform }
     }
 
-    /// The run's canonical label: the cache key, the seed-derivation
-    /// input, and the attribution string for failures.
+    /// The run's canonical label, `policy|workload|platform`: the cache
+    /// key, the key results are looked up by, and the attribution string
+    /// for failures.
     pub fn label(&self) -> String {
-        format!(
-            "{}|{}|{}|r{}",
-            self.policy.name(),
-            self.workload.label,
-            self.platform.label,
-            self.replicate
-        )
-    }
-
-    /// The seed override for this run, if any. Replicate 0 returns `None`
-    /// (the platform's own base seed stands, so replicate-0 results match
-    /// every pre-engine code path byte for byte); replicate *r* > 0
-    /// derives a seed from the spec label alone, making it independent of
-    /// thread count and completion order.
-    pub fn seed_override(&self) -> Option<u64> {
-        (self.replicate > 0).then(|| {
-            let mut rng = SplitMix64::new(fnv1a(self.label().as_bytes()));
-            rng.next_u64()
-        })
+        format!("{}|{}|{}", self.policy.name(), self.workload.label, self.platform.label)
     }
 
     /// Materializes the run's `SocConfig`: platform template, then the
-    /// workload's time limit, then the replicate seed.
+    /// workload's time limit.
     pub fn config(&self) -> SocConfig {
-        let mut cfg = (self.platform.build)(self.policy);
-        if let Some(limit) = self.workload.time_limit {
-            cfg = cfg.with_time_limit(limit);
+        let cfg = (self.platform.build)(self.policy);
+        match self.workload.time_limit {
+            Some(limit) => cfg.with_time_limit(limit),
+            None => cfg,
         }
-        if let Some(seed) = self.seed_override() {
-            cfg.seed = seed;
-        }
-        cfg
     }
 
     /// Builds the run's application set.
@@ -224,39 +199,20 @@ impl RunSpec {
         (self.workload.build)()
     }
 
-    /// Executes the run inline with no instrumentation — exactly what the
-    /// pre-engine single-run code paths do. [`Ctx`] falls back to this on
-    /// a cache miss, which is why artifact output never depends on how
-    /// complete a prewarmed grid was.
-    pub fn execute(&self) -> SimResult {
-        SocSim::new(self.config(), self.apps()).run()
-    }
-
-    /// Executes the run with reconciliation counters and (optionally) a
-    /// canonical text trace attached.
-    fn execute_instrumented(&self, capture_trace: bool) -> RunRecord {
+    /// Simulates the run with reconciliation counters attached.
+    fn simulate(&self) -> RunRecord {
         let cfg = self.config();
         let truncated = cfg.time_limit.is_some();
         let counters = CountersSink::shared();
-        let ring = capture_trace.then(|| RingBufferSink::shared(1 << 22));
-        let mut tracer = Tracer::off();
-        tracer.attach(counters.clone());
-        if let Some(ring) = &ring {
-            tracer.attach(ring.clone());
-        }
+        let tracer = Tracer::to_sink(counters.clone());
         let result = SocSim::new(cfg, self.apps()).with_tracer(&tracer).run();
         let counters = counters.borrow().counters().clone();
-        let trace_text = ring.map(|ring| {
-            let ring = ring.borrow();
-            assert_eq!(ring.dropped(), 0, "trace capture overflowed for {}", self.label());
-            text::to_text(&ring.snapshot())
-        });
-        RunRecord::new(result, counters, trace_text, truncated)
+        RunRecord::new(result, counters, truncated)
     }
 }
 
-/// A cartesian grid of runs: every policy × workload × platform ×
-/// replicate combination, expanded in stable nested order.
+/// A cartesian grid of runs: every policy × workload × platform
+/// combination, expanded in stable nested order.
 ///
 /// Axes beyond the policy/workload/platform trio are encoded *into* the
 /// platform axis: the fault-rate axis of `crate::resilience`, the
@@ -279,8 +235,6 @@ pub struct CampaignSpec {
     pub workloads: Vec<WorkloadSpec>,
     /// Platform axis.
     pub platforms: Vec<PlatformSpec>,
-    /// Replicates per cell (≥ 1; replicate 0 uses the platform base seed).
-    pub replicates: u32,
 }
 
 impl CampaignSpec {
@@ -295,35 +249,27 @@ impl CampaignSpec {
             policies,
             workloads,
             platforms: vec![PlatformSpec::mobile()],
-            replicates: 1,
         }
     }
 
     /// Expands the grid in stable nested order: policy-major, then
-    /// workload, then platform, then replicate. Aggregation and
-    /// reporting always follow this order, never completion order.
+    /// workload, then platform. Aggregation and reporting always follow
+    /// this order, never completion order.
     pub fn expand(&self) -> Vec<RunSpec> {
         let mut specs = Vec::new();
         for &policy in &self.policies {
             for workload in &self.workloads {
                 for platform in &self.platforms {
-                    for replicate in 0..self.replicates.max(1) {
-                        specs.push(RunSpec {
-                            policy,
-                            workload: workload.clone(),
-                            platform: platform.clone(),
-                            replicate,
-                        });
-                    }
+                    specs.push(RunSpec::new(policy, workload.clone(), platform.clone()));
                 }
             }
         }
         specs
     }
 
-    /// FNV-1a identity of the campaign: name, every axis label in order,
-    /// and the replicate count. Two campaigns with the same hash expand
-    /// to the same run labels and therefore the same seeds.
+    /// FNV-1a identity of the campaign: name and every axis label in
+    /// order. Two campaigns with the same hash expand to the same run
+    /// labels.
     pub fn hash(&self) -> u64 {
         let mut ident = self.name.clone();
         for p in &self.policies {
@@ -338,7 +284,6 @@ impl CampaignSpec {
             ident.push('|');
             ident.push_str(&p.label);
         }
-        ident.push_str(&format!("|x{}", self.replicates));
         fnv1a(ident.as_bytes())
     }
 }
@@ -353,9 +298,6 @@ pub struct RunRecord {
     /// Reconciliation disagreements (empty for consistent or truncated
     /// runs).
     pub mismatches: Vec<Mismatch>,
-    /// Canonical text trace, when requested via
-    /// [`ExecOptions::trace_labels`].
-    pub trace_text: Option<String>,
 }
 
 impl RunRecord {
@@ -363,15 +305,10 @@ impl RunRecord {
     /// Byte totals legitimately disagree on truncated runs (transfers in
     /// flight at the cap), so reconciliation is strict only for drained
     /// runs — see `relief_metrics::reconcile`.
-    pub(crate) fn new(
-        result: SimResult,
-        counters: EventCounters,
-        trace_text: Option<String>,
-        truncated: bool,
-    ) -> Self {
+    pub(crate) fn new(result: SimResult, counters: EventCounters, truncated: bool) -> Self {
         let mismatches =
             if truncated { Vec::new() } else { reconcile(&counters, &result.stats) };
-        RunRecord { result, counters, mismatches, trace_text }
+        RunRecord { result, counters, mismatches }
     }
 }
 
@@ -391,10 +328,6 @@ pub struct RunOutcome {
 pub struct ExecOptions {
     /// Worker threads (clamped to ≥ 1).
     pub jobs: usize,
-    /// Run labels whose canonical text trace should be captured.
-    /// Captured runs always simulate — the persistent cache neither
-    /// serves nor stores them (the text trace is not persisted).
-    pub trace_labels: BTreeSet<String>,
     /// Persistent content-addressed result store (`crate::cache`). The
     /// default is disabled, so library callers and tests never touch the
     /// filesystem; the campaign commands opt in via
@@ -405,11 +338,7 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            jobs: default_jobs(),
-            trace_labels: BTreeSet::new(),
-            cache: crate::cache::CacheConfig::disabled(),
-        }
+        ExecOptions { jobs: default_jobs(), cache: crate::cache::CacheConfig::disabled() }
     }
 }
 
@@ -425,7 +354,7 @@ pub struct CampaignResults {
     pub outcomes: Vec<RunOutcome>,
     /// Runs answered by the persistent campaign cache.
     pub cache_hits: usize,
-    /// Runs actually simulated (cache disabled, missed, or bypassed).
+    /// Runs actually simulated (cache disabled or missed).
     pub simulated: usize,
 }
 
@@ -534,22 +463,16 @@ pub fn execute(specs: Vec<RunSpec>, opts: &ExecOptions) -> CampaignResults {
         }
         let spec = &specs[i];
         let label = spec.label();
-        let capture = opts.trace_labels.contains(&label);
-        // Trace captures bypass the persistent cache entirely:
-        // cached records carry no text trace, and storing one
-        // would leak a layout the reader doesn't model.
-        let cached = if capture { None } else { packs.lookup(spec, &label) };
+        let cached = packs.lookup(spec, &label);
         let hit = cached.is_some();
         let outcome = cached.map(Ok).unwrap_or_else(|| {
-            catch_unwind(AssertUnwindSafe(|| spec.execute_instrumented(capture))).map_err(
-                |payload| {
-                    payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string())
-                },
-            )
+            catch_unwind(AssertUnwindSafe(|| spec.simulate())).map_err(|payload| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string())
+            })
         });
         *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
             Some((RunOutcome { label, spec: spec.clone(), outcome }, hit));
@@ -573,7 +496,7 @@ pub fn execute(specs: Vec<RunSpec>, opts: &ExecOptions) -> CampaignResults {
                 .expect("every spec executed")
         })
         .unzip();
-    // Panicked cells are never stored; `write_pack` drops trace captures.
+    // Panicked cells are never stored.
     opts.cache.write_pack(
         outcomes
             .iter()
@@ -614,51 +537,40 @@ pub fn execute_reported(specs: Vec<RunSpec>, opts: &ExecOptions) -> (CampaignRes
     (results, clean)
 }
 
-/// A cache-backed execution context for artifact functions.
+/// The campaign results an artifact renderer reads.
 ///
-/// Artifact renderers ask the `Ctx` for each run they need; the campaign
-/// results it borrows answer by label, and misses fall back to inline
-/// execution ([`RunSpec::execute`]), so rendered output is identical
-/// whether or not the grid covered the run — only wall-clock changes.
-#[derive(Debug, Default)]
+/// Renderers ask the `Ctx` for each run they need, and the results it
+/// borrows answer by label. A renderer runs only after its command
+/// executed every cell it reads, so a missing cell is a bug in that
+/// command's grid, never a reason to simulate.
+#[derive(Debug)]
 pub struct Ctx<'a> {
-    cache: BTreeMap<&'a str, &'a SimResult>,
+    by_label: BTreeMap<&'a str, &'a SimResult>,
 }
 
 impl<'a> Ctx<'a> {
-    /// A context with no cache: every lookup simulates inline.
-    pub fn empty() -> Self {
-        Ctx::default()
-    }
-
-    /// Builds a context borrowing engine results (failed runs are simply
-    /// absent and will re-simulate inline on lookup).
+    /// Borrows the successful runs of `results`.
     pub fn from_results(results: &'a CampaignResults) -> Self {
-        let cache = results
+        let by_label = results
             .outcomes
             .iter()
             .filter_map(|o| Some((o.label.as_str(), &o.outcome.as_ref().ok()?.result)))
             .collect();
-        Ctx { cache }
+        Ctx { by_label }
     }
 
-    /// The run's result: borrowed if prewarmed, otherwise simulated
-    /// inline.
-    pub fn run(&self, spec: &RunSpec) -> Cow<'a, SimResult> {
-        match self.cache.get(spec.label().as_str()) {
-            Some(&r) => Cow::Borrowed(r),
-            None => Cow::Owned(spec.execute()),
-        }
-    }
-
-    /// Number of cached runs.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// True when no runs are cached.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+    /// The run's result.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the run's label, when the results hold no
+    /// successful outcome for `spec`.
+    pub fn run(&self, spec: &RunSpec) -> &'a SimResult {
+        let label = spec.label();
+        self.by_label
+            .get(label.as_str())
+            .copied()
+            .unwrap_or_else(|| panic!("no campaign outcome for {label}; execute it first"))
     }
 }
 
@@ -684,10 +596,10 @@ mod tests {
         assert_eq!(
             labels,
             vec![
-                "FCFS|low/C|mobile|r0",
-                "FCFS|low/D|mobile|r0",
-                "RELIEF|low/C|mobile|r0",
-                "RELIEF|low/D|mobile|r0",
+                "FCFS|low/C|mobile",
+                "FCFS|low/D|mobile",
+                "RELIEF|low/C|mobile",
+                "RELIEF|low/D|mobile",
             ]
         );
     }
@@ -738,25 +650,6 @@ mod tests {
         let mut b = tiny_spec();
         b.policies.push(PolicyKind::Lax);
         assert_ne!(a.hash(), b.hash());
-        let mut c = tiny_spec();
-        c.replicates = 3;
-        assert_ne!(a.hash(), c.hash());
-    }
-
-    #[test]
-    fn replicate_zero_keeps_base_seed_and_higher_replicates_diverge() {
-        let specs = CampaignSpec { replicates: 3, ..tiny_spec() }.expand();
-        let r0 = &specs[0];
-        assert_eq!(r0.replicate, 0);
-        assert_eq!(r0.seed_override(), None);
-        assert_eq!(r0.config().seed, SocConfig::mobile(PolicyKind::Fcfs).seed);
-        let (r1, r2) = (&specs[1], &specs[2]);
-        let (s1, s2) = (r1.seed_override().unwrap(), r2.seed_override().unwrap());
-        assert_ne!(s1, s2);
-        assert_eq!(r1.config().seed, s1);
-        // Derivation is a pure function of the label: recompute and match.
-        let mut rng = SplitMix64::new(fnv1a(r1.label().as_bytes()));
-        assert_eq!(s1, rng.next_u64());
     }
 
     #[test]
@@ -768,6 +661,6 @@ mod tests {
             PlatformSpec::mobile(),
         );
         assert_eq!(spec.config().time_limit, Some(CONTINUOUS_TIME_LIMIT));
-        assert_eq!(spec.label(), "RELIEF|continuous/CDG|mobile|r0");
+        assert_eq!(spec.label(), "RELIEF|continuous/CDG|mobile");
     }
 }

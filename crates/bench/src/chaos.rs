@@ -179,7 +179,6 @@ impl ChaosSpec {
                 crate::service::tenant_workload,
             )],
             platforms,
-            replicates: 1,
         }
     }
 

@@ -1,15 +1,12 @@
 //! One function per paper artifact, each returning the rendered text
 //! `all_experiments` prints.
 //!
-//! Every simulated artifact is a `*_with(&Ctx)` function that answers
-//! each simulation from a campaign-prewarmed [`Ctx`], falling back to
-//! inline execution on cache misses with byte-identical output; pass
-//! `&Ctx::empty()` to simulate everything inline. The [`grid`] module is
-//! the single source of truth for the canonical
-//! [`RunSpec`](grid::RunSpec)s both sides use, so a cache hit and an
-//! inline run are always the same simulation.
-//! Only [`fig12`] takes no context: it times the host, not the
-//! simulator.
+//! Every simulated artifact is a `*_with(&Ctx)` function that reads each
+//! simulation from the results of a campaign its command executed first.
+//! The [`grid`] module is the single source of truth for the canonical
+//! [`RunSpec`](grid::RunSpec)s the commands execute and the renderers
+//! read, so the two always name the same simulation. Only [`fig12`]
+//! takes no context: it times the host, not the simulator.
 
 use crate::campaign::Ctx;
 use crate::{PolicySweep, FAIRNESS_POLICIES, MAIN_POLICIES};
@@ -20,7 +17,6 @@ use relief_metrics::report::Table;
 use relief_metrics::summary::geometric_mean;
 use relief_metrics::EnergyModel;
 use relief_workloads::{App, Contention, Mix};
-use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Canonical [`RunSpec`](crate::campaign::RunSpec)s for every simulation
@@ -285,10 +281,10 @@ pub fn fig4_with(ctx: &Ctx) -> String {
 pub fn fig5_with(ctx: &Ctx) -> String {
     let mut out = String::new();
     for contention in Contention::ALL {
-        let dram = PolicySweep::collect_with(ctx, contention, &MAIN_POLICIES, |r| {
+        let dram = PolicySweep::collect(ctx, contention, &MAIN_POLICIES, |r| {
             100.0 * r.stats.traffic.dram_fraction()
         });
-        let spad = PolicySweep::collect_with(ctx, contention, &MAIN_POLICIES, |r| {
+        let spad = PolicySweep::collect(ctx, contention, &MAIN_POLICIES, |r| {
             100.0 * r.stats.traffic.spad_fraction()
         });
         let _ = writeln!(
@@ -309,34 +305,23 @@ pub fn fig6_with(ctx: &Ctx) -> String {
     let mut dram_rows = Vec::new();
     let mut spad_rows = Vec::new();
     for mix in Contention::High.mixes() {
-        let base = energy(&ctx.run(&grid::mix_run(PolicyKind::Lax, Contention::High, &mix)));
+        let base = energy(ctx.run(&grid::mix_run(PolicyKind::Lax, Contention::High, &mix)));
         let mut dram = Vec::new();
         let mut spad = Vec::new();
         for p in MAIN_POLICIES {
-            let e = energy(&ctx.run(&grid::mix_run(p, Contention::High, &mix)));
+            let e = energy(ctx.run(&grid::mix_run(p, Contention::High, &mix)));
             dram.push(e.dram_nj / base.dram_nj);
             spad.push(e.spad_nj / base.spad_nj);
         }
         dram_rows.push((mix.label(), dram));
         spad_rows.push((mix.label(), spad));
     }
-    let render = |name: &str, rows: &[(String, Vec<f64>)]| {
-        let mut cols = vec!["mix".to_string()];
-        cols.extend(MAIN_POLICIES.iter().map(|p| p.name().to_string()));
-        let mut t = Table::new(cols);
-        for (label, values) in rows {
-            t.num_row(label, values, 3);
-        }
-        let gmeans: Vec<f64> = (0..MAIN_POLICIES.len())
-            .map(|i| geometric_mean(rows.iter().map(|(_, v)| v[i])))
-            .collect();
-        t.num_row("Gmean", &gmeans, 3);
-        format!("[{name}]\n{}", t.render())
-    };
+    let render =
+        |name: &str, rows| PolicySweep { policies: MAIN_POLICIES.to_vec(), rows }.render(name, 3);
     format!(
         "{}\n{}",
-        render("Fig. 6 — DRAM energy (norm. to LAX), high contention", &dram_rows),
-        render("Fig. 6 — SPAD energy (norm. to LAX), high contention", &spad_rows),
+        render("Fig. 6 — DRAM energy (norm. to LAX), high contention", dram_rows),
+        render("Fig. 6 — SPAD energy (norm. to LAX), high contention", spad_rows),
     )
 }
 
@@ -447,7 +432,7 @@ fn relief_with_predictors<'a>(
     mix: &Mix,
     bw: BwPredictorKind,
     dm: DataMovePredictor,
-) -> Cow<'a, relief_accel::SimResult> {
+) -> &'a relief_accel::SimResult {
     ctx.run(&grid::predictor_run(bw, dm, mix))
 }
 
@@ -681,7 +666,7 @@ fn sweep_all_contention(
 ) -> String {
     let mut out = String::new();
     for contention in Contention::ALL {
-        let sweep = PolicySweep::collect_with(ctx, contention, &MAIN_POLICIES, metric);
+        let sweep = PolicySweep::collect(ctx, contention, &MAIN_POLICIES, metric);
         let _ = writeln!(
             out,
             "[{name} — {contention} contention]\n{}",
@@ -699,7 +684,7 @@ fn sweep_all_contention(
 pub fn fig4_colocations_with(ctx: &Ctx) -> String {
     let mut out = String::new();
     for contention in Contention::ALL {
-        let sweep = PolicySweep::collect_with(ctx, contention, &MAIN_POLICIES, |r| {
+        let sweep = PolicySweep::collect(ctx, contention, &MAIN_POLICIES, |r| {
             r.stats.colocation_percent()
         });
         let _ = writeln!(
@@ -782,9 +767,15 @@ mod tests {
         }
     }
 
+    /// Renders `render` from a campaign over `specs`.
+    fn rendered(specs: Vec<RunSpec>, render: fn(&Ctx) -> String) -> String {
+        let results = crate::campaign::execute(specs, &Default::default());
+        render(&Ctx::from_results(&results))
+    }
+
     #[test]
     fn fig2_report_contains_schedules_and_all_policies() {
-        let out = fig2_with(&Ctx::empty());
+        let out = rendered(FAIRNESS_POLICIES.map(grid::fig2_run).to_vec(), fig2_with);
         for p in FAIRNESS_POLICIES {
             assert!(out.contains(p.name()), "missing {p}");
         }
@@ -794,7 +785,8 @@ mod tests {
 
     #[test]
     fn table2_reports_all_five_apps() {
-        let out = table2_with(&Ctx::empty());
+        let solo = App::ALL.iter().flat_map(|&app| [true, false].map(|f| grid::solo_run(app, f)));
+        let out = rendered(solo.collect(), table2_with);
         for app in relief_workloads::App::ALL {
             assert!(out.contains(app.name()), "missing {app}");
         }
@@ -821,19 +813,5 @@ mod tests {
         assert!(labels.iter().any(|l| l.contains("mobile-xbar")));
         assert!(labels.iter().any(|l| l.contains("fig2")));
         assert!(labels.iter().any(|l| l.contains("pred[bw=avg15,dm=pred]")));
-    }
-
-    #[test]
-    fn cached_and_inline_runs_render_identically() {
-        // Prewarm only the Fig. 2 cells, then render: cache hits and
-        // misses must be indistinguishable in the output.
-        let specs: Vec<RunSpec> = FAIRNESS_POLICIES.iter().map(|&p| grid::fig2_run(p)).collect();
-        let some = crate::campaign::execute(
-            specs,
-            &crate::campaign::ExecOptions { jobs: 2, ..Default::default() },
-        );
-        let ctx = Ctx::from_results(&some);
-        assert_eq!(ctx.len(), 8);
-        assert_eq!(fig2_with(&ctx), fig2_with(&Ctx::empty()));
     }
 }

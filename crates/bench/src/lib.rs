@@ -5,42 +5,26 @@
 //! command per study: `relief-bench all_experiments` regenerates every
 //! artifact of the paper's evaluation (see DESIGN.md §5 for the full
 //! index) and the other commands run the extension studies and campaigns.
-//! This library holds the common plumbing: running a policy over a mix,
-//! sweeping contention levels, aggregating geometric means the way the
-//! figures do, and the [`cli`] argument walker every command parses with.
+//! Every command simulates through one path, the [`campaign`] engine, and
+//! renders from its results. This library holds the common plumbing: that
+//! engine and its cache, sweeping contention levels, aggregating geometric
+//! means the way the figures do, and the [`cli`] argument walker every
+//! command parses with.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-
-use relief_accel::{SimResult, SocConfig, SocSim};
+use relief_accel::SimResult;
 use relief_core::PolicyKind;
 use relief_metrics::summary::geometric_mean;
-use relief_workloads::{Contention, Mix, CONTINUOUS_TIME_LIMIT};
+use relief_workloads::Contention;
 
 /// The six policies of the paper's main comparison, in figure order.
 pub const MAIN_POLICIES: [PolicyKind; 6] = PolicyKind::MAIN;
 
 /// The eight policies of the fairness study (Figs. 9–10, Table VII).
 pub const FAIRNESS_POLICIES: [PolicyKind; 8] = PolicyKind::ALL;
-
-/// Builds the SoC configuration for one (policy, contention) cell:
-/// the Table VI mobile platform, with the 50 ms cap under continuous
-/// contention.
-pub fn config_for(policy: PolicyKind, contention: Contention) -> SocConfig {
-    let cfg = SocConfig::mobile(policy);
-    if contention == Contention::Continuous {
-        cfg.with_time_limit(CONTINUOUS_TIME_LIMIT)
-    } else {
-        cfg
-    }
-}
-
-/// Runs one mix with an explicit configuration.
-pub fn run_mix_with(cfg: SocConfig, mix: &Mix) -> SimResult {
-    SocSim::new(cfg, mix.workload()).run()
-}
 
 /// One (mix label, per-policy values) row plus a geometric-mean footer —
 /// the shape of most of the paper's grouped bar charts.
@@ -53,20 +37,10 @@ pub struct PolicySweep {
 }
 
 impl PolicySweep {
-    /// Runs `metric` for every (mix, policy) pair of a contention level,
-    /// simulating every cell inline.
+    /// Reads `metric` for every (mix, policy) pair of a contention level
+    /// from `ctx`, whose results must hold each such
+    /// [`mix_run`](experiments::grid::mix_run) cell.
     pub fn collect(
-        contention: Contention,
-        policies: &[PolicyKind],
-        metric: impl FnMut(&SimResult) -> f64,
-    ) -> Self {
-        Self::collect_with(&campaign::Ctx::empty(), contention, policies, metric)
-    }
-
-    /// Like [`PolicySweep::collect`], but answers each cell from `ctx` —
-    /// a campaign-prewarmed context returns cached results, an empty one
-    /// falls back to inline simulation with identical output.
-    pub fn collect_with(
         ctx: &campaign::Ctx,
         contention: Contention,
         policies: &[PolicyKind],
@@ -76,7 +50,7 @@ impl PolicySweep {
         for mix in contention.mixes() {
             let values = policies
                 .iter()
-                .map(|&p| metric(&ctx.run(&experiments::grid::mix_run(p, contention, &mix))))
+                .map(|&p| metric(ctx.run(&experiments::grid::mix_run(p, contention, &mix))))
                 .collect();
             rows.push((mix.label(), values));
         }
@@ -119,19 +93,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_for_continuous_sets_time_limit() {
-        let c = config_for(PolicyKind::Relief, Contention::Continuous);
-        assert_eq!(c.time_limit, Some(relief_sim::Time::from_ms(50)));
-        assert!(config_for(PolicyKind::Relief, Contention::High).time_limit.is_none());
-    }
-
-    #[test]
     fn sweep_shapes() {
         // A tiny sweep over low contention with a constant metric.
-        let sweep =
-            PolicySweep::collect(Contention::Low, &[PolicyKind::Fcfs], |r| {
-                r.stats.apps.len() as f64
-            });
+        let specs = Contention::Low
+            .mixes()
+            .iter()
+            .map(|mix| experiments::grid::mix_run(PolicyKind::Fcfs, Contention::Low, mix))
+            .collect();
+        let results = campaign::execute(specs, &campaign::ExecOptions::default());
+        let ctx = campaign::Ctx::from_results(&results);
+        let sweep = PolicySweep::collect(&ctx, Contention::Low, &[PolicyKind::Fcfs], |r| {
+            r.stats.apps.len() as f64
+        });
         assert_eq!(sweep.rows.len(), 5);
         assert_eq!(sweep.gmeans(), vec![1.0]);
         let rendered = sweep.render("apps", 1);

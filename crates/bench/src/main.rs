@@ -23,7 +23,7 @@ use relief_bench::campaign::{
 };
 use relief_bench::cli::{self, Args};
 use relief_bench::experiments as ex;
-use relief_bench::{studies, traceio};
+use relief_bench::{studies, traceio, FAIRNESS_POLICIES};
 use relief_core::PolicyKind;
 use relief_workloads::Contention;
 use std::process::ExitCode;
@@ -37,7 +37,11 @@ const COMMANDS: [(&str, &str, Command); 11] = [
     ("all_experiments", "[--jobs N] [--no-cache]", all_experiments),
     ("fig2", "[--trace-out STEM]", fig2),
     ("platform", "", |args| no_flags(args, || print_ok(studies::platform()))),
-    ("ablations", "", |args| no_flags(args, || print_ok(studies::ablations()))),
+    ("ablations", "", |args| {
+        no_flags(args, || {
+            grid_study(studies::ablations_grid(), &ExecOptions::default(), studies::ablations)
+        })
+    }),
     ("sensitivity", "[--jobs N]", |args| {
         Ok(grid_study(studies::sensitivity_grid(), &jobs_only(args)?, studies::sensitivity))
     }),
@@ -224,8 +228,9 @@ fn all_experiments(mut args: Args) -> Result<ExitCode, String> {
     Ok(exit_code(clean))
 }
 
-/// The Fig. 2 schedules; `--trace-out STEM` also re-runs the Fig. 2
-/// workload under FCFS and RELIEF with tracing attached.
+/// The Fig. 2 schedules, a grid study of its eight cells; `--trace-out
+/// STEM` also re-runs the Fig. 2 workload under FCFS and RELIEF with
+/// tracing attached.
 fn fig2(mut args: Args) -> Result<ExitCode, String> {
     let mut stem = None;
     while let Some(flag) = args.next() {
@@ -234,8 +239,9 @@ fn fig2(mut args: Args) -> Result<ExitCode, String> {
             other => return Err(cli::unknown(other)),
         }
     }
-    print!("{}", ex::fig2_with(&Ctx::empty()));
-    let Some(stem) = stem else { return Ok(ExitCode::SUCCESS) };
+    let runs = FAIRNESS_POLICIES.map(ex::grid::fig2_run).to_vec();
+    let code = grid_study(runs, &ExecOptions::default(), ex::fig2_with);
+    let Some(stem) = stem else { return Ok(code) };
     for policy in [PolicyKind::Fcfs, PolicyKind::Relief] {
         let suffix = format!("-{}", policy.name().to_ascii_lowercase());
         let path = traceio::suffixed(stem.as_ref(), &suffix);
@@ -245,7 +251,7 @@ fn fig2(mut args: Args) -> Result<ExitCode, String> {
             return Ok(ExitCode::FAILURE);
         }
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(code)
 }
 
 /// Expands a 2×2 (policy × workload) grid, executes it serially and with
@@ -284,7 +290,7 @@ fn campaign_smoke() -> ExitCode {
     }
     let dir = std::env::temp_dir().join(format!("relief-campaign-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cached = |jobs| ExecOptions { jobs, cache: CacheConfig::at(&dir), ..Default::default() };
+    let cached = |jobs| ExecOptions { jobs, cache: CacheConfig::at(&dir) };
     let (_, clean3) = campaign::execute_reported(spec.expand(), &cached(2));
     let (warm, clean4) = campaign::execute_reported(spec.expand(), &cached(1));
     let packs = std::fs::read_dir(&dir).map_or(0, |files| {

@@ -4,9 +4,9 @@
 //! campaign engine: one platform axis value per fault rate, every
 //! requested policy, one shared workload. The fault knobs are part of
 //! each platform's label (see [`CampaignSpec`]), so every cell has its
-//! own canonical identity (and therefore its own replicate seeds and
-//! cache key), and the whole sweep inherits the engine's determinism
-//! contract — the rendered report is byte-identical at any `--jobs`.
+//! own canonical identity (and therefore its own cache key), and the
+//! whole sweep inherits the engine's determinism contract — the rendered
+//! report is byte-identical at any `--jobs`.
 //!
 //! Rate 0 is always a valid axis value: it is the fault-free baseline
 //! and produces exactly the numbers an unfaulted run would.
@@ -108,7 +108,6 @@ impl ResilienceSpec {
             policies: self.policies.clone(),
             workloads: vec![self.workload.clone()],
             platforms,
-            replicates: 1,
         }
     }
 
@@ -129,8 +128,8 @@ impl ResilienceSpec {
             "fwd+coloc %",
             "fault-miss",
         ]);
-        // One workload and one replicate, so the expansion is policy-major
-        // with the platform (= rate) axis cycling fastest.
+        // One workload, so the expansion is policy-major with the
+        // platform (= rate) axis cycling fastest.
         let rates = axis_keys(&self.rates, 4);
         for (i, spec) in self.campaign().expand().iter().enumerate() {
             let rate = rates[i % rates.len()].clone();

@@ -152,7 +152,6 @@ impl ServiceSpec {
             policies: self.policies.clone(),
             workloads: vec![self.workload()],
             platforms,
-            replicates: 1,
         }
     }
 
@@ -186,8 +185,8 @@ impl ServiceSpec {
             "att lat %",
             "att be %",
         ]);
-        // One workload and one replicate, so the expansion is policy-major
-        // with the platform (= rate) axis cycling fastest.
+        // One workload, so the expansion is policy-major with the
+        // platform (= rate) axis cycling fastest.
         let rates = axis_keys(&self.rates, 0);
         for (i, spec) in self.campaign().expand().iter().enumerate() {
             let policy = spec.policy.name().to_string();

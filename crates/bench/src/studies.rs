@@ -21,12 +21,12 @@
 //!   this simulator sweeps it in seconds. Deadlines scale linearly from
 //!   the paper's 7 ms at length 8.
 //!
-//! The two grid studies render from a [`Ctx`]: their commands execute
-//! [`sensitivity_grid`] / [`rnn_scaling_grid`] on the campaign engine
-//! first, and an empty `Ctx` simulates inline with identical output.
+//! The three simulated studies render from a [`Ctx`]: their commands
+//! execute [`ablations_grid`], [`sensitivity_grid`] or
+//! [`rnn_scaling_grid`] on the campaign engine first.
 
 use crate::campaign::{Ctx, PlatformSpec, RunSpec, WorkloadSpec};
-use crate::{config_for, run_mix_with};
+use crate::experiments::grid;
 use relief_accel::kinds::AccKind;
 use relief_accel::{AppSpec, SimResult, SocConfig};
 use relief_core::PolicyKind;
@@ -111,14 +111,38 @@ pub fn platform() -> String {
     )
 }
 
-/// Ablations 1–4, high contention (simulated inline).
-pub fn ablations() -> String {
-    let policies = [
-        PolicyKind::Relief,
-        PolicyKind::ReliefUnthrottled,
-        PolicyKind::ReliefHet,
-        PolicyKind::HetSched,
-    ];
+/// The policies Ablations 1 and 2 compare.
+const ABLATION_POLICIES: [PolicyKind; 4] =
+    [PolicyKind::Relief, PolicyKind::ReliefUnthrottled, PolicyKind::ReliefHet, PolicyKind::HetSched];
+const PARTITIONS: [usize; 3] = [1, 2, 3];
+const OVERHEAD: [bool; 2] = [true, false];
+
+fn partitions_platform(parts: usize) -> PlatformSpec {
+    tweaked(format!("mobile-parts{parts}"), move |cfg| cfg.output_partitions = parts)
+}
+
+fn overhead_platform(modeled: bool) -> PlatformSpec {
+    let label = if modeled { "mobile-modeled-overhead" } else { "mobile-zero-overhead" };
+    tweaked(label.into(), move |cfg| cfg.model_sched_overhead = modeled)
+}
+
+/// Every run [`ablations`] reads, in rendering order.
+pub fn ablations_grid() -> Vec<RunSpec> {
+    let mixes = Contention::High.mixes();
+    let mut runs: Vec<RunSpec> = mixes
+        .iter()
+        .flat_map(|mix| ABLATION_POLICIES.map(|p| grid::mix_run(p, Contention::High, mix)))
+        .collect();
+    let tweaks = PARTITIONS.map(partitions_platform).into_iter();
+    for platform in tweaks.chain(OVERHEAD.map(overhead_platform)) {
+        runs.extend(mixes.iter().map(|mix| cell(&platform, PolicyKind::Relief, mix)));
+    }
+    runs
+}
+
+/// Ablations 1–4, high contention, rendered from `ctx`.
+pub fn ablations(ctx: &Ctx) -> String {
+    let policies = ABLATION_POLICIES;
     let mut cols = vec!["mix".to_string()];
     for p in policies {
         cols.push(format!("fwd% {}", p.name()));
@@ -132,8 +156,8 @@ pub fn ablations() -> String {
     for mix in Contention::High.mixes() {
         let mut row = vec![mix.label()];
         let mut ddl_cells = Vec::new();
-        for (i, p) in policies.iter().enumerate() {
-            let r = run_mix_with(config_for(*p, Contention::High), &mix);
+        for (i, &p) in policies.iter().enumerate() {
+            let r = ctx.run(&grid::mix_run(p, Contention::High, &mix));
             let fwd = r.stats.forward_percent();
             let ddl = r.stats.node_deadline_percent();
             row.push(format!("{fwd:.1}"));
@@ -155,25 +179,19 @@ pub fn ablations() -> String {
     );
 
     // Gmeans over the high-contention mixes of RELIEF runs on a tweaked
-    // configuration, one column per metric.
-    let gmeans = |tweak: &dyn Fn(&mut SocConfig), metrics: &[fn(&SimResult) -> f64]| {
-        let runs: Vec<SimResult> = Contention::High
-            .mixes()
-            .iter()
-            .map(|mix| {
-                let mut cfg = config_for(PolicyKind::Relief, Contention::High);
-                tweak(&mut cfg);
-                run_mix_with(cfg, mix)
-            })
-            .collect();
-        metrics.iter().map(|m| geometric_mean(runs.iter().map(m))).collect::<Vec<_>>()
+    // platform, one column per metric.
+    let gmeans = |platform: &PlatformSpec, metrics: &[fn(&SimResult) -> f64]| {
+        let mixes = Contention::High.mixes();
+        let runs: Vec<&SimResult> =
+            mixes.iter().map(|mix| ctx.run(&cell(platform, PolicyKind::Relief, mix))).collect();
+        metrics.iter().map(|m| geometric_mean(runs.iter().map(|r| m(r)))).collect::<Vec<_>>()
     };
     let exec_ms = |r: &SimResult| r.stats.exec_time.as_ms_f64();
     let ddl = |r: &SimResult| r.stats.node_deadline_percent();
 
     let mut t = Table::with_columns(&["partitions", "fwd+coloc %", "ddl %", "DRAM MB", "exec ms"]);
-    for parts in [1usize, 2, 3] {
-        let g = gmeans(&|cfg| cfg.output_partitions = parts, &[
+    for parts in PARTITIONS {
+        let g = gmeans(&partitions_platform(parts), &[
             |r| r.stats.forward_percent(),
             ddl,
             |r| r.stats.traffic.dram_bytes() as f64 / 1e6,
@@ -193,8 +211,8 @@ pub fn ablations() -> String {
     );
 
     let mut t = Table::with_columns(&["manager overhead", "exec ms (gmean)", "ddl %"]);
-    for modeled in [true, false] {
-        let g = gmeans(&|cfg| cfg.model_sched_overhead = modeled, &[exec_ms, ddl]);
+    for modeled in OVERHEAD {
+        let g = gmeans(&overhead_platform(modeled), &[exec_ms, ddl]);
         t.row(vec![
             if modeled { "modeled (Fig. 12 costs)" } else { "zero" }.to_string(),
             format!("{:.3}", g[0]),
@@ -260,7 +278,7 @@ pub fn sensitivity_grid() -> Vec<RunSpec> {
 pub fn sensitivity(ctx: &Ctx) -> String {
     let gmean = |platform: &PlatformSpec, policy, metric: fn(&SimResult) -> f64| {
         geometric_mean(
-            Contention::High.mixes().iter().map(|mix| metric(&ctx.run(&cell(platform, policy, mix)))),
+            Contention::High.mixes().iter().map(|mix| metric(ctx.run(&cell(platform, policy, mix)))),
         )
     };
     let exec_ms = |r: &SimResult| r.stats.exec_time.as_ms_f64();

@@ -20,7 +20,6 @@ use relief_bench::service::ServiceSpec;
 use relief_core::PolicyKind;
 use relief_workloads::Contention;
 use relief_sim::fnv1a;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
@@ -57,7 +56,6 @@ fn cache_campaign() -> Vec<RunSpec> {
                 cfg
             }),
         ],
-        replicates: 1,
     };
     let service = ServiceSpec {
         rates: vec![200.0],
@@ -72,7 +70,7 @@ fn cache_campaign() -> Vec<RunSpec> {
 }
 
 fn opts(jobs: usize, dir: &std::path::Path) -> ExecOptions {
-    ExecOptions { jobs, cache: CacheConfig::at(dir.to_path_buf()), ..Default::default() }
+    ExecOptions { jobs, cache: CacheConfig::at(dir.to_path_buf()) }
 }
 
 /// Asserts two result sets are observationally identical, field by
@@ -255,7 +253,7 @@ fn code_salt_bump_invalidates_the_whole_cache() {
     let bumped = CacheConfig { salt: format!("{CODE_SALT}+1"), ..CacheConfig::at(dir.clone()) };
     let rerun = execute(
         specs.clone(),
-        &ExecOptions { jobs: 1, cache: bumped.clone(), ..Default::default() },
+        &ExecOptions { jobs: 1, cache: bumped.clone() },
     );
     assert_eq!((rerun.cache_hits, rerun.simulated), (0, n), "salt bump must invalidate");
 
@@ -277,42 +275,6 @@ fn code_salt_bump_invalidates_the_whole_cache() {
 }
 
 #[test]
-fn trace_captured_runs_bypass_the_cache() {
-    let dir = temp_cache("trace");
-    let low = Contention::Low.mixes();
-    let spec = CampaignSpec::new(
-        "trace-test",
-        vec![PolicyKind::Fcfs, PolicyKind::Relief],
-        vec![WorkloadSpec::mix(Contention::Low, &low[0])],
-    );
-    let specs = spec.expand();
-    let n = specs.len();
-    let captured: String = specs[0].label();
-
-    let mk = |jobs| ExecOptions {
-        jobs,
-        trace_labels: BTreeSet::from([captured.clone()]),
-        cache: CacheConfig::at(dir.clone()),
-    };
-    let first = execute(specs.clone(), &mk(2));
-    assert_eq!(first.simulated, n);
-    // The captured run re-simulates on the warm pass (its text trace is
-    // never persisted) while every other cell hits.
-    let second = execute(specs.clone(), &mk(1));
-    assert_eq!(
-        (second.cache_hits, second.simulated),
-        (n - 1, 1),
-        "captured label must bypass the cache"
-    );
-    let trace_of = |r: &CampaignResults| {
-        r.get(&captured).and_then(|rec| rec.trace_text.clone()).expect("captured trace")
-    };
-    assert_eq!(trace_of(&first), trace_of(&second), "captured traces identical");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn rendered_artifacts_round_trip_and_respect_salt() {
     let dir = temp_cache("artifact");
     let cache = CacheConfig::at(dir.clone());
@@ -325,37 +287,6 @@ fn rendered_artifacts_round_trip_and_respect_salt() {
     // A bumped salt misses the stored artifact.
     let bumped = CacheConfig { salt: "other".into(), ..CacheConfig::at(dir.clone()) };
     assert_eq!(bumped.lookup_artifact("oracle"), None);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Replicate seeds, time limits, and labels flow through the cache key:
-/// two specs differing only in replicate index never collide.
-#[test]
-fn replicates_cache_independently() {
-    let dir = temp_cache("replicates");
-    let low = Contention::Low.mixes();
-    let spec = CampaignSpec {
-        replicates: 2,
-        ..CampaignSpec::new(
-            "rep-test",
-            vec![PolicyKind::Relief],
-            vec![WorkloadSpec::mix(Contention::Low, &low[0])],
-        )
-    };
-    let specs: Vec<RunSpec> = spec.expand();
-    assert_eq!(specs.len(), 2);
-    let cold = execute(specs.clone(), &opts(2, &dir));
-    let warm = execute(specs, &opts(2, &dir));
-    assert_eq!((warm.cache_hits, warm.simulated), (2, 0));
-    // Distinct replicates produced distinct results (different seeds) —
-    // a collision would have made these identical.
-    let texts: Vec<String> = cold
-        .outcomes
-        .iter()
-        .map(|o| format!("{:?}", o.outcome.as_ref().unwrap().result.stats))
-        .collect();
-    assert_results_identical(&cold, &warm, "replicates");
-    assert_eq!(texts.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,14 +1,15 @@
 //! End-to-end tests of the campaign engine's determinism contract:
-//! thread-count independence of reports, summaries, and captured traces,
-//! plus panic attribution to the exact offending spec.
+//! thread-count independence of reports and summaries, panic attribution
+//! to the exact offending spec, and a `Ctx` that answers only for the
+//! cells its campaign executed.
 
 use relief_bench::campaign::{
     execute, CampaignSpec, Ctx, ExecOptions, PlatformSpec, RunSpec, WorkloadSpec,
 };
+use relief_bench::experiments::grid;
 use relief_core::PolicyKind;
-use relief_trace::diff::first_divergence_lines;
 use relief_workloads::Contention;
-use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn small_campaign() -> CampaignSpec {
     let mixes = Contention::Low.mixes();
@@ -30,54 +31,6 @@ fn reports_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn replicates_are_deterministic_but_distinct() {
-    let spec = CampaignSpec { replicates: 3, ..small_campaign() };
-    let a = execute(spec.expand(), &ExecOptions { jobs: 4, ..Default::default() });
-    let b = execute(spec.expand(), &ExecOptions { jobs: 2, ..Default::default() });
-    assert_eq!(a.report(), b.report());
-    // Replicates of one cell see different seeds, so (with the mobile
-    // platform's nonzero compute jitter) they are genuinely different
-    // runs, not copies.
-    let report = a.report();
-    let lines: Vec<&str> = report.lines().take(3).collect();
-    assert!(lines[0].starts_with("LAX|low/C|mobile|r0"));
-    assert!(lines[1].starts_with("LAX|low/C|mobile|r1"));
-    let tail = |l: &str| l.split_once(": ").expect("label: stats").1.to_string();
-    assert_ne!(tail(lines[0]), tail(lines[1]), "replicate 1 must differ from replicate 0");
-}
-
-#[test]
-fn captured_traces_are_identical_across_thread_counts() {
-    // Trace one Fig. 2-sized run (small DAGs, full event stream) and
-    // require a clean trace-diff between a serial and a threaded
-    // execution of the same campaign.
-    let spec = relief_bench::experiments::grid::fig2_run(PolicyKind::Relief);
-    let label = spec.label();
-    let run = |jobs| {
-        let opts = ExecOptions { jobs, trace_labels: BTreeSet::from([label.clone()]), ..Default::default() };
-        let specs: Vec<RunSpec> = [PolicyKind::Lax, PolicyKind::Relief]
-            .iter()
-            .map(|&p| relief_bench::experiments::grid::fig2_run(p))
-            .collect();
-        let results = execute(specs, &opts);
-        assert!(results.failures().is_empty(), "{:?}", results.failures());
-        results.get(&label).expect("traced run present").trace_text.clone().expect("trace captured")
-    };
-    let serial = run(1);
-    let wide = run(8);
-    assert!(!serial.is_empty());
-    if let Some(div) = first_divergence_lines(&serial, &wide) {
-        panic!("canonical traces diverged across thread counts:\n{}", div.report());
-    }
-    // Untraced runs don't pay for capture.
-    let results = execute(
-        vec![relief_bench::experiments::grid::fig2_run(PolicyKind::Lax)],
-        &ExecOptions { jobs: 1, ..Default::default() },
-    );
-    assert!(results.outcomes[0].outcome.as_ref().unwrap().trace_text.is_none());
-}
-
-#[test]
 fn panicking_runs_are_attributed_without_sinking_the_campaign() {
     let healthy = WorkloadSpec::mix(Contention::Low, &Contention::Low.mixes()[0]);
     let poisoned = WorkloadSpec::custom("poisoned", None, || {
@@ -90,28 +43,25 @@ fn panicking_runs_are_attributed_without_sinking_the_campaign() {
     let results = execute(spec.expand(), &ExecOptions { jobs: 2, ..Default::default() });
     let failures = results.failures();
     assert_eq!(failures.len(), 1);
-    assert_eq!(failures[0].0, "RELIEF|poisoned|mobile|r0");
+    assert_eq!(failures[0].0, "RELIEF|poisoned|mobile");
     assert!(failures[0].1.contains("workload construction exploded"));
     // The healthy run still completed and is retrievable.
-    assert!(results.get("RELIEF|low/C|mobile|r0").is_some());
-    assert!(results.report().contains("RELIEF|poisoned|mobile|r0: FAILED:"));
+    assert!(results.get("RELIEF|low/C|mobile").is_some());
+    assert!(results.report().contains("RELIEF|poisoned|mobile: FAILED:"));
 }
 
 #[test]
-fn ctx_falls_back_inline_for_uncached_specs() {
-    let cached = execute(
-        vec![relief_bench::experiments::grid::fig2_run(PolicyKind::Relief)],
-        &ExecOptions { jobs: 1, ..Default::default() },
-    );
+fn ctx_panics_naming_the_label_of_a_spec_it_lacks() {
+    let cached = execute(vec![grid::fig2_run(PolicyKind::Relief)], &ExecOptions::default());
     let ctx = Ctx::from_results(&cached);
-    assert_eq!(ctx.len(), 1);
-    // A spec absent from the cache must produce the same result inline
-    // as a fresh engine execution of it would.
-    let miss = relief_bench::experiments::grid::fig2_run(PolicyKind::Lax);
-    let inline = ctx.run(&miss);
-    let engine = execute(vec![miss.clone()], &ExecOptions { jobs: 1, ..Default::default() });
-    let engine_stats = &engine.get(&miss.label()).unwrap().result.stats;
-    assert_eq!(format!("{:?}", inline.stats), format!("{engine_stats:?}"));
+    let hit = ctx.run(&grid::fig2_run(PolicyKind::Relief));
+    assert_eq!(hit.stats, cached.get("RELIEF|fig2|fig2[1A+1B]").unwrap().result.stats);
+    // A spec the campaign never executed is a bug in the caller's grid:
+    // the lookup panics, naming the missing cell, and simulates nothing.
+    let miss = grid::fig2_run(PolicyKind::Lax);
+    let panic = catch_unwind(AssertUnwindSafe(|| ctx.run(&miss).stats.exec_time)).unwrap_err();
+    let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+    assert!(message.contains("LAX|fig2|fig2[1A+1B]"), "{message}");
 }
 
 #[test]
@@ -133,5 +83,5 @@ fn custom_platforms_execute_deterministically() {
     let a = execute(specs(&platform), &ExecOptions { jobs: 1, ..Default::default() });
     let b = execute(specs(&platform), &ExecOptions { jobs: 2, ..Default::default() });
     assert_eq!(a.report(), b.report());
-    assert!(a.report().contains("LAX|low/G|mobile-slow-dram|r0"));
+    assert!(a.report().contains("LAX|low/G|mobile-slow-dram"));
 }

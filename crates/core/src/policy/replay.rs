@@ -68,34 +68,6 @@ impl Schedule {
         Schedule::default()
     }
 
-    /// Extracts the launch plan from a recorded trace: every
-    /// `TaskDispatched` event in emission order, plus the eager
-    /// (`lazy == false`) `WritebackIssued` producers.
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let launches = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::TaskDispatched { task, inst } => Some(ScheduledLaunch {
-                    task: TaskKey::new(task.instance, task.node),
-                    inst,
-                }),
-                _ => None,
-            })
-            .collect();
-        let mut eager: Vec<TaskKey> = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::WritebackIssued { task, lazy: false, .. } => {
-                    Some(TaskKey::new(task.instance, task.node))
-                }
-                _ => None,
-            })
-            .collect();
-        eager.sort_unstable();
-        eager.dedup();
-        Schedule { launches, eager_writebacks: Some(eager) }
-    }
-
     /// Number of launches in the plan.
     pub fn len(&self) -> usize {
         self.launches.len()
@@ -315,37 +287,30 @@ mod tests {
     }
 
     #[test]
-    fn from_events_keeps_only_dispatches_in_order() {
-        use relief_trace::TaskRef;
-        let events = vec![
-            TraceEvent {
-                at_ps: 0,
-                kind: EventKind::TaskReady { task: TaskRef { instance: 0, node: 0 }, acc: 0 },
-            },
-            TraceEvent {
-                at_ps: 1,
-                kind: EventKind::TaskDispatched { task: TaskRef { instance: 0, node: 0 }, inst: 2 },
-            },
-            TraceEvent {
-                at_ps: 2,
-                kind: EventKind::TaskDispatched { task: TaskRef { instance: 1, node: 3 }, inst: 0 },
-            },
-        ];
-        let s = Schedule::from_events(&events);
-        assert_eq!(s.launches, vec![launch(0, 0, 2), launch(1, 3, 0)]);
-    }
-
-    #[test]
     fn recorder_is_a_sink() {
         use relief_trace::{TaskRef, Tracer};
         let rec = ScheduleRecorder::shared();
         let tracer = Tracer::to_sink(rec.clone());
-        tracer.emit(5, || EventKind::TaskDispatched {
-            task: TaskRef { instance: 0, node: 1 },
-            inst: 3,
-        });
-        tracer.emit(6, || EventKind::EventDispatched { index: 0 });
-        assert_eq!(rec.borrow().schedule().launches, vec![launch(0, 1, 3)]);
+        let task = |instance, node| TaskRef { instance, node };
+        let writeback = |t, lazy| EventKind::WritebackIssued { task: t, inst: 0, bytes: 64, lazy };
+        // Kinds the recorder does not subscribe to leave no mark, even
+        // when handed to it directly.
+        let ready = EventKind::TaskReady { task: task(0, 0), acc: 0 };
+        rec.borrow_mut().emit(TraceEvent { at_ps: 0, kind: ready });
+        tracer.emit(1, || EventKind::TaskDispatched { task: task(0, 0), inst: 2 });
+        tracer.emit(2, || EventKind::TaskDispatched { task: task(1, 3), inst: 0 });
+        tracer.emit(3, || EventKind::EventDispatched { index: 0 });
+        // An eager write-back, a lazy one, then the first eager one again
+        // and an earlier eager one: the plan keeps the eager producers
+        // sorted, each once.
+        tracer.emit(4, || writeback(task(1, 3), false));
+        tracer.emit(5, || writeback(task(0, 1), true));
+        tracer.emit(6, || writeback(task(1, 3), false));
+        tracer.emit(7, || writeback(task(0, 0), false));
+        let schedule = rec.borrow().schedule();
+        assert_eq!(schedule.launches, vec![launch(0, 0, 2), launch(1, 3, 0)]);
+        let eager = vec![TaskKey::new(0, 0), TaskKey::new(1, 3)];
+        assert_eq!(schedule.eager_writebacks, Some(eager));
     }
 
     #[test]

@@ -47,13 +47,6 @@ pub struct EnergyBreakdown {
     pub spad_nj: f64,
 }
 
-impl EnergyBreakdown {
-    /// Combined memory-system energy in nanojoules.
-    pub fn total_nj(&self) -> f64 {
-        self.dram_nj + self.spad_nj
-    }
-}
-
 impl EnergyModel {
     /// Creates the default model.
     pub fn new() -> Self {
@@ -82,7 +75,7 @@ mod tests {
     #[test]
     fn zero_traffic_zero_time_is_zero() {
         let e = EnergyModel::new().energy(&TrafficStats::default(), Dur::ZERO);
-        assert_eq!(e.total_nj(), 0.0);
+        assert_eq!(e, EnergyBreakdown::default());
     }
 
     #[test]

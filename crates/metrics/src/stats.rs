@@ -126,15 +126,6 @@ impl AppStats {
             .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.max(s))))
     }
 
-    /// Fraction of completed nodes that met their deadline, in `[0, 1]`.
-    pub fn node_deadline_ratio(&self) -> f64 {
-        if self.nodes_completed == 0 {
-            0.0
-        } else {
-            self.node_deadlines_met as f64 / self.nodes_completed as f64
-        }
-    }
-
     /// Fraction of completed DAGs that met their deadline, in `[0, 1]`.
     pub fn dag_deadline_ratio(&self) -> f64 {
         if self.dags_completed == 0 {
@@ -504,7 +495,6 @@ mod tests {
         let a = app(3, 1);
         assert_eq!(a.mean_slowdown(), Some(1.0));
         assert_eq!(a.max_slowdown(), Some(1.5));
-        assert_eq!(a.node_deadline_ratio(), 0.8);
         assert_eq!(a.dag_deadline_ratio(), 0.5);
     }
 
@@ -513,7 +503,6 @@ mod tests {
         let a = AppStats::default();
         assert_eq!(a.mean_slowdown(), None);
         assert_eq!(a.max_slowdown(), None);
-        assert_eq!(a.node_deadline_ratio(), 0.0);
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl Mix {
             })
             .collect()
     }
-
-    /// Total edges across the mix's DAGs — the denominator of Fig. 4 for
-    /// run-to-completion scenarios.
-    pub fn total_edges(&self) -> u64 {
-        self.apps.iter().map(|a| a.dag().edge_count() as u64).sum()
-    }
 }
 
 impl fmt::Display for Mix {
@@ -165,7 +159,6 @@ mod tests {
         let mix = &Contention::High.mixes()[0]; // CDG
         let syms: Vec<_> = mix.workload().iter().map(|a| a.symbol.clone()).collect();
         assert_eq!(syms, vec!["C", "D", "G"]);
-        assert_eq!(mix.total_edges(), 14 + 26 + 140);
     }
 
     #[test]

@@ -41,11 +41,16 @@
 //!    pin that pausing with `run_until`, forking and resuming with
 //!    `try_run` dispatch exactly the events of an uninterrupted run).
 //! 5. The determinism, conformance, and property test suites:
-//!    `campaign_engine`, `campaign_cache` (the content-addressed
-//!    incremental-campaign store: a cold run writes one pack, warm
-//!    reruns simulate zero cells and touch no file with byte-identical
-//!    reports, corrupt records and packs fall back to simulation, salt
-//!    bumps invalidate), `golden_experiments`,
+//!    `campaign_engine` (reports and summaries identical at any worker
+//!    count, panics attributed to their spec, and a `Ctx` that panics
+//!    on a cell its campaign never executed), `campaign_cache` (the
+//!    content-addressed incremental-campaign store: a cold run writes
+//!    one pack, warm reruns simulate zero cells and touch no file with
+//!    byte-identical reports, corrupt records and packs fall back to
+//!    simulation, salt bumps invalidate), `experiments_output` (the five
+//!    `relief-bench` commands behind `experiments_output.txt` reproduce
+//!    it line for line, host-timed Fig. 12 fields aside),
+//!    `golden_experiments`,
 //!    `scheduler_conformance`, the policy suites `extensions`
 //!    (RELIEF-HET, the unthrottled ablation and the design sweeps),
 //!    `paper_reproduction` (the paper's per-policy observations) and
@@ -119,9 +124,10 @@ fn have_clippy() -> bool {
 }
 
 /// The integration-test suites step 5 runs, as `(package, test target)`.
-const TEST_SUITES: [(&str, &str); 15] = [
+const TEST_SUITES: [(&str, &str); 16] = [
     ("relief-bench", "campaign_engine"),
     ("relief-bench", "campaign_cache"),
+    ("relief-bench", "experiments_output"),
     ("relief", "golden_experiments"),
     ("relief", "scheduler_conformance"),
     ("relief", "extensions"),

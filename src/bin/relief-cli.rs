@@ -468,8 +468,8 @@ fn compare_policies(args: &Args, mix_apps: &[App]) -> ExitCode {
 
     let mix_label = args.mix.to_ascii_uppercase();
     let apps_spec = build_apps(args, mix_apps);
-    // The labels only key each policy's result: the cache is off,
-    // replicate 0 keeps the base seed, and one platform serves every
+    // The labels only key each policy's result: the cache is off, each
+    // run keeps the platform's base seed, and one platform serves every
     // policy.
     let workload = WorkloadSpec::custom("cli", args.limit(), move || apps_spec.clone());
     let (flags, n_mix) = (args.clone(), mix_apps.len());

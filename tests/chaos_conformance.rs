@@ -222,7 +222,7 @@ fn conservation_invariants_hold_across_policies_and_seeds_under_chaos() {
 fn campaigns_round_trip_through_the_persistent_cache() {
     let dir = std::env::temp_dir().join(format!("relief-chaos-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = ExecOptions { cache: CacheConfig::at(&dir), jobs: 2, ..Default::default() };
+    let opts = ExecOptions { cache: CacheConfig::at(&dir), jobs: 2 };
 
     let chaos = ChaosSpec {
         fault_rates: vec![0.0, 0.02],

@@ -40,7 +40,7 @@
 //! the drift in CHANGES.md.
 
 use relief::bench::chaos::ChaosSpec;
-use relief::bench::config_for;
+use relief::bench::experiments::grid::mix_run;
 use relief::bench::service::ServiceSpec;
 use relief::core::DataMovePredictor;
 use relief::prelude::*;
@@ -164,7 +164,7 @@ fn cells() -> Vec<Cell> {
         for &policy in policies {
             cells.push(Cell {
                 label: format!("{}/{}/{policy:?}", contention.name(), mix.label()),
-                cfg: config_for(policy, contention),
+                cfg: mix_run(policy, contention, mix).config(),
                 apps: mix.workload(),
             });
         }
@@ -175,7 +175,7 @@ fn cells() -> Vec<Cell> {
 
     let high = &Contention::High.mixes()[0];
     for policy in [PolicyKind::Fcfs, PolicyKind::Relief, PolicyKind::ReliefLax] {
-        let mut cfg = config_for(policy, Contention::High);
+        let mut cfg = mix_run(policy, Contention::High, high).config();
         cfg.fault = FaultConfig {
             task_fault_rate: 0.05,
             dma_fault_rate: 0.05,
@@ -201,7 +201,7 @@ fn cells() -> Vec<Cell> {
         let mix = &Contention::Low.mixes()[mix_index];
         for seed in 0..20u64 {
             let policy = eleven[seed as usize % eleven.len()];
-            let mut cfg = config_for(policy, Contention::Low);
+            let mut cfg = mix_run(policy, Contention::Low, mix).config();
             cfg.seed = seed_base ^ seed.wrapping_mul(0x9E37_79B9);
             let mut label = format!("{name}/{}/seed{seed:02}/{policy:?}", mix.label());
             if seed % fault_every == fault_every - 1 {
@@ -328,7 +328,7 @@ fn axis_cells(cells: &mut Vec<Cell>) {
         for policy in policies {
             cells.push(Cell {
                 label: format!("axis/{axis}/{}/{policy:?}", mix.label()),
-                cfg: with(config_for(policy, Contention::High)),
+                cfg: with(mix_run(policy, Contention::High, mix).config()),
                 apps: mix.workload(),
             });
         }

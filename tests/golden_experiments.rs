@@ -4,8 +4,7 @@
 //! and must never drift; Fig. 4's high-contention forwarding rates pin
 //! the headline result (RELIEF converts > 65 % of edges vs ≲ 26 % for
 //! every baseline). Both artifacts are produced through the campaign
-//! engine here, so the pins also guard the engine's cache-equals-inline
-//! property on top of the simulator itself.
+//! engine here, as the `relief-bench` commands produce them.
 
 use relief::bench::campaign::{execute, Ctx, ExecOptions};
 use relief::bench::experiments::grid;
@@ -56,7 +55,11 @@ fn table2_memory_times_match_experiments_md() {
         (App::Harris, 328.96, 165.21),
         (App::Lstm, 4059.21, 2019.46),
     ];
-    let ctx = Ctx::empty();
+    let specs =
+        App::ALL.iter().flat_map(|&app| [false, true].map(|fwd| grid::solo_run(app, fwd))).collect();
+    let results = execute(specs, &ExecOptions { jobs: 2, ..Default::default() });
+    assert!(results.failures().is_empty(), "{:?}", results.failures());
+    let ctx = Ctx::from_results(&results);
     for (app, nofwd_us, ideal_us) in pins {
         let nofwd = ctx.run(&grid::solo_run(app, false)).per_app_mem_time[app.symbol()];
         let ideal = ctx.run(&grid::solo_run(app, true)).per_app_mem_time[app.symbol()];
@@ -87,7 +90,7 @@ fn fig4_forwarding_rates_and_ordering_hold() {
     let results = execute(specs, &ExecOptions { jobs: 4, ..Default::default() });
     assert!(results.failures().is_empty(), "{:?}", results.failures());
     let ctx = Ctx::from_results(&results);
-    let sweep = PolicySweep::collect_with(&ctx, Contention::High, &MAIN_POLICIES, |r| {
+    let sweep = PolicySweep::collect(&ctx, Contention::High, &MAIN_POLICIES, |r| {
         r.stats.forward_percent()
     });
     let gmeans = sweep.gmeans();
@@ -125,7 +128,7 @@ fn extension_studies_match_experiments_output() {
     };
     for (name, text) in [
         ("platform", studies::platform()),
-        ("ablations", studies::ablations()),
+        ("ablations", grid_study(studies::ablations_grid(), studies::ablations)),
         ("sensitivity", grid_study(studies::sensitivity_grid(), studies::sensitivity)),
         ("rnn_scaling", grid_study(studies::rnn_scaling_grid(), studies::rnn_scaling)),
     ] {

@@ -79,7 +79,6 @@ fn overload_campaign() -> CampaignSpec {
         policies: vec![PolicyKind::Fcfs, PolicyKind::Relief],
         workloads: vec![WorkloadSpec::custom("service/CGL", None, cgl_apps)],
         platforms: vec![PlatformSpec::custom("mobile+mmpp-overload+bm", overload_config)],
-        replicates: 1,
     }
 }
 

@@ -4,7 +4,7 @@
 //! statistics, and kind subscription (a sink that subscribes to some
 //! kinds receives exactly those records of the full stream).
 
-use relief::bench::config_for;
+use relief::bench::experiments::grid::mix_run;
 use relief::prelude::*;
 use relief_accel::{SimResult, SpanCollector};
 use relief_service::SelfHealConfig;
@@ -151,10 +151,12 @@ fn subscription_cells() -> Vec<(String, SocConfig, Vec<AppSpec>)> {
         .iter()
         .chain(PolicyKind::EXTENSIONS.iter())
         .map(|&p| {
-            (format!("{}/{p:?}", mix.label()), config_for(p, Contention::High), mix.workload())
+            let cfg = mix_run(p, Contention::High, mix).config();
+            (format!("{}/{p:?}", mix.label()), cfg, mix.workload())
         })
         .collect();
-    let faulted = config_for(PolicyKind::Relief, Contention::High).with_fault(FaultConfig {
+    let faulted = mix_run(PolicyKind::Relief, Contention::High, mix).config();
+    let faulted = faulted.with_fault(FaultConfig {
         seed: 0xFA57,
         task_fault_rate: 0.05,
         dma_fault_rate: 0.05,
